@@ -25,6 +25,14 @@ cancellation-free on every path:
 
 Detector modelling (threshold detectors with efficiency eta and dark
 count p_d) and the per-photon-pair Bell yields live here too.
+
+Yield tables are factored by loss.  A detector of efficiency eta is
+loss eta in front of an ideal threshold detector with the same dark
+count, and uniform loss commutes with the passive relay optics, so the
+table at eta is L Y1 L^T, with L[i, k] = C(i, k) eta^k (1 - eta)^(i - k)
+(k of i photons survive) and Y1 the table at unit efficiency.  This is
+exact, and the fold adds only non-negative terms, so float64 loses no
+digits to cancellation.  Y1 is built once per (p_d, cutoff).
 """
 
 from __future__ import annotations
@@ -157,16 +165,13 @@ def _pol_row(n: int, pol: Polarization) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _interference_kernel(na: int, nb: int, coherent: bool = True) -> np.ndarray:
+def _interference_kernel(na: int, nb: int) -> np.ndarray:
     """Arm-count distribution for equal-polarization pulses.
 
     ``na`` photons enter port 1 and ``nb`` port 2 in the same
     polarization mode.  Returns P(p) for p photons in output arm 1,
     p = 0..na+nb.  Every product of binomials is an exact integer in
     float64, so true interference zeros come out exactly 0.0.
-
-    ``coherent=False`` reproduces the (incorrect) reading that squares
-    each splitting term before summing; kept only as a diagnostic.
     """
     total = na + nb
     row_a = _binom_row(na)
@@ -178,15 +183,8 @@ def _interference_kernel(na: int, nb: int, coherent: bool = True) -> np.ndarray:
     weight = np.array(shape) * np.array(shape[::-1]) / (
         _FACT[na] * _FACT[nb] * 2.0**total
     )
-    if coherent:
-        amp = np.convolve(row_a, signed_b)
-        probs = amp * amp * weight
-    else:
-        probs = np.zeros(total + 1)
-        for k in range(nb + 1):
-            for r in range(na + 1):
-                probs[r + k] += (row_a[r] * signed_b[k]) ** 2
-        probs = probs * weight
+    amp = np.convolve(row_a, signed_b)
+    probs = amp * amp * weight
     probs.setflags(write=False)
     return probs
 
@@ -233,10 +231,10 @@ def _sorted_distribution(
     )
 
 
-def _configs_parallel(i: int, j: int, pol: Polarization, coherent: bool):
+def _configs_parallel(i: int, j: int, pol: Polarization):
     """Both pulses share one polarization: interfere, then split per arm."""
     total = i + j
-    kernel = _interference_kernel(i, j, coherent)
+    kernel = _interference_kernel(i, j)
     configs, probs = [], []
     for p in range(total + 1):
         q = total - p
@@ -278,7 +276,7 @@ def _configs_rectilinear_orthogonal(i: int, pol_a: Polarization, j: int):
 
 
 def _configs_diagonal_orthogonal(
-    i: int, pol_a: Polarization, j: int, pol_b: Polarization, coherent: bool
+    i: int, pol_a: Polarization, j: int, pol_b: Polarization
 ):
     """(plus, minus) or (minus, plus): full four-mode coherent assembly.
 
@@ -304,11 +302,8 @@ def _configs_diagonal_orthogonal(
         rows2 = np.vstack(
             [_rotation_row(i - p, j - n1 + p, pol_a, pol_b) for p in p_vals]
         )
-        if coherent:
-            amp = (rows1 * weights[:, None]).T @ rows2
-            block = amp * amp
-        else:
-            block = (rows1**2 * (weights**2)[:, None]).T @ rows2**2
+        amp = (rows1 * weights[:, None]).T @ rows2
+        block = amp * amp
         g1, g2 = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1), indexing="ij")
         configs.append(
             np.column_stack(
@@ -319,9 +314,7 @@ def _configs_diagonal_orthogonal(
     return np.concatenate(configs), np.concatenate(probs)
 
 
-def _configs_mixed(
-    i: int, pol_a: Polarization, j: int, pol_b: Polarization, coherent: bool
-):
+def _configs_mixed(i: int, pol_a: Polarization, j: int, pol_b: Polarization):
     """One rectilinear and one diagonal pulse.
 
     The diagonal pulse is expanded into its H and V sectors.  Sector
@@ -341,9 +334,9 @@ def _configs_mixed(
     for t in range(n_diag + 1):
         # t diagonal photons fall into the sector of the rectilinear pulse.
         if rect_port == 0:
-            kernel = _interference_kernel(n_rect, t, coherent)
+            kernel = _interference_kernel(n_rect, t)
         else:
-            kernel = _interference_kernel(t, n_rect, coherent)
+            kernel = _interference_kernel(t, n_rect)
         other = _split_probs(n_diag - t)
         n_int = n_rect + t
         ki, ko = np.meshgrid(np.arange(n_int + 1), np.arange(n_diag - t + 1), indexing="ij")
@@ -360,21 +353,12 @@ def _configs_mixed(
 
 @functools.lru_cache(maxsize=None)
 def propagate(
-    i: int,
-    pol_a: Polarization,
-    j: int,
-    pol_b: Polarization,
-    coherent: bool = True,
+    i: int, pol_a: Polarization, j: int, pol_b: Polarization
 ) -> OutputDistribution:
     """Send |i> at ``pol_a`` and |j> at ``pol_b`` through the relay optics.
 
     Returns the exact joint photon-number distribution over the four
     detector modes before any detector imperfection is applied.
-
-    ``coherent=False`` switches the internal interference sums to a
-    literal squared-term reading.  That variant breaks unitarity and
-    Hong-Ou-Mandel cancellation; it exists purely as a diagnostic
-    comparison and must never feed yield tables.
     """
     if i < 0 or j < 0:
         raise DomainError(f"photon numbers must be >= 0, got ({i}, {j})")
@@ -387,13 +371,13 @@ def propagate(
         raise DomainError("polarizations must be Polarization members")
 
     if pol_a is pol_b:
-        configs, probs = _configs_parallel(i, j, pol_a, coherent)
+        configs, probs = _configs_parallel(i, j, pol_a)
     elif {pol_a, pol_b} == set(_RECTILINEAR):
         configs, probs = _configs_rectilinear_orthogonal(i, pol_a, j)
     elif {pol_a, pol_b} == set(_DIAGONAL):
-        configs, probs = _configs_diagonal_orthogonal(i, pol_a, j, pol_b, coherent)
+        configs, probs = _configs_diagonal_orthogonal(i, pol_a, j, pol_b)
     else:
-        configs, probs = _configs_mixed(i, pol_a, j, pol_b, coherent)
+        configs, probs = _configs_mixed(i, pol_a, j, pol_b)
     return _sorted_distribution(i, pol_a, j, pol_b, configs, probs)
 
 
@@ -493,6 +477,33 @@ _CHANNELS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _lossless_tables(dark_count: float, cutoff: int) -> dict[str, np.ndarray]:
+    """The four channel tables at unit efficiency and the given dark count."""
+    params = DetectorParams(efficiency=1.0, dark_count=dark_count)
+    tables = {}
+    for name, (pol_a, pol_b) in _CHANNELS.items():
+        table = np.empty((cutoff + 1, cutoff + 1))
+        for i in range(cutoff + 1):
+            for j in range(cutoff + 1):
+                dist = propagate(i, pol_a, j, pol_b)
+                table[i, j] = bell_yield(dist, BellOutcome.PSI_PLUS, params)
+        table.setflags(write=False)
+        tables[name] = table
+    return tables
+
+
+def _loss_matrix(eta: float, cutoff: int) -> np.ndarray:
+    """L[i, k] = C(i, k) eta^k (1 - eta)^(i - k): k of i photons survive.
+
+    Exactly the identity at eta = 1 and a column of ones at eta = 0.
+    """
+    n = np.arange(cutoff + 1)
+    lost = np.maximum(n[:, None] - n[None, :], 0)
+    binom = np.array([[math.comb(i, k) for k in n] for i in n], dtype=float)
+    return binom * np.power(eta, n)[None, :] * np.power(1.0 - eta, lost)
+
+
 def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:
     """Tabulate psi_plus yields for all photon pairs up to ``cutoff``."""
     if cutoff < 1:
@@ -502,13 +513,10 @@ def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:
             f"cutoff {cutoff} exceeds the numeric precision budget "
             f"(max {MAX_CUTOFF} per side)"
         )
+    loss = _loss_matrix(params.efficiency, cutoff)
     tables = {}
-    for name, (pol_a, pol_b) in _CHANNELS.items():
-        table = np.empty((cutoff + 1, cutoff + 1))
-        for i in range(cutoff + 1):
-            for j in range(cutoff + 1):
-                dist = propagate(i, pol_a, j, pol_b)
-                table[i, j] = bell_yield(dist, BellOutcome.PSI_PLUS, params)
+    for name, lossless in _lossless_tables(params.dark_count, cutoff).items():
+        table = loss @ lossless @ loss.T
         table.setflags(write=False)
         tables[name] = table
     return YieldTable(params=params, cutoff=cutoff, **tables)

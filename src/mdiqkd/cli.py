@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="K",
-            help="parallel worker processes (results are order-stable)",
+            help="accepted for compatibility and ignored; runs are serial",
         )
 
     add_common(commands.add_parser("sweep", help="rate versus distance"))
@@ -123,11 +123,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         scenario = _load(args)
         if args.command == "sweep":
-            points = run_sweep(scenario, workers=args.workers)
+            points = run_sweep(scenario)
         elif args.command == "compare":
-            points = compare_sources(scenario, workers=args.workers)
+            points = compare_sources(scenario)
         elif args.command == "optimize":
-            points = optimize_intensities(scenario, workers=args.workers)
+            points = optimize_intensities(scenario)
         else:
             _write_lines(_yields_report(scenario, args.distance_km), args.out)
             return 0

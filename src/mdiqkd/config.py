@@ -52,6 +52,11 @@ class DistanceGrid:
     step_km: float = 25.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start_km) and math.isfinite(self.stop_km)):
+            raise ConfigError(
+                f"grid start and stop must be finite, got "
+                f"({self.start_km}, {self.stop_km})"
+            )
         if self.start_km < 0.0:
             raise ConfigError(f"grid start must be >= 0, got {self.start_km}")
         if self.stop_km < self.start_km:

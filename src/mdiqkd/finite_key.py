@@ -59,8 +59,10 @@ class FiniteKeyConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.method, FluctuationMethod):
             raise ConfigError(f"unknown fluctuation method {self.method!r}")
-        if not self.pulse_pairs >= 1.0:
-            raise ConfigError(f"pulse_pairs must be >= 1, got {self.pulse_pairs}")
+        if not (math.isfinite(self.pulse_pairs) and self.pulse_pairs >= 1.0):
+            raise ConfigError(
+                f"pulse_pairs must be finite and >= 1, got {self.pulse_pairs}"
+            )
         if not self.sigmas > 0.0:
             raise ConfigError(f"sigmas must be > 0, got {self.sigmas}")
         if not 0.0 < self.epsilon < 1.0:

@@ -42,8 +42,10 @@ class SystemParams:
     ec_efficiency: float = 1.16
 
     def __post_init__(self) -> None:
-        if self.distance_km < 0.0:
-            raise DomainError(f"distance must be >= 0, got {self.distance_km}")
+        if not (math.isfinite(self.distance_km) and self.distance_km >= 0.0):
+            raise DomainError(
+                f"distance must be finite and >= 0, got {self.distance_km}"
+            )
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise DomainError(
                 f"detector efficiency must lie in (0, 1], got {self.detector_efficiency}"

@@ -6,17 +6,15 @@ finite-size worst-casing -> key rate.  Yield tables depend only on the
 overall efficiency, dark-count probability and cutoff, so they are
 cached and shared across sources and intensity settings.
 
-All pipelines are deterministic; parallel execution with ``workers > 1``
-partitions the distance grid and returns bit-identical results in the
-same order as a serial run.
+All pipelines are serial and deterministic: identical inputs give
+bit-identical results in grid order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bsm import DetectorParams, YieldTable, yield_tables
@@ -127,21 +125,9 @@ def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     )
 
 
-def _map_distances(
-    scenario: Scenario, distances: Sequence[float], workers: int
-) -> List[KeyRatePoint]:
-    if workers <= 1 or len(distances) <= 1:
-        return [evaluate_point(scenario, d) for d in distances]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, len(distances) // (4 * workers))
-        return list(
-            pool.map(partial(evaluate_point, scenario), distances, chunksize=chunk)
-        )
-
-
-def run_sweep(scenario: Scenario, workers: int = 1) -> List[KeyRatePoint]:
+def run_sweep(scenario: Scenario) -> List[KeyRatePoint]:
     """Key rate at every grid distance, ordered by distance."""
-    return _map_distances(scenario, scenario.grid.distances(), workers)
+    return [evaluate_point(scenario, d) for d in scenario.grid.distances()]
 
 
 # Benchmark intensity settings used by the source comparison, chosen so
@@ -165,11 +151,11 @@ def comparison_scenarios(base: Scenario) -> List[Scenario]:
     return scenarios
 
 
-def compare_sources(base: Scenario, workers: int = 1) -> List[KeyRatePoint]:
+def compare_sources(base: Scenario) -> List[KeyRatePoint]:
     """Sweep all four standard sources; rows grouped by source."""
     points: List[KeyRatePoint] = []
     for scenario in comparison_scenarios(base):
-        points.extend(run_sweep(scenario, workers=workers))
+        points.extend(run_sweep(scenario))
     return points
 
 
@@ -186,7 +172,7 @@ def _best_point(scenario: Scenario, pairs: Sequence[Tuple[float, float]], distan
     return best
 
 
-def optimize_intensities(scenario: Scenario, workers: int = 1) -> List[KeyRatePoint]:
+def optimize_intensities(scenario: Scenario) -> List[KeyRatePoint]:
     """Best (signal, decoy) intensity pair per distance, by key rate."""
     if scenario.source_kind is SourceKind.SPS:
         raise DomainError("single-photon sources have no intensities to optimize")
@@ -200,11 +186,7 @@ def optimize_intensities(scenario: Scenario, workers: int = 1) -> List[KeyRatePo
         raise DomainError(
             "no feasible intensity pairs: every candidate violates mu1 > mu2 > 0"
         )
-    distances = scenario.grid.distances()
-    if workers <= 1 or len(distances) <= 1:
-        return [_best_point(scenario, pairs, d) for d in distances]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(_best_point, scenario, pairs), distances))
+    return [_best_point(scenario, pairs, d) for d in scenario.grid.distances()]
 
 
 def cutoff_distance(

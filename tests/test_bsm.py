@@ -1,7 +1,9 @@
 """Beam-splitter propagation and relay detection model."""
 
+import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +24,13 @@ from _oracles import oracle_bell_yield, oracle_propagate
 P = Polarization
 POL_NAMES = {"h": P.H, "v": P.V, "plus": P.PLUS, "minus": P.MINUS}
 CANONICAL_PAIRS = [(P.H, P.V), (P.H, P.H), (P.PLUS, P.PLUS), (P.PLUS, P.MINUS)]
+# YieldTable field -> canonical input polarizations, by oracle name
+CHANNELS = {
+    "correct_z": ("h", "v"),
+    "error_z": ("h", "h"),
+    "correct_x": ("plus", "plus"),
+    "error_x": ("plus", "minus"),
+}
 
 
 @pytest.mark.parametrize("pol_a", sorted(POL_NAMES))
@@ -49,16 +58,6 @@ def test_two_photon_interference_cancels_coincidences():
     diag = propagate(1, P.PLUS, 1, P.PLUS)
     for config in [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]:
         assert abs(diag.probability(config)) < 1e-14
-
-
-def test_incoherent_diagnostic_mode_breaks_interference():
-    """The term-by-term (no amplitude summation) variant is kept only as
-    a diagnostic; it predicts spurious cross-arm coincidences."""
-    dist = propagate(1, P.H, 1, P.H, coherent=False)
-    assert dist.probability((1, 0, 1, 0)) == pytest.approx(0.5, abs=1e-15)
-    # summing squared path amplitudes instead of squaring the summed
-    # amplitude overcounts by exactly the suppressed cross-arm weight
-    assert dist.total() == pytest.approx(1.5, abs=1e-13)
 
 
 def test_opposite_diagonal_single_photons():
@@ -197,3 +196,81 @@ def test_detector_params_validation():
         DetectorParams(efficiency=0.5, dark_count=1.0)
     with pytest.raises(DomainError):
         DetectorParams(efficiency=0.5, dark_count=-1e-9)
+
+
+@pytest.mark.parametrize("dark", [0.0, 1e-7, 1e-3])
+@pytest.mark.parametrize("eta", [0.0, 1e-12, 4e-7, 4e-3, 0.4, 1.0])
+@pytest.mark.parametrize("cutoff", [1, 6, 15])
+def test_yield_tables_match_per_pair_detection(cutoff, eta, dark):
+    """The loss-folded tables equal a direct per-pair evaluation at eta."""
+    params = DetectorParams(eta, dark)
+    table = yield_tables(params, cutoff)
+    for name, (pa, pb) in CHANNELS.items():
+        want = np.array(
+            [
+                [
+                    bell_yield(
+                        propagate(i, POL_NAMES[pa], j, POL_NAMES[pb]),
+                        BellOutcome.PSI_PLUS,
+                        params,
+                    )
+                    for j in range(cutoff + 1)
+                ]
+                for i in range(cutoff + 1)
+            ]
+        )
+        got = getattr(table, name)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=name)
+
+
+def test_loss_fold_is_exact_in_rationals():
+    """Binomial loss in front of lossless detectors is the lossy detector."""
+    eta, dark = Fraction(1, 3), Fraction(1, 10)
+    for pa, pb in CHANNELS.values():
+        lossless = {
+            (k, l): oracle_bell_yield(
+                oracle_propagate(k, pa, l, pb), "psi_plus", Fraction(1), dark
+            )
+            for k in range(3)
+            for l in range(3)
+        }
+        for i in range(3):
+            for j in range(3):
+                folded = sum(
+                    math.comb(i, k) * eta**k * (1 - eta) ** (i - k)
+                    * math.comb(j, l) * eta**l * (1 - eta) ** (j - l)
+                    * lossless[k, l]
+                    for k in range(i + 1)
+                    for l in range(j + 1)
+                )
+                direct = oracle_bell_yield(
+                    oracle_propagate(i, pa, j, pb), "psi_plus", eta, dark
+                )
+                assert folded == direct, (pa, pb, i, j)
+
+
+@pytest.mark.parametrize(
+    "name,i,j", [("correct_z", 1, 1), ("correct_z", 3, 2), ("correct_x", 2, 2), ("error_x", 2, 2)]
+)
+def test_extreme_loss_fold_matches_mpmath(name, i, j):
+    """At eta = 1e-12 without dark counts every yield comes from the
+    surviving-photon terms of the fold; check them to 40 digits."""
+    eta = 1e-12
+    table = yield_tables(DetectorParams(eta, 0.0), 3)
+    pa, pb = CHANNELS[name]
+    with mpmath.workdps(40):
+        e = mpmath.mpf(eta)
+        want = mpmath.mpf(0)
+        for k in range(i + 1):
+            for l in range(j + 1):
+                lossless = oracle_bell_yield(
+                    oracle_propagate(k, pa, l, pb), "psi_plus", Fraction(1), Fraction(0)
+                )
+                want += (
+                    mpmath.binomial(i, k) * e**k * (1 - e) ** (i - k)
+                    * mpmath.binomial(j, l) * e**l * (1 - e) ** (j - l)
+                    * mpmath.mpf(lossless.numerator) / lossless.denominator
+                )
+        assert want > 0
+        assert abs(getattr(table, name)[i, j] - want) <= 1e-13 * want

@@ -1,5 +1,7 @@
 """Configuration parsing and the command-line interface."""
 
+import math
+
 import pytest
 
 from mdiqkd import (
@@ -222,3 +224,24 @@ def test_cli_exit_code_on_domain_failure(tmp_path, capsys):
 def test_cli_workers_validation(capsys):
     assert main(["sweep", "--workers", "0"]) == 2
     assert "--workers" in capsys.readouterr().err
+
+
+def test_cli_rejects_infinite_pulse_count(capsys):
+    assert main(["sweep", "--method", "chernoff", "--pulses", "inf"]) == 2
+    assert "pulse_pairs must be finite and >= 1, got inf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("distance", ["nan", "inf"])
+def test_cli_yields_rejects_non_finite_distance(capsys, distance):
+    assert main(["yields", "--distance-km", distance]) == 3
+    err = capsys.readouterr().err
+    assert f"distance must be finite and >= 0, got {distance}" in err
+
+
+@pytest.mark.parametrize("field", ["start_km", "stop_km"])
+def test_non_finite_grid_is_rejected(tmp_path, capsys, field):
+    with pytest.raises(ConfigError, match="grid start and stop must be finite"):
+        DistanceGrid(**{field: math.inf})
+    cfg = _write_cfg(tmp_path, f"grid.{field} = inf\n")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert f"grid.{field}: value must be finite" in capsys.readouterr().err

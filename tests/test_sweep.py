@@ -80,15 +80,6 @@ def test_compare_sources_groups_by_source():
     ]
 
 
-def test_parallel_matches_serial():
-    scenario = small(
-        finite_key=FiniteKeyConfig(FluctuationMethod.STANDARD, 1e13)
-    )
-    serial = run_sweep(scenario, workers=1)
-    parallel = run_sweep(scenario, workers=2)
-    assert serial == parallel
-
-
 def test_optimize_picks_best_intensities():
     scenario = small(
         mu1_candidates=(0.05, 0.1, 0.2),

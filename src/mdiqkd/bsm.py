@@ -33,6 +33,19 @@ table at eta is L Y1 L^T, with L[i, k] = C(i, k) eta^k (1 - eta)^(i - k)
 (k of i photons survive) and Y1 the table at unit efficiency.  This is
 exact, and the fold adds only non-negative terms, so float64 loses no
 digits to cancellation.  Y1 is built once per (p_d, cutoff).
+
+Y1 has a closed form: at unit efficiency a detector fires on any photon
+and with probability p_d on vacuum, so psi_plus depends only on which
+modes are occupied.  For n = i + j > 0 photons, h = 2^-n and c = C(n, i),
+Y1 = (1 - p_d)^2 (A - (1 - p_d) B).  A is the probability that all n
+photons leave through one arm (either arm), B the part of A where they
+also share one polarization mode.  The vacuum pair needs two dark counts
+in one arm: Y1 = 2 p_d^2 (1 - p_d)^2.
+
+    correct_z (H, V)   A = 2h    B = 2h if i = 0 or j = 0, else 0
+    error_z   (H, H)   A = 2ch   B = A   (Hong-Ou-Mandel bunching)
+    correct_x (+, +)   A = 2ch   B = A 2h
+    error_x   (+, -)   A = 2h    B = A 2ch
 """
 
 from __future__ import annotations
@@ -41,7 +54,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -51,7 +63,6 @@ from .errors import CutoffError, DomainError
 # (products of binomials below 2**53) no longer hold.
 MAX_TOTAL_PHOTONS = 40
 
-_SQRT2 = math.sqrt(2.0)
 _FACT = [float(math.factorial(n)) for n in range(MAX_TOTAL_PHOTONS + 1)]
 
 
@@ -99,27 +110,9 @@ class OutputDistribution:
     configs: np.ndarray
     probabilities: np.ndarray
 
-    @property
-    def total_photons(self) -> int:
-        return self.input_photons[0] + self.input_photons[1]
-
     def total(self) -> float:
         """Sum of retained probabilities (1 up to rounding)."""
         return float(self.probabilities.sum())
-
-    def items(self) -> Iterator[tuple[tuple[int, int, int, int], float]]:
-        for row, p in zip(self.configs, self.probabilities):
-            yield tuple(int(x) for x in row), float(p)
-
-    @functools.cached_property
-    def _lookup(self) -> dict[tuple[int, int, int, int], float]:
-        return dict(self.items())
-
-    def probability(self, config: tuple[int, int, int, int]) -> float:
-        return self._lookup.get(tuple(config), 0.0)
-
-    def as_dict(self) -> dict[tuple[int, int, int, int], float]:
-        return dict(self._lookup)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +172,6 @@ def _interference_kernel(na: int, nb: int) -> np.ndarray:
         [(-1.0) ** (nb - k) for k in range(nb + 1)]
     )
     shape = _FACT[: total + 1]
-    p = np.arange(total + 1)
     weight = np.array(shape) * np.array(shape[::-1]) / (
         _FACT[na] * _FACT[nb] * 2.0**total
     )
@@ -469,27 +461,25 @@ class YieldTable:
 # the propagation precision budget.
 MAX_CUTOFF = MAX_TOTAL_PHOTONS // 2
 
-_CHANNELS = {
-    "correct_z": (Polarization.H, Polarization.V),
-    "error_z": (Polarization.H, Polarization.H),
-    "correct_x": (Polarization.PLUS, Polarization.PLUS),
-    "error_x": (Polarization.PLUS, Polarization.MINUS),
-}
-
 
 @functools.lru_cache(maxsize=None)
-def _lossless_tables(dark_count: float, cutoff: int) -> dict[str, np.ndarray]:
-    """The four channel tables at unit efficiency and the given dark count."""
-    params = DetectorParams(efficiency=1.0, dark_count=dark_count)
-    tables = {}
-    for name, (pol_a, pol_b) in _CHANNELS.items():
-        table = np.empty((cutoff + 1, cutoff + 1))
-        for i in range(cutoff + 1):
-            for j in range(cutoff + 1):
-                dist = propagate(i, pol_a, j, pol_b)
-                table[i, j] = bell_yield(dist, BellOutcome.PSI_PLUS, params)
-        table.setflags(write=False)
-        tables[name] = table
+def _lossless_tables(dark_count: float, cutoff: int) -> np.ndarray:
+    """The four channel tables at unit efficiency from the module's A/B
+    table, in YieldTable's field order.  A and B are exact, so (A - B) +
+    p_d B replaces A - (1 - p_d) B without cancellation at small p_d."""
+    n = np.arange(cutoff + 1)
+    total = n[:, None] + n[None, :]
+    fact = np.array([math.factorial(k) for k in range(2 * cutoff + 1)], dtype=object)
+    two_h = 2.0 * 0.5**total
+    two_ch = (fact[total] // np.outer(fact[n], fact[n])).astype(float) * two_h
+    one_sided = (n[:, None] == 0) | (n[None, :] == 0)
+    # channels: correct_z, error_z, correct_x, error_x
+    a = np.stack([two_h, two_ch, two_ch, two_h])
+    b = np.stack([np.where(one_sided, two_h, 0.0), two_ch, two_ch * two_h, two_h * two_ch])
+    silent = 1.0 - dark_count
+    tables = silent * silent * ((a - b) + dark_count * b)
+    tables[:, 0, 0] = 2.0 * dark_count * dark_count * silent * silent
+    tables.setflags(write=False)
     return tables
 
 
@@ -514,9 +504,6 @@ def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:
             f"(max {MAX_CUTOFF} per side)"
         )
     loss = _loss_matrix(params.efficiency, cutoff)
-    tables = {}
-    for name, lossless in _lossless_tables(params.dark_count, cutoff).items():
-        table = loss @ lossless @ loss.T
-        table.setflags(write=False)
-        tables[name] = table
-    return YieldTable(params=params, cutoff=cutoff, **tables)
+    tables = loss @ _lossless_tables(params.dark_count, cutoff) @ loss.T
+    tables.setflags(write=False)
+    return YieldTable(params, cutoff, *tables)

@@ -33,6 +33,9 @@ from .sources import SourceKind, SourceSpec
 # state the choice explicitly.
 WCS_ESTIMATORS = ("two_decoy_generic",)
 
+# Far beyond any rate curve, small enough that a tiny step cannot exhaust memory.
+MAX_GRID_POINTS = 100_000
+
 _METHODS = {m.value: m for m in FluctuationMethod}
 
 _SIGNAL_KINDS = {
@@ -65,10 +68,17 @@ class DistanceGrid:
             )
         if not self.step_km > 0.0:
             raise ConfigError(f"grid step must be > 0, got {self.step_km}")
+        points = self._point_count()
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(f"grid has {points} points, more than {MAX_GRID_POINTS}")
+
+    def _point_count(self) -> int | float:
+        """Number of grid distances; inf when the step underflows the span."""
+        steps = (self.stop_km - self.start_km) / self.step_km + 1e-9
+        return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
 
     def distances(self) -> Tuple[float, ...]:
-        count = int(math.floor((self.stop_km - self.start_km) / self.step_km + 1e-9))
-        return tuple(self.start_km + k * self.step_km for k in range(count + 1))
+        return tuple(self.start_km + k * self.step_km for k in range(self._point_count()))
 
 
 @dataclass(frozen=True)

@@ -52,13 +52,16 @@ class SystemParams:
             )
         if not 0.0 <= self.dark_count < 1.0:
             raise DomainError(f"dark count must lie in [0, 1), got {self.dark_count}")
-        if self.fiber_loss_db_km < 0.0:
-            raise DomainError(f"fiber loss must be >= 0, got {self.fiber_loss_db_km}")
+        if not (math.isfinite(self.fiber_loss_db_km) and self.fiber_loss_db_km >= 0.0):
+            raise DomainError(
+                f"fiber loss must be finite and >= 0, got {self.fiber_loss_db_km}"
+            )
         if not 0.0 <= self.misalignment <= 1.0:
             raise DomainError(f"misalignment must lie in [0, 1], got {self.misalignment}")
-        if self.ec_efficiency < 1.0:
+        if not (math.isfinite(self.ec_efficiency) and self.ec_efficiency >= 1.0):
             raise DomainError(
-                f"error-correction efficiency must be >= 1, got {self.ec_efficiency}"
+                f"error-correction efficiency must be finite and >= 1, "
+                f"got {self.ec_efficiency}"
             )
 
     def overall_efficiency(self) -> float:

@@ -6,6 +6,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdiqkd import (
     BellOutcome,
@@ -18,6 +19,7 @@ from mdiqkd import (
     propagate,
     yield_tables,
 )
+from mdiqkd.bsm import _lossless_tables
 
 from _oracles import oracle_bell_yield, oracle_propagate
 
@@ -33,6 +35,11 @@ CHANNELS = {
 }
 
 
+def _prob(dist, config):
+    """Probability of one (n1h, n1v, n2h, n2v) configuration, 0 if absent."""
+    return float(dist.probabilities[(dist.configs == config).all(axis=1)].sum())
+
+
 @pytest.mark.parametrize("pol_a", sorted(POL_NAMES))
 @pytest.mark.parametrize("pol_b", sorted(POL_NAMES))
 def test_propagate_matches_exact_expansion(pol_a, pol_b):
@@ -42,7 +49,7 @@ def test_propagate_matches_exact_expansion(pol_a, pol_b):
             want = oracle_propagate(i, pol_a, j, pol_b)
             got = propagate(i, POL_NAMES[pol_a], j, POL_NAMES[pol_b])
             for config, prob in want.items():
-                assert got.probability(config) == pytest.approx(
+                assert _prob(got, config) == pytest.approx(
                     float(prob), abs=5e-15
                 ), (i, j, config)
             assert got.total() == pytest.approx(1.0, abs=1e-13)
@@ -51,13 +58,13 @@ def test_propagate_matches_exact_expansion(pol_a, pol_b):
 def test_two_photon_interference_cancels_coincidences():
     """Identical single photons never exit through different arms."""
     dist = propagate(1, P.H, 1, P.H)
-    assert dist.probability((1, 0, 1, 0)) == 0.0
-    assert dist.probability((2, 0, 0, 0)) == pytest.approx(0.5, abs=1e-15)
-    assert dist.probability((0, 0, 2, 0)) == pytest.approx(0.5, abs=1e-15)
+    assert _prob(dist, (1, 0, 1, 0)) == 0.0
+    assert _prob(dist, (2, 0, 0, 0)) == pytest.approx(0.5, abs=1e-15)
+    assert _prob(dist, (0, 0, 2, 0)) == pytest.approx(0.5, abs=1e-15)
 
     diag = propagate(1, P.PLUS, 1, P.PLUS)
     for config in [(1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1)]:
-        assert abs(diag.probability(config)) < 1e-14
+        assert abs(_prob(diag, config)) < 1e-14
 
 
 def test_opposite_diagonal_single_photons():
@@ -71,9 +78,9 @@ def test_opposite_diagonal_single_photons():
         (0, 1, 1, 0): 0.25,
     }
     for config, prob in expected.items():
-        assert dist.probability(config) == pytest.approx(prob, abs=1e-15)
-    assert dist.probability((1, 1, 0, 0)) == 0.0
-    assert dist.probability((0, 0, 1, 1)) == 0.0
+        assert _prob(dist, config) == pytest.approx(prob, abs=1e-15)
+    assert _prob(dist, (1, 1, 0, 0)) == 0.0
+    assert _prob(dist, (0, 0, 1, 1)) == 0.0
 
 
 @pytest.mark.parametrize("i,j", [(0, 0), (3, 2), (10, 7), (20, 20)])
@@ -219,6 +226,68 @@ def test_yield_tables_match_per_pair_detection(cutoff, eta, dark):
                 for i in range(cutoff + 1)
             ]
         )
+        got = getattr(table, name)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=name)
+
+
+@pytest.mark.parametrize("dark", [0.0, 0.125, 0.5])
+def test_lossless_closed_form_matches_exact_oracle(dark):
+    """At binary-exact dark counts the closed-form unit-efficiency tables
+    equal the exact-rational enumeration, rounded once."""
+    for (name, (pa, pb)), got in zip(CHANNELS.items(), _lossless_tables(dark, 4)):
+        exact = [
+            [
+                oracle_bell_yield(
+                    oracle_propagate(i, pa, j, pb), "psi_plus", Fraction(1), Fraction(dark)
+                )
+                for j in range(5)
+            ]
+            for i in range(5)
+        ]
+        want = np.array(exact, dtype=float)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0, err_msg=name)
+
+
+def _per_pair_yields(params, cutoff, pa, pb):
+    """psi_plus yields from ``propagate`` and per-mode detector factors.
+
+    Unlike ``bell_yield``, a mode with n photons stays silent with the
+    directly computed (1 - p_d)(1 - eta)^n rather than 1 - P(fire), which
+    cancels for eta near 1 (1.6e-13 relative at eta = 0.875, p_d = 0.48).
+    """
+    n = np.arange(2 * cutoff + 1)
+    fired = np.array([click_probability(int(k), params) for k in n])
+    silent = (1.0 - params.dark_count) * (1.0 - params.efficiency) ** n
+    table = np.empty((cutoff + 1, cutoff + 1))
+    for i in range(cutoff + 1):
+        for j in range(cutoff + 1):
+            dist = propagate(i, POL_NAMES[pa], j, POL_NAMES[pb])
+            d1h, d1v, d2h, d2v = fired[dist.configs.T]
+            s1h, s1v, s2h, s2v = silent[dist.configs.T]
+            pattern = d1h * d1v * s2h * s2v + d2h * d2v * s1h * s1v
+            table[i, j] = dist.probabilities @ pattern
+    return table
+
+
+# Zero or at least 1e-100 keeps every yield a normal float; subnormal
+# yields carry too few digits for a relative tolerance.
+_SMALLEST_NONZERO = 1e-100
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    eta=st.one_of(st.just(0.0), st.floats(_SMALLEST_NONZERO, 1.0)),
+    dark=st.one_of(st.just(0.0), st.floats(_SMALLEST_NONZERO, 0.5, exclude_max=True)),
+    cutoff=st.integers(1, 8),
+)
+def test_yield_tables_match_per_pair_detection_property(eta, dark, cutoff):
+    """The closed form folded with loss equals per-pair detection at any eta."""
+    params = DetectorParams(eta, dark)
+    table = yield_tables(params, cutoff)
+    for name, (pa, pb) in CHANNELS.items():
+        want = _per_pair_yields(params, cutoff, pa, pb)
         got = getattr(table, name)
         np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=name)

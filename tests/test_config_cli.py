@@ -14,6 +14,7 @@ from mdiqkd import (
     scenario_from_mapping,
 )
 from mdiqkd.cli import main
+from mdiqkd.config import MAX_GRID_POINTS
 
 
 def test_parse_kv_basic():
@@ -131,6 +132,28 @@ def test_grid_distances_include_endpoint():
     distances = grid.distances()
     assert distances[0] == 0.0 and distances[-1] == 400.0
     assert len(distances) == 17
+
+
+def test_grid_point_count_is_capped(monkeypatch):
+    assert len(DistanceGrid(0.0, MAX_GRID_POINTS - 1.0, 1.0).distances()) == MAX_GRID_POINTS
+    with pytest.raises(ConfigError, match=f"grid has {MAX_GRID_POINTS + 1} points"):
+        DistanceGrid(0.0, float(MAX_GRID_POINTS), 1.0)
+
+    def build_tuple(self):
+        raise AssertionError("the grid was built before the cap was checked")
+
+    # the cap is checked before any distance is generated
+    monkeypatch.setattr(DistanceGrid, "distances", build_tuple)
+    with pytest.raises(ConfigError, match="grid has 400000000001 points"):
+        DistanceGrid(0.0, 400.0, 1e-9)
+    with pytest.raises(ConfigError, match="grid has inf points"):
+        DistanceGrid(0.0, 400.0, 5e-324)
+
+
+def test_cli_rejects_oversized_grid(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "grid.step_km = 1e-9\n")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "grid has 400000000001 points" in capsys.readouterr().err
 
 
 def _write_cfg(tmp_path, text):

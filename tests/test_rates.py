@@ -45,6 +45,20 @@ def test_system_params_validation():
         SystemParams(ec_efficiency=0.9)
 
 
+@pytest.mark.parametrize(
+    "field,value,named",
+    [
+        ("ec_efficiency", math.nan, "error-correction efficiency"),
+        ("ec_efficiency", math.inf, "error-correction efficiency"),
+        ("fiber_loss_db_km", math.nan, "fiber loss"),
+        ("fiber_loss_db_km", math.inf, "fiber loss"),
+    ],
+)
+def test_system_params_rejects_non_finite_values(field, value, named):
+    with pytest.raises(DomainError, match=f"{named} must be finite"):
+        SystemParams(**{field: value})
+
+
 def test_binary_entropy_reference_values():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

@@ -1,11 +1,12 @@
 """Key rates for measurement-device-independent QKD.
 
-The package simulates the relay's Bell-state measurement exactly in the
-Fock basis for photon-number-resolved inputs, folds the result with the
-photon statistics of several source families (coherent-state
+The package computes the relay's Bell-state-measurement yields per
+photon-number pair in closed form, pushes fiber and detector loss onto
+the photon statistics of several source families (coherent-state
 superpositions, phase-randomized coherent states, single photons),
 bounds the single-photon contribution with decoy-state estimators, and
-applies finite-size penalties to every observed quantity.
+applies finite-size penalties to every observed quantity.  Only the
+Fock-state test oracle ``mdiqkd.fock`` needs numpy; it is not imported.
 """
 
 from .bsm import (
@@ -13,12 +14,8 @@ from .bsm import (
     DetectorParams,
     MAX_CUTOFF,
     MAX_TOTAL_PHOTONS,
-    OutputDistribution,
     Polarization,
     YieldTable,
-    bell_yield,
-    click_probability,
-    propagate,
     yield_tables,
 )
 from .config import DistanceGrid, Scenario, load_scenario, parse_kv_text, scenario_from_mapping
@@ -89,7 +86,6 @@ __all__ = [
     "KeyRatePoint",
     "MAX_CUTOFF",
     "MAX_TOTAL_PHOTONS",
-    "OutputDistribution",
     "PhotonDistribution",
     "Polarization",
     "Scenario",
@@ -99,12 +95,10 @@ __all__ = [
     "SystemParams",
     "VacuumGains",
     "YieldTable",
-    "bell_yield",
     "binary_entropy",
     "build_distribution",
     "calibrate_pulse_pairs",
     "chernoff_interval",
-    "click_probability",
     "compare_sources",
     "comparison_scenarios",
     "cutoff_distance",
@@ -116,7 +110,6 @@ __all__ = [
     "one_decoy_css",
     "optimize_intensities",
     "parse_kv_text",
-    "propagate",
     "run_sweep",
     "scenario_from_mapping",
     "standard_interval",

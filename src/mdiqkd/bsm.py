@@ -1,37 +1,17 @@
-"""Fock-state simulation of the relay's Bell-state measurement.
+"""Bell-state-measurement yields of the relay, in closed form.
 
-Two pulses meet on a 50:50 beam splitter; each output arm passes a
-polarizing beam splitter feeding two threshold detectors, so there are
-four detector modes (1H, 1V, 2H, 2V).  For number states entering the
-two ports the beam splitter acts by operator substitution
+The relay optics and detectors are described in ``mdiqkd.fock``, the
+exact Fock-state simulation these forms are checked against.
 
-    a1 -> (c1 + c2) / sqrt(2),    a2 -> (c1 - c2) / sqrt(2)
-
-per polarization mode.  Amplitudes landing on the same output monomial
-are summed coherently before squaring; that coherent sum is what makes
-two-photon Hong-Ou-Mandel dips exact zeros.
-
-The expansion is organized so that float64 arithmetic is exact or
-cancellation-free on every path:
-
-* equal polarizations reduce to a single-mode interference kernel whose
-  terms are products of binomial coefficients (exact integers below
-  2**53), followed by per-arm binomial splits;
-* H/V pairs factor into two independent arm splits;
-* diagonal/antidiagonal pairs use normalized per-arm rotation rows
-  (every summand has modulus < 1, so the coherent sum loses no digits);
-* mixed-basis pairs expand the diagonal pulse into H/V sectors, which
-  cannot interfere because the sector photon totals are measured.
-
-Detector modelling (threshold detectors with efficiency eta and dark
-count p_d) and the per-photon-pair Bell yields live here too.
-
-Yield tables are factored by loss.  A detector of efficiency eta is
-loss eta in front of an ideal threshold detector with the same dark
-count, and uniform loss commutes with the passive relay optics, so the
-table at eta is L Y1 L^T, with L[i, k] = C(i, k) eta^k (1 - eta)^(i - k)
-(k of i photons survive) and Y1 the table at unit efficiency.  This is
-exact, and the fold adds only non-negative terms, so float64 loses no
+Yields are factored by loss.  A detector of efficiency eta is loss eta
+in front of an ideal threshold detector with the same dark count, and
+uniform loss commutes with the passive relay optics, so the yield table
+at eta is L Y1 L^T, with L[i, k] = C(i, k) eta^k (1 - eta)^(i - k) (k of
+i photons survive) and Y1 the table at unit efficiency.  A gain never
+needs that table: the loss is pushed onto the two photon-number vectors
+instead, p^T L Y1 L^T q = a^T Y1 b with a = L^T p and b = L^T q (the
+photon statistics after loss), and a^T Y1 b is contracted directly.
+Every term is a product of non-negative numbers, so float64 loses no
 digits to cancellation.  Y1 is built once per (p_d, cutoff).
 
 Y1 has a closed form: at unit efficiency a detector fires on any photon
@@ -46,6 +26,8 @@ in one arm: Y1 = 2 p_d^2 (1 - p_d)^2.
     error_z   (H, H)   A = 2ch   B = A   (Hong-Ou-Mandel bunching)
     correct_x (+, +)   A = 2ch   B = A 2h
     error_x   (+, -)   A = 2h    B = A 2ch
+
+This module needs only the standard library.
 """
 
 from __future__ import annotations
@@ -54,16 +36,17 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .errors import CutoffError, DomainError
 
-# Beyond a 40-photon total the exact-integer guarantees of the kernel
-# (products of binomials below 2**53) no longer hold.
+# Beyond a 40-photon total the exact-integer guarantees of the Fock
+# simulation (products of binomials below 2**53) no longer hold.
 MAX_TOTAL_PHOTONS = 40
 
-_FACT = [float(math.factorial(n)) for n in range(MAX_TOTAL_PHOTONS + 1)]
+# Highest per-side photon number the tables accept: keeps i + j within
+# the propagation precision budget.
+MAX_CUTOFF = MAX_TOTAL_PHOTONS // 2
 
 
 class Polarization(enum.Enum):
@@ -76,10 +59,6 @@ class Polarization(enum.Enum):
 class BellOutcome(enum.Enum):
     PSI_PLUS = "psi_plus"    # same-arm H and V clicks, other arm silent
     PSI_MINUS = "psi_minus"  # cross-arm H and V clicks, others silent
-
-
-_DIAGONAL = (Polarization.PLUS, Polarization.MINUS)
-_RECTILINEAR = (Polarization.H, Polarization.V)
 
 
 @dataclass(frozen=True)
@@ -96,341 +75,69 @@ class DetectorParams:
             raise DomainError(f"dark count must lie in [0, 1), got {self.dark_count}")
 
 
-@dataclass(frozen=True)
-class OutputDistribution:
-    """Joint photon-number distribution over the four detector modes.
-
-    ``configs`` is an (n, 4) int array of (n1h, n1v, n2h, n2v)
-    occupations, ``probabilities`` the matching probabilities.  Rows are
-    lexicographically sorted, so equal inputs give identical layouts.
-    """
-
-    input_photons: tuple[int, int]
-    polarizations: tuple[Polarization, Polarization]
-    configs: np.ndarray
-    probabilities: np.ndarray
-
-    def total(self) -> float:
-        """Sum of retained probabilities (1 up to rounding)."""
-        return float(self.probabilities.sum())
-
-
-# ---------------------------------------------------------------------------
-# small exact building blocks
-# ---------------------------------------------------------------------------
+def _lossless_pair(dark_count: float, i: int, j: int) -> tuple:
+    """Y1 of the (i, j) pair in YieldTable's channel order, from the
+    module's A/B table.  A and B are exact, so (A - B) + p_d B replaces
+    A - (1 - p_d) B without cancellation at small p_d."""
+    silent = 1.0 - dark_count
+    if i == j == 0:
+        return (2.0 * dark_count * dark_count * silent * silent,) * 4
+    two_h = 2.0 * 0.5 ** (i + j)
+    two_ch = float(math.comb(i + j, i)) * two_h
+    a = (two_h, two_ch, two_ch, two_h)
+    b = (two_h if i == 0 or j == 0 else 0.0, two_ch, two_ch * two_h, two_h * two_ch)
+    weight = silent * silent
+    return tuple(weight * ((a_k - b_k) + dark_count * b_k) for a_k, b_k in zip(a, b))
 
 
 @functools.lru_cache(maxsize=None)
-def _binom_row(n: int) -> np.ndarray:
-    """[C(n, 0), ..., C(n, n)] as exact float64 values."""
-    row = np.array([float(math.comb(n, k)) for k in range(n + 1)])
-    row.setflags(write=False)
-    return row
+def _lossless_tables(dark_count: float, cutoff: int) -> tuple:
+    """The four Y1 tables up to ``cutoff``, as tuples of rows."""
+    size = range(cutoff + 1)
+    pairs = [[_lossless_pair(dark_count, i, j) for j in size] for i in size]
+    return tuple(tuple(tuple(p[k] for p in row) for row in pairs) for k in range(4))
 
 
-@functools.lru_cache(maxsize=None)
-def _split_probs(n: int) -> np.ndarray:
-    """Binomial(n, 1/2) weights: one pulse spreading over two modes."""
-    row = _binom_row(n) * 0.5**n
-    row.setflags(write=False)
-    return row
-
-
-@functools.lru_cache(maxsize=None)
-def _pol_row(n: int, pol: Polarization) -> np.ndarray:
-    """Integer H/V expansion coefficients of n photons of ``pol``.
-
-    Entry r is the coefficient of (cH+)^r (cV+)^(n-r) in the raw binomial
-    expansion, without the 2**(-n/2) normalization of diagonal states.
-    """
-    row = _binom_row(n).copy()
-    if pol is Polarization.H:
-        row = np.zeros(n + 1)
-        row[n] = 1.0
-    elif pol is Polarization.V:
-        row = np.zeros(n + 1)
-        row[0] = 1.0
-    elif pol is Polarization.MINUS:
-        signs = np.array([(-1.0) ** (n - r) for r in range(n + 1)])
-        row = row * signs
-    row.setflags(write=False)
-    return row
-
-
-@functools.lru_cache(maxsize=None)
-def _interference_kernel(na: int, nb: int) -> np.ndarray:
-    """Arm-count distribution for equal-polarization pulses.
-
-    ``na`` photons enter port 1 and ``nb`` port 2 in the same
-    polarization mode.  Returns P(p) for p photons in output arm 1,
-    p = 0..na+nb.  Every product of binomials is an exact integer in
-    float64, so true interference zeros come out exactly 0.0.
-    """
-    total = na + nb
-    row_a = _binom_row(na)
-    signed_b = _binom_row(nb) * np.array(
-        [(-1.0) ** (nb - k) for k in range(nb + 1)]
-    )
-    shape = _FACT[: total + 1]
-    weight = np.array(shape) * np.array(shape[::-1]) / (
-        _FACT[na] * _FACT[nb] * 2.0**total
-    )
-    amp = np.convolve(row_a, signed_b)
-    probs = amp * amp * weight
-    probs.setflags(write=False)
-    return probs
-
-
-@functools.lru_cache(maxsize=None)
-def _rotation_row(a: int, b: int, pol_a: Polarization, pol_b: Polarization) -> np.ndarray:
-    """Normalized H/V amplitudes of ``a`` photons of pol_a plus ``b`` of pol_b
-    sharing one arm.  Entry nh is the <nh, a+b-nh| amplitude."""
-    conv = np.convolve(_pol_row(a, pol_a), _pol_row(b, pol_b))
-    half_powers = a * (pol_a in _DIAGONAL) + b * (pol_b in _DIAGONAL)
-    nh = np.arange(a + b + 1)
-    norm = np.sqrt(
-        np.array([_FACT[h] for h in nh]) * np.array([_FACT[a + b - h] for h in nh])
-        / (_FACT[a] * _FACT[b])
-    )
-    row = conv * norm * 2.0 ** (-0.5 * half_powers)
-    row.setflags(write=False)
-    return row
-
-
-# ---------------------------------------------------------------------------
-# propagation
-# ---------------------------------------------------------------------------
-
-
-def _sorted_distribution(
-    i: int,
-    pol_a: Polarization,
-    j: int,
-    pol_b: Polarization,
-    configs: np.ndarray,
-    probs: np.ndarray,
-) -> OutputDistribution:
-    order = np.lexsort(configs.T[::-1])
-    configs = np.ascontiguousarray(configs[order])
-    probs = np.ascontiguousarray(probs[order])
-    configs.setflags(write=False)
-    probs.setflags(write=False)
-    return OutputDistribution(
-        input_photons=(i, j),
-        polarizations=(pol_a, pol_b),
-        configs=configs,
-        probabilities=probs,
+@functools.lru_cache(maxsize=1024)
+def _flat_lossless(dark_count: float, cutoff: int, rows: int, cols: int) -> tuple:
+    """The [:rows, :cols] blocks of the four Y1 tables, flattened in the
+    order of ``[x * y for x in a for y in b]``."""
+    return tuple(
+        tuple(v for row in table[:rows] for v in row[:cols])
+        for table in _lossless_tables(dark_count, cutoff)
     )
 
 
-def _configs_parallel(i: int, j: int, pol: Polarization):
-    """Both pulses share one polarization: interfere, then split per arm."""
-    total = i + j
-    kernel = _interference_kernel(i, j)
-    configs, probs = [], []
-    for p in range(total + 1):
-        q = total - p
-        if pol in _RECTILINEAR:
-            split1 = np.ones(1)
-            split2 = np.ones(1)
-            nh1 = np.array([p if pol is Polarization.H else 0])
-            nh2 = np.array([q if pol is Polarization.H else 0])
-        else:
-            split1, split2 = _split_probs(p), _split_probs(q)
-            nh1, nh2 = np.arange(p + 1), np.arange(q + 1)
-        block = kernel[p] * np.outer(split1, split2)
-        g1, g2 = np.meshgrid(nh1, nh2, indexing="ij")
-        configs.append(
-            np.column_stack(
-                [
-                    g1.ravel(),
-                    (p - g1).ravel(),
-                    g2.ravel(),
-                    (q - g2).ravel(),
-                ]
-            )
-        )
-        probs.append(block.ravel())
-    return np.concatenate(configs), np.concatenate(probs)
-
-
-def _configs_rectilinear_orthogonal(i: int, pol_a: Polarization, j: int):
-    """(H, V) or (V, H): two independent binomial arm splits."""
-    split_a, split_b = _split_probs(i), _split_probs(j)
-    ka, kb = np.meshgrid(np.arange(i + 1), np.arange(j + 1), indexing="ij")
-    probs = np.outer(split_a, split_b).ravel()
-    ka, kb = ka.ravel(), kb.ravel()
-    if pol_a is Polarization.H:
-        configs = np.column_stack([ka, kb, i - ka, j - kb])
-    else:
-        configs = np.column_stack([kb, ka, j - kb, i - ka])
-    return configs, probs
-
-
-def _configs_diagonal_orthogonal(
-    i: int, pol_a: Polarization, j: int, pol_b: Polarization
-):
-    """(plus, minus) or (minus, plus): full four-mode coherent assembly.
-
-    In the diagonal basis the two pulses occupy orthogonal modes and
-    simply split over the arms; rotating each arm back to H/V couples
-    the splittings coherently.  All summands are normalized amplitudes
-    (modulus <= 1), so the float64 sum is benign.
-    """
-    total = i + j
-    amp_a = np.sqrt(_binom_row(i) / 2.0**i)
-    amp_b = np.sqrt(_binom_row(j) / 2.0**j) * np.array(
-        [(-1.0) ** (j - k) for k in range(j + 1)]
+@functools.lru_cache(maxsize=256)
+def _loss_columns(eta: float, cutoff: int) -> tuple:
+    """Columns of L: entry k holds C(i, k) eta^k (1 - eta)^(i - k) for
+    i = k..cutoff.  L is exactly the identity at eta = 1 and a column of
+    ones at eta = 0."""
+    kept = [eta**k for k in range(cutoff + 1)]
+    lost = [(1.0 - eta) ** m for m in range(cutoff + 1)]
+    return tuple(
+        tuple(math.comb(i, k) * kept[k] * lost[i - k] for i in range(k, cutoff + 1))
+        for k in range(cutoff + 1)
     )
-    configs, probs = [], []
-    for n1 in range(total + 1):
-        n2 = total - n1
-        p_lo, p_hi = max(0, n1 - j), min(i, n1)
-        if p_lo > p_hi:
-            continue
-        p_vals = range(p_lo, p_hi + 1)
-        weights = np.array([amp_a[p] * amp_b[n1 - p] for p in p_vals])
-        rows1 = np.vstack([_rotation_row(p, n1 - p, pol_a, pol_b) for p in p_vals])
-        rows2 = np.vstack(
-            [_rotation_row(i - p, j - n1 + p, pol_a, pol_b) for p in p_vals]
-        )
-        amp = (rows1 * weights[:, None]).T @ rows2
-        block = amp * amp
-        g1, g2 = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1), indexing="ij")
-        configs.append(
-            np.column_stack(
-                [g1.ravel(), (n1 - g1).ravel(), g2.ravel(), (n2 - g2).ravel()]
-            )
-        )
-        probs.append(block.ravel())
-    return np.concatenate(configs), np.concatenate(probs)
 
 
-def _configs_mixed(i: int, pol_a: Polarization, j: int, pol_b: Polarization):
-    """One rectilinear and one diagonal pulse.
-
-    The diagonal pulse is expanded into its H and V sectors.  Sector
-    photon totals are observable in the detector counts, so the sectors
-    add incoherently; within the sector shared with the rectilinear
-    pulse the usual two-port interference kernel applies.
-    """
-    if pol_a in _RECTILINEAR:
-        n_rect, pol_rect, rect_port = i, pol_a, 0
-        n_diag = j
-    else:
-        n_rect, pol_rect, rect_port = j, pol_b, 1
-        n_diag = i
-    sector_weights = _split_probs(n_diag)
-
-    configs, probs = [], []
-    for t in range(n_diag + 1):
-        # t diagonal photons fall into the sector of the rectilinear pulse.
-        if rect_port == 0:
-            kernel = _interference_kernel(n_rect, t)
-        else:
-            kernel = _interference_kernel(t, n_rect)
-        other = _split_probs(n_diag - t)
-        n_int = n_rect + t
-        ki, ko = np.meshgrid(np.arange(n_int + 1), np.arange(n_diag - t + 1), indexing="ij")
-        block = sector_weights[t] * np.outer(kernel, other)
-        ki, ko = ki.ravel(), ko.ravel()
-        if pol_rect is Polarization.H:
-            block_configs = np.column_stack([ki, ko, n_int - ki, n_diag - t - ko])
-        else:
-            block_configs = np.column_stack([ko, ki, n_diag - t - ko, n_int - ki])
-        configs.append(block_configs)
-        probs.append(block.ravel())
-    return np.concatenate(configs), np.concatenate(probs)
-
-
-@functools.lru_cache(maxsize=None)
-def propagate(
-    i: int, pol_a: Polarization, j: int, pol_b: Polarization
-) -> OutputDistribution:
-    """Send |i> at ``pol_a`` and |j> at ``pol_b`` through the relay optics.
-
-    Returns the exact joint photon-number distribution over the four
-    detector modes before any detector imperfection is applied.
-    """
-    if i < 0 or j < 0:
-        raise DomainError(f"photon numbers must be >= 0, got ({i}, {j})")
-    if i + j > MAX_TOTAL_PHOTONS:
-        raise CutoffError(
-            f"total photon number {i + j} exceeds the precision budget "
-            f"({MAX_TOTAL_PHOTONS})"
-        )
-    if not isinstance(pol_a, Polarization) or not isinstance(pol_b, Polarization):
-        raise DomainError("polarizations must be Polarization members")
-
-    if pol_a is pol_b:
-        configs, probs = _configs_parallel(i, j, pol_a)
-    elif {pol_a, pol_b} == set(_RECTILINEAR):
-        configs, probs = _configs_rectilinear_orthogonal(i, pol_a, j)
-    elif {pol_a, pol_b} == set(_DIAGONAL):
-        configs, probs = _configs_diagonal_orthogonal(i, pol_a, j, pol_b)
-    else:
-        configs, probs = _configs_mixed(i, pol_a, j, pol_b)
-    return _sorted_distribution(i, pol_a, j, pol_b, configs, probs)
-
-
-# ---------------------------------------------------------------------------
-# detectors
-# ---------------------------------------------------------------------------
-
-
-def _one_minus_loss_power(n: np.ndarray, eta: float) -> np.ndarray:
-    """1 - (1 - eta)**n, exact at n = 0 and stable for small eta*n."""
-    if eta >= 1.0:
-        return (n > 0).astype(float)
-    return -np.expm1(n * math.log1p(-eta))
-
-
-def click_probability(n: int, params: DetectorParams) -> float:
-    """Probability that a threshold detector fires on n incident photons.
-
-    Equals 1 - (1 - p_d) (1 - eta)^n: the detector stays silent only if
-    every photon is lost and no dark count occurs.
-    """
-    if n < 0:
-        raise DomainError(f"photon number must be >= 0, got {n}")
-    survive = _one_minus_loss_power(np.array([n]), params.efficiency)[0]
-    return params.dark_count + (1.0 - params.dark_count) * float(survive)
-
-
-def bell_yield(
-    dist: OutputDistribution, outcome: BellOutcome, params: DetectorParams
-) -> float:
-    """Probability of announcing ``outcome`` given the ideal-optics output.
-
-    psi_plus requires H and V clicks in one arm with the other arm
-    silent; psi_minus requires an H click in one arm and a V click in
-    the other with the remaining detectors silent.
-    """
-    pd, q = params.dark_count, 1.0 - params.dark_count
-    cols = dist.configs.T
-    fired = [pd + q * _one_minus_loss_power(c, params.efficiency) for c in cols]
-    d1h, d1v, d2h, d2v = fired
-    s1h, s1v, s2h, s2v = (1.0 - d for d in fired)
-    if outcome is BellOutcome.PSI_PLUS:
-        pattern = d1h * d1v * s2h * s2v + d2h * d2v * s1h * s1v
-    elif outcome is BellOutcome.PSI_MINUS:
-        pattern = d1h * d2v * s1v * s2h + d1v * d2h * s1h * s2v
-    else:
-        raise DomainError(f"unknown Bell outcome {outcome}")
-    return float(dist.probabilities @ pattern)
-
-
-# ---------------------------------------------------------------------------
-# per-photon-pair yield tables
-# ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=1024)
+def _lossy(probabilities: tuple, eta: float, cutoff: int) -> tuple:
+    """L^T p: the photon-number distribution p after loss eta."""
+    columns = _loss_columns(eta, cutoff)
+    return tuple(
+        sum(map(mul, probabilities[k:], columns[k]))
+        for k in range(len(probabilities))
+    )
 
 
 @dataclass(frozen=True)
 class YieldTable:
-    """Bell-measurement yields per photon-number pair.
+    """Bell-measurement yields per photon-number pair at one efficiency.
 
-    Entry [i, j] is the psi_plus yield when the two sources emit i and j
-    photons in the canonical input pair of that channel:
+    The yield of the pair (i, j) is the psi_plus yield when the two
+    sources emit i and j photons in the canonical input pair of a
+    channel, in the order
 
     * ``correct_z`` for (H, V), ``error_z`` for (H, H);
     * ``correct_x`` for (plus, plus), ``error_x`` for (plus, minus).
@@ -439,59 +146,48 @@ class YieldTable:
     cancels against the 1/4 probability of each basis-state pair, so
     these single-pair yields multiply photon-number probabilities
     directly in gain formulas.
+
+    ``lossless`` holds the four unit-efficiency tables Y1 for the dark
+    count and ``loss`` the columns of L for the efficiency; every yield
+    and gain is the contraction of ``contract``.
     """
 
     params: DetectorParams
     cutoff: int
-    correct_z: np.ndarray
-    error_z: np.ndarray
-    correct_x: np.ndarray
-    error_x: np.ndarray
+    lossless: tuple
+    loss: tuple
+
+    def contract(self, pa: tuple, pb: tuple) -> tuple:
+        """(correct_z, error_z, correct_x, error_x) gains of the
+        photon-number distributions ``pa`` and ``pb`` (tuples of
+        probabilities from zero photons up)."""
+        if len(pa) > self.cutoff + 1 or len(pb) > self.cutoff + 1:
+            raise CutoffError(
+                f"distribution cutoffs ({len(pa) - 1}, {len(pb) - 1}) exceed "
+                f"the yield-table cutoff {self.cutoff}"
+            )
+        eta = self.params.efficiency
+        a = _lossy(pa, eta, self.cutoff)
+        b = _lossy(pb, eta, self.cutoff)
+        products = [x * y for x in a for y in b]
+        flat = _flat_lossless(self.params.dark_count, self.cutoff, len(a), len(b))
+        return tuple(sum(map(mul, products, table)) for table in flat)
+
+    def pair(self, i: int, j: int) -> tuple:
+        """(correct_z, error_z, correct_x, error_x) yields of the (i, j)
+        photon pair: the contraction of two unit vectors."""
+        if i < 0 or j < 0:
+            raise DomainError(f"photon numbers must be >= 0, got ({i}, {j})")
+        return self.contract((0.0,) * i + (1.0,), (0.0,) * j + (1.0,))
 
     def single_pair(self, basis: str) -> tuple[float, float]:
         """(correct, error) yields of the (1, 1) photon pair."""
+        correct_z, error_z, correct_x, error_x = self.pair(1, 1)
         if basis == "Z":
-            return float(self.correct_z[1, 1]), float(self.error_z[1, 1])
+            return correct_z, error_z
         if basis == "X":
-            return float(self.correct_x[1, 1]), float(self.error_x[1, 1])
+            return correct_x, error_x
         raise DomainError(f"basis must be 'Z' or 'X', got {basis!r}")
-
-
-# Highest per-side photon number the tables accept: keeps i + j within
-# the propagation precision budget.
-MAX_CUTOFF = MAX_TOTAL_PHOTONS // 2
-
-
-@functools.lru_cache(maxsize=None)
-def _lossless_tables(dark_count: float, cutoff: int) -> np.ndarray:
-    """The four channel tables at unit efficiency from the module's A/B
-    table, in YieldTable's field order.  A and B are exact, so (A - B) +
-    p_d B replaces A - (1 - p_d) B without cancellation at small p_d."""
-    n = np.arange(cutoff + 1)
-    total = n[:, None] + n[None, :]
-    fact = np.array([math.factorial(k) for k in range(2 * cutoff + 1)], dtype=object)
-    two_h = 2.0 * 0.5**total
-    two_ch = (fact[total] // np.outer(fact[n], fact[n])).astype(float) * two_h
-    one_sided = (n[:, None] == 0) | (n[None, :] == 0)
-    # channels: correct_z, error_z, correct_x, error_x
-    a = np.stack([two_h, two_ch, two_ch, two_h])
-    b = np.stack([np.where(one_sided, two_h, 0.0), two_ch, two_ch * two_h, two_h * two_ch])
-    silent = 1.0 - dark_count
-    tables = silent * silent * ((a - b) + dark_count * b)
-    tables[:, 0, 0] = 2.0 * dark_count * dark_count * silent * silent
-    tables.setflags(write=False)
-    return tables
-
-
-def _loss_matrix(eta: float, cutoff: int) -> np.ndarray:
-    """L[i, k] = C(i, k) eta^k (1 - eta)^(i - k): k of i photons survive.
-
-    Exactly the identity at eta = 1 and a column of ones at eta = 0.
-    """
-    n = np.arange(cutoff + 1)
-    lost = np.maximum(n[:, None] - n[None, :], 0)
-    binom = np.array([[math.comb(i, k) for k in n] for i in n], dtype=float)
-    return binom * np.power(eta, n)[None, :] * np.power(1.0 - eta, lost)
 
 
 def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:
@@ -503,7 +199,9 @@ def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:
             f"cutoff {cutoff} exceeds the numeric precision budget "
             f"(max {MAX_CUTOFF} per side)"
         )
-    loss = _loss_matrix(params.efficiency, cutoff)
-    tables = loss @ _lossless_tables(params.dark_count, cutoff) @ loss.T
-    tables.setflags(write=False)
-    return YieldTable(params, cutoff, *tables)
+    return YieldTable(
+        params,
+        cutoff,
+        _lossless_tables(params.dark_count, cutoff),
+        _loss_columns(params.efficiency, cutoff),
+    )

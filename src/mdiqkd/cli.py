@@ -19,7 +19,6 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from .bsm import BellOutcome, bell_yield, propagate, Polarization
 from .config import Scenario, load_scenario
 from .errors import ConfigError, CutoffError, DomainError
 from .rates import true_single_photon_quantities
@@ -97,8 +96,7 @@ def _yields_report(scenario: Scenario, distance_km: float) -> List[str]:
     system = replace(scenario.system, distance_km=distance_km)
     table = _cached_tables(system.detector_params(), scenario.cutoff)
     truth = true_single_photon_quantities(table, system.misalignment)
-    vacuum = propagate(0, Polarization.H, 0, Polarization.V)
-    vacuum_yield = bell_yield(vacuum, BellOutcome.PSI_PLUS, system.detector_params())
+    vacuum_yield = table.pair(0, 0)[0]
 
     def fmt(value: Optional[float]) -> str:
         return format(float("nan") if value is None else value, ".17g")

@@ -269,7 +269,7 @@ def _first_probs(dist: PhotonDistribution) -> tuple:
 
 
 def _require_odd_only(dist: PhotonDistribution, label: str) -> None:
-    even_mass = float(dist.probabilities[0::2].sum())
+    even_mass = sum(dist.probabilities[0::2])
     if even_mass > CSS_PURITY_TOLERANCE:
         raise DomainError(
             f"one-decoy estimator requires odd-only photon statistics, but the "

@@ -1,9 +1,10 @@
 """Gains, error rates and the secret-key-rate formula.
 
 Gains are obtained by weighting the per-photon-pair yield tables with
-the two sources' photon-number distributions.  Misalignment enters only
-here: a fraction e_d of intrinsically correct coincidences is recorded
-as an error and vice versa, so the error-weighted gain of a channel is
+the two sources' photon-number distributions (``YieldTable.contract``).
+Misalignment enters only here: a fraction e_d of intrinsically correct
+coincidences is recorded as an error and vice versa, so the
+error-weighted gain of a channel is
 
     E Q = e_d Q_correct + (1 - e_d) Q_error.
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bsm import DetectorParams, YieldTable
-from .errors import CutoffError, DomainError
+from .errors import DomainError
 from .sources import PhotonDistribution
 
 
@@ -127,17 +128,9 @@ def gains(
     """Contract two photon-number distributions against a yield table."""
     if not 0.0 <= misalignment <= 1.0:
         raise DomainError(f"misalignment must lie in [0, 1], got {misalignment}")
-    size = table.cutoff + 1
-    if dist_a.cutoff + 1 > size or dist_b.cutoff + 1 > size:
-        raise CutoffError(
-            f"distribution cutoffs ({dist_a.cutoff}, {dist_b.cutoff}) exceed "
-            f"the yield-table cutoff {table.cutoff}"
-        )
-    pa, pb = dist_a.padded(size), dist_b.padded(size)
-    correct_z = float(pa @ table.correct_z @ pb)
-    error_z = float(pa @ table.error_z @ pb)
-    correct_x = float(pa @ table.correct_x @ pb)
-    error_x = float(pa @ table.error_x @ pb)
+    correct_z, error_z, correct_x, error_x = table.contract(
+        dist_a.probabilities, dist_b.probabilities
+    )
     e_d = misalignment
     return GainSet(
         correct_z=correct_z,

@@ -14,7 +14,8 @@ distribution p(n).  Supported families:
 
 Distributions are truncated at the smallest N whose analytic tail mass
 falls below a tolerance; the tail is reported, never folded back into
-the retained probabilities.
+the retained probabilities.  A distribution is a tuple of floats, built
+with ``math`` from the log-series, so this module needs no numpy.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -96,7 +95,7 @@ class PhotonDistribution:
     """
 
     spec: SourceSpec
-    probabilities: np.ndarray
+    probabilities: tuple[float, ...]
     tail_mass: float
 
     @property
@@ -110,48 +109,32 @@ class PhotonDistribution:
             raise DomainError(f"photon number must be >= 0, got {n}")
         if n > self.cutoff:
             return 0.0
-        return float(self.probabilities[n])
+        return self.probabilities[n]
 
     def mean(self) -> float:
         """Mean photon number of the retained part."""
-        n = np.arange(len(self.probabilities))
-        return float(n @ self.probabilities)
-
-    def padded(self, length: int) -> np.ndarray:
-        """Probabilities extended with zeros to the requested length."""
-        if length < len(self.probabilities):
-            raise DomainError(
-                f"cannot pad distribution of cutoff {self.cutoff} "
-                f"into {length} slots"
-            )
-        out = np.zeros(length)
-        out[: len(self.probabilities)] = self.probabilities
-        return out
+        return sum(n * p for n, p in enumerate(self.probabilities))
 
 
-def _log_terms(spec: SourceSpec) -> np.ndarray:
-    """log p(n) for n = 0.._HARD_CAP, -inf where the sector is empty."""
-    n = np.arange(_HARD_CAP + 1)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in n])
+def _terms(spec: SourceSpec) -> list[float]:
+    """p(n) for n = 0.._HARD_CAP from log p(n), 0 where the sector is empty."""
     mu = spec.mu
-    out = np.full(n.shape, -np.inf)
-    with np.errstate(divide="ignore"):
-        base = n * math.log(mu) - log_fact
+    log_mu = math.log(mu)
+    base = [n * log_mu - math.lgamma(n + 1.0) for n in range(_HARD_CAP + 1)]
     if spec.kind is SourceKind.WCS:
-        out = base - mu
-    elif spec.kind is SourceKind.CSS:
-        odd = n % 2 == 1
-        out[odd] = base[odd] - math.log(math.sinh(mu))
-    elif spec.kind is SourceKind.NONIDEAL_CSS:
-        a = spec.odd_weight
-        odd = n % 2 == 1
-        out[odd] = base[odd] + math.log(a) - math.log(math.sinh(mu))
-        if a < 1.0:
-            even = ~odd
-            out[even] = base[even] + math.log1p(-a) - math.log(math.cosh(mu))
+        logs = [b - mu for b in base]
+    elif spec.kind in (SourceKind.CSS, SourceKind.NONIDEAL_CSS):
+        a = spec.odd_weight  # 1 for an ideal cat: no even sector
+        log_odd = math.log(a)
+        log_even = math.log1p(-a) if a < 1.0 else -math.inf
+        log_sinh, log_cosh = math.log(math.sinh(mu)), math.log(math.cosh(mu))
+        logs = [
+            (b + log_odd) - log_sinh if n % 2 else (b + log_even) - log_cosh
+            for n, b in enumerate(base)
+        ]
     else:  # pragma: no cover - sps/vacuum never reach here
         raise DomainError(f"no series form for {spec.kind}")
-    return out
+    return [math.exp(x) for x in logs]
 
 
 def build_distribution(
@@ -170,32 +153,32 @@ def build_distribution(
     # Degenerate and zero-intensity limits are analytic, not numeric.
     tail = 0.0
     if spec.kind is SourceKind.VACUUM:
-        probs = np.array([1.0])
+        probs = (1.0,)
     elif spec.kind is SourceKind.SPS:
-        probs = np.array([0.0, 1.0])
+        probs = (0.0, 1.0)
     elif spec.mu == 0.0:
         if spec.kind is SourceKind.WCS:
-            probs = np.array([1.0])
+            probs = (1.0,)
         elif spec.kind is SourceKind.CSS:
             # mu/sinh(mu) -> 1: all mass at a single photon.
-            probs = np.array([0.0, 1.0])
+            probs = (0.0, 1.0)
         else:
             a = spec.odd_weight
-            probs = np.array([1.0 - a, a])
+            probs = (1.0 - a, a)
     else:
-        terms = np.exp(_log_terms(spec))
+        terms = _terms(spec)
         # Suffix sums accumulate small terms first, so the reported tail
         # is the analytic remainder rather than a cancellation residue.
-        suffix = np.cumsum(terms[::-1])[::-1]
-        if suffix[0] < 1.0 - 1e-9:  # pragma: no cover - guarded by _HARD_CAP
+        tails = [0.0] * len(terms)  # tails[N] = mass above N
+        for n in range(len(terms) - 1, 0, -1):
+            tails[n - 1] = tails[n] + terms[n]
+        if tails[0] + terms[0] < 1.0 - 1e-9:  # pragma: no cover - guarded by _HARD_CAP
             raise DomainError(
                 f"series for mu={spec.mu} does not converge within "
                 f"{_HARD_CAP} photons"
             )
-        tails = np.append(suffix[1:], 0.0)  # tails[N] = mass above N
-        n_max = int(np.nonzero(tails < tail_tolerance)[0][0])
-        probs = terms[: n_max + 1].copy()
-        tail = float(tails[n_max])
+        n_max = next(n for n, mass in enumerate(tails) if mass < tail_tolerance)
+        probs = tuple(terms[: n_max + 1])
+        tail = tails[n_max]
 
-    probs.setflags(write=False)
     return PhotonDistribution(spec=spec, probabilities=probs, tail_mass=tail)

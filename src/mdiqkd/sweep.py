@@ -4,7 +4,9 @@
 statistics -> relay yield tables -> observed gains -> decoy bounds with
 finite-size worst-casing -> key rate.  Yield tables depend only on the
 overall efficiency, dark-count probability and cutoff, so they are
-cached and shared across sources and intensity settings.
+cached and shared across sources and intensity settings; gains are
+cached per (source pair, detector, cutoff, tail tolerance,
+misalignment), so repeated evaluations at one distance reuse them.
 
 All pipelines are serial and deterministic: identical inputs give
 bit-identical results in grid order.
@@ -41,6 +43,21 @@ def _cached_distribution(spec: SourceSpec, tail_tolerance: float) -> PhotonDistr
     return build_distribution(spec, tail_tolerance)
 
 
+@lru_cache(maxsize=4096)
+def _cached_gains(
+    spec_a: SourceSpec, spec_b: SourceSpec, params: DetectorParams,
+    cutoff: int, tail_tolerance: float, misalignment: float,
+) -> GainSet:
+    """Gains of one source pair at one distance, shared by every point
+    (and every search step) that needs them."""
+    return gains(
+        _cached_distribution(spec_a, tail_tolerance),
+        _cached_distribution(spec_b, tail_tolerance),
+        _cached_tables(params, cutoff),
+        misalignment,
+    )
+
+
 def _sps_estimate(signal: GainSet, config: FiniteKeyConfig) -> DecoyEstimate:
     """Direct single-photon bounds: no decoy algebra is needed.
 
@@ -58,34 +75,36 @@ def _sps_estimate(signal: GainSet, config: FiniteKeyConfig) -> DecoyEstimate:
 def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     """Evaluate the key rate of one scenario at one distance."""
     system = replace(scenario.system, distance_km=distance_km)
-    table = _cached_tables(system.detector_params(), scenario.cutoff)
-    e_d = system.misalignment
+    params = system.detector_params()
     scheme = scenario.scheme()
 
+    def gain(spec_a: SourceSpec, spec_b: SourceSpec) -> GainSet:
+        return _cached_gains(
+            spec_a, spec_b, params, scenario.cutoff, scenario.tail_tolerance,
+            system.misalignment,
+        )
+
     if scheme == "single_photon_direct":
-        dist = _cached_distribution(SourceSpec.sps(), scenario.tail_tolerance)
-        gains_signal = gains(dist, dist, table, e_d)
+        gains_signal = gain(SourceSpec.sps(), SourceSpec.sps())
         estimate = _sps_estimate(gains_signal, scenario.finite_key)
         mu_signal = mu_decoy = 0.0
         p1 = 1.0
     else:
-        dist_signal = _cached_distribution(
-            scenario.signal_spec(scenario.signal_mu), scenario.tail_tolerance
-        )
-        dist_decoy = _cached_distribution(
-            scenario.signal_spec(scenario.decoy_mu), scenario.tail_tolerance
-        )
-        gains_signal = gains(dist_signal, dist_signal, table, e_d)
-        gains_decoy = gains(dist_decoy, dist_decoy, table, e_d)
+        spec_signal = scenario.signal_spec(scenario.signal_mu)
+        spec_decoy = scenario.signal_spec(scenario.decoy_mu)
+        dist_signal = _cached_distribution(spec_signal, scenario.tail_tolerance)
+        dist_decoy = _cached_distribution(spec_decoy, scenario.tail_tolerance)
+        gains_signal = gain(spec_signal, spec_signal)
+        gains_decoy = gain(spec_decoy, spec_decoy)
         vacuum = None
         if scheme == "two_decoy_generic":
-            dist_vac = _cached_distribution(SourceSpec.vacuum(), scenario.tail_tolerance)
+            spec_vac = SourceSpec.vacuum()
             vacuum = VacuumGains(
-                signal_vacuum=gains(dist_signal, dist_vac, table, e_d),
-                vacuum_signal=gains(dist_vac, dist_signal, table, e_d),
-                decoy_vacuum=gains(dist_decoy, dist_vac, table, e_d),
-                vacuum_decoy=gains(dist_vac, dist_decoy, table, e_d),
-                vacuum_vacuum=gains(dist_vac, dist_vac, table, e_d),
+                signal_vacuum=gain(spec_signal, spec_vac),
+                vacuum_signal=gain(spec_vac, spec_signal),
+                decoy_vacuum=gain(spec_decoy, spec_vac),
+                vacuum_decoy=gain(spec_vac, spec_decoy),
+                vacuum_vacuum=gain(spec_vac, spec_vac),
             )
         inputs = DecoyInputs(
             mu_signal=scenario.signal_mu,

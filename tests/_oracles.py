@@ -9,6 +9,8 @@ exact arithmetic where possible:
 * ``oracle_bell_yield`` enumerates every photon-survival and dark-count
   pattern explicitly instead of using closed-form click probabilities.
 * ``oracle_gain`` is a plain double loop over photon numbers.
+* ``dense_tables`` lays a yield table out as one matrix per channel, so
+  the double loop and elementwise checks can read it.
 """
 
 from __future__ import annotations
@@ -143,3 +145,15 @@ def oracle_gain(probs_a, probs_b, yields) -> float:
         for j, pb in enumerate(probs_b):
             total += pa * pb * yields[i][j]
     return total
+
+
+def dense_tables(table) -> Dict[str, list]:
+    """The four channel matrices of a ``YieldTable`` as nested lists;
+    entry [i][j] contracts the unit photon-number vectors e_i and e_j."""
+    size = table.cutoff + 1
+    pairs = [[table.pair(i, j) for j in range(size)] for i in range(size)]
+    names = ("correct_z", "error_z", "correct_x", "error_x")
+    return {
+        name: [[yields[k] for yields in row] for row in pairs]
+        for k, name in enumerate(names)
+    }

@@ -11,6 +11,8 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 from _oracles import oracle_bell_yield, oracle_propagate
 
 from mdiqkd.bsm import (
@@ -18,10 +20,9 @@ from mdiqkd.bsm import (
     BellOutcome,
     DetectorParams,
     Polarization,
-    bell_yield,
-    propagate,
     yield_tables,
 )
+from mdiqkd.fock import bell_yield, propagate
 from mdiqkd.cli import main as cli_main
 from mdiqkd.config import DistanceGrid, Scenario
 from mdiqkd.decoy import DecoyInputs, VacuumGains, one_decoy_css, two_decoy_generic
@@ -67,7 +68,7 @@ def test_distributions_and_interference_outputs_are_normalized(capsys):
     worst = 0.0
     for spec in SOURCE_SPECS:
         dist = build_distribution(spec)
-        worst = max(worst, abs(float(dist.probabilities.sum()) - 1.0))
+        worst = max(worst, abs(float(np.asarray(dist.probabilities).sum()) - 1.0))
     outputs = 0
     for pol_a, pol_b in CANONICAL_PAIRS:
         for i in range(MAX_TOTAL_PHOTONS + 1):

@@ -14,14 +14,12 @@ from mdiqkd import (
     DetectorParams,
     DomainError,
     Polarization,
-    bell_yield,
-    click_probability,
-    propagate,
     yield_tables,
 )
 from mdiqkd.bsm import _lossless_tables
+from mdiqkd.fock import bell_yield, click_probability, propagate
 
-from _oracles import oracle_bell_yield, oracle_propagate
+from _oracles import dense_tables, oracle_bell_yield, oracle_propagate
 
 P = Polarization
 POL_NAMES = {"h": P.H, "v": P.V, "plus": P.PLUS, "minus": P.MINUS}
@@ -33,6 +31,31 @@ CHANNELS = {
     "correct_x": ("plus", "plus"),
     "error_x": ("plus", "minus"),
 }
+
+
+def _dense(table):
+    """The four channel tables as arrays, from unit-vector contractions."""
+    return {name: np.asarray(t) for name, t in dense_tables(table).items()}
+
+
+def _bell_yield_tables(params, cutoff):
+    """Per-pair detection: ``bell_yield`` on every ``propagate`` output."""
+    return {
+        name: np.array(
+            [
+                [
+                    bell_yield(
+                        propagate(i, POL_NAMES[pa], j, POL_NAMES[pb]),
+                        BellOutcome.PSI_PLUS,
+                        params,
+                    )
+                    for j in range(cutoff + 1)
+                ]
+                for i in range(cutoff + 1)
+            ]
+        )
+        for name, (pa, pb) in CHANNELS.items()
+    }
 
 
 def _prob(dist, config):
@@ -132,15 +155,15 @@ def test_vacuum_outcome_needs_two_dark_counts():
 
 def test_single_pair_yields_at_unit_efficiency():
     params = DetectorParams(efficiency=1.0, dark_count=0.0)
-    table = yield_tables(params, 2)
-    assert table.correct_z[1, 1] == pytest.approx(0.5, abs=1e-15)
-    assert table.error_z[1, 1] == pytest.approx(0.0, abs=1e-15)
-    assert table.correct_x[1, 1] == pytest.approx(0.5, abs=1e-15)
-    assert table.error_x[1, 1] == pytest.approx(0.0, abs=1e-15)
+    table = _dense(yield_tables(params, 2))
+    assert table["correct_z"][1, 1] == pytest.approx(0.5, abs=1e-15)
+    assert table["error_z"][1, 1] == pytest.approx(0.0, abs=1e-15)
+    assert table["correct_x"][1, 1] == pytest.approx(0.5, abs=1e-15)
+    assert table["error_x"][1, 1] == pytest.approx(0.0, abs=1e-15)
     # half of all (1,1) events project onto each Bell state; detection
     # scales with eta^2
-    half = yield_tables(DetectorParams(0.5, 0.0), 2)
-    assert half.correct_z[1, 1] == pytest.approx(0.125, rel=1e-13)
+    half = _dense(yield_tables(DetectorParams(0.5, 0.0), 2))
+    assert half["correct_z"][1, 1] == pytest.approx(0.125, rel=1e-13)
 
 
 @pytest.mark.parametrize("eta,dark", [(0.1, 0.0), (0.5, 1e-7), (1.0, 1e-3)])
@@ -162,6 +185,27 @@ def test_bell_yield_matches_enumeration(eta, dark):
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+def test_bell_yield_keeps_silent_detectors_exact_near_unit_efficiency():
+    """Regression: the silent probability (1 - p_d)(1 - eta)^n is taken
+    directly; 1 - P(fire) lost 1.6e-14 relative here."""
+    eta, dark = 0.875, 0.4788
+    dist = propagate(7, P.PLUS, 7, P.MINUS)  # error_x (7, 7)
+    with mpmath.workdps(40):
+        e, pd = mpmath.mpf(eta), mpmath.mpf(dark)
+        fired = lambda n: pd + (1 - pd) * (1 - (1 - e) ** int(n))
+        silent = lambda n: (1 - pd) * (1 - e) ** int(n)
+        want = mpmath.fsum(
+            mpmath.mpf(float(p))
+            * (
+                fired(c[0]) * fired(c[1]) * silent(c[2]) * silent(c[3])
+                + fired(c[2]) * fired(c[3]) * silent(c[0]) * silent(c[1])
+            )
+            for c, p in zip(dist.configs, dist.probabilities)
+        )
+        got = bell_yield(dist, BellOutcome.PSI_PLUS, DetectorParams(eta, dark))
+        assert abs(got - want) <= 1e-15 * want
+
+
 def test_outcome_symmetry_between_diagonal_channels():
     """Same-polarization inputs feed one Bell outcome exactly as
     opposite-polarization inputs feed the other."""
@@ -178,9 +222,9 @@ def test_outcome_symmetry_between_diagonal_channels():
 
 
 def test_yield_tables_are_symmetric_and_bounded():
-    table = yield_tables(DetectorParams(0.4, 1e-7), 6)
+    table = _dense(yield_tables(DetectorParams(0.4, 1e-7), 6))
     for name in ("correct_z", "error_z", "correct_x", "error_x"):
-        matrix = getattr(table, name)
+        matrix = table[name]
         assert matrix.shape == (7, 7)
         np.testing.assert_allclose(matrix, matrix.T, rtol=1e-12, atol=1e-300)
         assert (matrix >= 0.0).all() and (matrix <= 1.0).all()
@@ -211,22 +255,9 @@ def test_detector_params_validation():
 def test_yield_tables_match_per_pair_detection(cutoff, eta, dark):
     """The loss-folded tables equal a direct per-pair evaluation at eta."""
     params = DetectorParams(eta, dark)
-    table = yield_tables(params, cutoff)
-    for name, (pa, pb) in CHANNELS.items():
-        want = np.array(
-            [
-                [
-                    bell_yield(
-                        propagate(i, POL_NAMES[pa], j, POL_NAMES[pb]),
-                        BellOutcome.PSI_PLUS,
-                        params,
-                    )
-                    for j in range(cutoff + 1)
-                ]
-                for i in range(cutoff + 1)
-            ]
-        )
-        got = getattr(table, name)
+    table = _dense(yield_tables(params, cutoff))
+    for name, want in _bell_yield_tables(params, cutoff).items():
+        got = table[name]
         np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=name)
 
@@ -246,29 +277,9 @@ def test_lossless_closed_form_matches_exact_oracle(dark):
             for i in range(5)
         ]
         want = np.array(exact, dtype=float)
+        got = np.asarray(got)
         np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0, err_msg=name)
-
-
-def _per_pair_yields(params, cutoff, pa, pb):
-    """psi_plus yields from ``propagate`` and per-mode detector factors.
-
-    Unlike ``bell_yield``, a mode with n photons stays silent with the
-    directly computed (1 - p_d)(1 - eta)^n rather than 1 - P(fire), which
-    cancels for eta near 1 (1.6e-13 relative at eta = 0.875, p_d = 0.48).
-    """
-    n = np.arange(2 * cutoff + 1)
-    fired = np.array([click_probability(int(k), params) for k in n])
-    silent = (1.0 - params.dark_count) * (1.0 - params.efficiency) ** n
-    table = np.empty((cutoff + 1, cutoff + 1))
-    for i in range(cutoff + 1):
-        for j in range(cutoff + 1):
-            dist = propagate(i, POL_NAMES[pa], j, POL_NAMES[pb])
-            d1h, d1v, d2h, d2v = fired[dist.configs.T]
-            s1h, s1v, s2h, s2v = silent[dist.configs.T]
-            pattern = d1h * d1v * s2h * s2v + d2h * d2v * s1h * s1v
-            table[i, j] = dist.probabilities @ pattern
-    return table
 
 
 # Zero or at least 1e-100 keeps every yield a normal float; subnormal
@@ -285,10 +296,9 @@ _SMALLEST_NONZERO = 1e-100
 def test_yield_tables_match_per_pair_detection_property(eta, dark, cutoff):
     """The closed form folded with loss equals per-pair detection at any eta."""
     params = DetectorParams(eta, dark)
-    table = yield_tables(params, cutoff)
-    for name, (pa, pb) in CHANNELS.items():
-        want = _per_pair_yields(params, cutoff, pa, pb)
-        got = getattr(table, name)
+    table = _dense(yield_tables(params, cutoff))
+    for name, want in _bell_yield_tables(params, cutoff).items():
+        got = table[name]
         np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=name)
 
@@ -326,7 +336,7 @@ def test_extreme_loss_fold_matches_mpmath(name, i, j):
     """At eta = 1e-12 without dark counts every yield comes from the
     surviving-photon terms of the fold; check them to 40 digits."""
     eta = 1e-12
-    table = yield_tables(DetectorParams(eta, 0.0), 3)
+    table = _dense(yield_tables(DetectorParams(eta, 0.0), 3))
     pa, pb = CHANNELS[name]
     with mpmath.workdps(40):
         e = mpmath.mpf(eta)
@@ -342,4 +352,4 @@ def test_extreme_loss_fold_matches_mpmath(name, i, j):
                     * mpmath.mpf(lossless.numerator) / lossless.denominator
                 )
         assert want > 0
-        assert abs(getattr(table, name)[i, j] - want) <= 1e-13 * want
+        assert abs(table[name][i, j] - want) <= 1e-13 * want

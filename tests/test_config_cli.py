@@ -1,9 +1,13 @@
 """Configuration parsing and the command-line interface."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mdiqkd
 from mdiqkd import (
     ConfigError,
     DistanceGrid,
@@ -268,3 +272,29 @@ def test_non_finite_grid_is_rejected(tmp_path, capsys, field):
     cfg = _write_cfg(tmp_path, f"grid.{field} = inf\n")
     assert main(["sweep", "--config", cfg]) == 2
     assert f"grid.{field}: value must be finite" in capsys.readouterr().err
+
+
+_NO_NUMPY_SCRIPT = """
+import os, sys
+import mdiqkd, mdiqkd.cli
+assert "numpy" not in sys.modules, "import mdiqkd loaded numpy"
+for command in ("compare", "sweep", "yields"):
+    code = mdiqkd.cli.main([command, "--config", sys.argv[1], "--out", os.devnull])
+    assert code == 0, (command, code)
+    assert "numpy" not in sys.modules, command + " loaded numpy"
+import mdiqkd.fock
+assert "numpy" in sys.modules, "mdiqkd.fock did not load numpy"
+"""
+
+
+def test_package_and_cli_run_without_numpy(tmp_path):
+    """Only the Fock-state simulator needs numpy."""
+    config = tmp_path / "grid.cfg"
+    config.write_text("grid.start_km = 0\ngrid.stop_km = 100\ngrid.step_km = 50\n")
+    src = os.path.dirname(os.path.dirname(mdiqkd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT, str(config)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdiqkd import (
     CutoffError,
@@ -18,7 +19,8 @@ from mdiqkd import (
     yield_tables,
 )
 
-from _oracles import oracle_gain
+from _oracles import dense_tables, oracle_gain
+from test_bsm import _SMALLEST_NONZERO, _bell_yield_tables
 
 
 def test_overall_efficiency_combines_detector_and_fiber():
@@ -76,9 +78,10 @@ def test_gains_match_double_sum():
     table = yield_tables(DetectorParams(0.4, 1e-7), 12)
     dist = build_distribution(SourceSpec.wcs(0.4))
     g = gains(dist, dist, table, misalignment=0.015)
-    pa = dist.padded(13)
-    want_correct = oracle_gain(pa, pa, table.correct_z)
-    want_error = oracle_gain(pa, pa, table.error_z)
+    pa = dist.probabilities
+    dense = dense_tables(table)
+    want_correct = oracle_gain(pa, pa, dense["correct_z"])
+    want_error = oracle_gain(pa, pa, dense["error_z"])
     assert g.correct_z == pytest.approx(want_correct, rel=1e-13)
     assert g.error_z == pytest.approx(want_error, rel=1e-13)
     assert g.total_z == pytest.approx(want_correct + want_error, rel=1e-13)
@@ -93,8 +96,47 @@ def test_gains_asymmetric_sources():
     da = build_distribution(SourceSpec.wcs(0.4))
     db = build_distribution(SourceSpec.vacuum())
     g = gains(da, db, table, misalignment=0.0)
-    want = oracle_gain(da.padded(13), db.padded(13), table.correct_z)
+    want = oracle_gain(da.probabilities, db.probabilities, dense_tables(table)["correct_z"])
     assert g.correct_z == pytest.approx(want, rel=1e-13)
+
+
+_MU = st.floats(0.0, 0.3)
+_SOURCES = st.one_of(
+    st.builds(SourceSpec.css, _MU),
+    st.builds(SourceSpec.nonideal_css, _MU, st.floats(_SMALLEST_NONZERO, 1.0)),
+    st.builds(SourceSpec.wcs, _MU),
+    st.just(SourceSpec.sps()),
+    st.just(SourceSpec.vacuum()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eta=st.one_of(st.just(0.0), st.floats(_SMALLEST_NONZERO, 1.0)),
+    dark=st.one_of(st.just(0.0), st.floats(_SMALLEST_NONZERO, 0.5, exclude_max=True)),
+    e_d=st.floats(0.0, 1.0),
+    spec_a=_SOURCES,
+    spec_b=_SOURCES,
+)
+def test_gains_match_per_pair_detection_property(eta, dark, e_d, spec_a, spec_b):
+    """Loss pushed onto the photon-number vectors gives the gains of the
+    per-pair detection tables of the Fock simulator."""
+    params = DetectorParams(eta, dark)
+    # mu <= 0.3 keeps every tail below 1e-12 within 10 photons
+    da, db = (build_distribution(s, tail_tolerance=1e-12) for s in (spec_a, spec_b))
+    g = gains(da, db, yield_tables(params, 10), e_d)
+    want = {
+        name: oracle_gain(da.probabilities, db.probabilities, table)
+        for name, table in _bell_yield_tables(params, 10).items()
+    }
+    for basis in ("z", "x"):
+        correct, error = want[f"correct_{basis}"], want[f"error_{basis}"]
+        want[f"total_{basis}"] = correct + error
+        want[f"error_weighted_{basis}"] = e_d * correct + (1.0 - e_d) * error
+    for name, value in want.items():
+        got = getattr(g, name)
+        assert (got == 0.0) == (value == 0.0), name
+        assert got == pytest.approx(value, rel=1e-13, abs=0.0), name
 
 
 def test_gains_reject_undersized_table():

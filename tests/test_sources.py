@@ -25,15 +25,15 @@ ALL_SPECS = [
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
 def test_probabilities_normalized_with_tail(spec):
     dist = build_distribution(spec)
-    total = float(dist.probabilities.sum())
+    total = float(np.asarray(dist.probabilities).sum())
     assert abs(total + dist.tail_mass - 1.0) < 1e-12
     assert dist.tail_mass < 1e-15
-    assert (dist.probabilities >= 0.0).all()
+    assert (np.asarray(dist.probabilities) >= 0.0).all()
 
 
 def test_css_has_odd_photon_numbers_only():
     dist = build_distribution(SourceSpec.css(0.1))
-    assert (dist.probabilities[0::2] == 0.0).all()
+    assert (np.asarray(dist.probabilities[0::2]) == 0.0).all()
     # frozen reference values for mu = 0.1
     assert dist.prob(1) == pytest.approx(0.9983352757296110, rel=1e-15)
     assert dist.prob(3) == pytest.approx(1.663892126216018e-3, rel=1e-15)
@@ -46,8 +46,8 @@ def test_nonideal_css_mixes_both_parities():
     assert dist.prob(1) == pytest.approx(0.6988346930107277, rel=1e-15)
     assert dist.prob(2) == pytest.approx(1.4925311234298397e-3, rel=1e-15)
     # odd / even sectors carry weight a and 1 - a respectively
-    assert dist.probabilities[1::2].sum() + dist.tail_mass == pytest.approx(0.7, abs=1e-13)
-    assert dist.probabilities[0::2].sum() == pytest.approx(0.3, abs=1e-13)
+    assert np.asarray(dist.probabilities[1::2]).sum() + dist.tail_mass == pytest.approx(0.7, abs=1e-13)
+    assert np.asarray(dist.probabilities[0::2]).sum() == pytest.approx(0.3, abs=1e-13)
 
 
 def test_wcs_is_poissonian():
@@ -129,12 +129,6 @@ def test_nonideal_with_full_odd_weight_matches_css():
 
 def test_distribution_is_read_only():
     dist = build_distribution(SourceSpec.wcs(0.4))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         dist.probabilities[0] = 0.5
 
-
-def test_padded_extends_with_zeros():
-    dist = build_distribution(SourceSpec.css(0.1))
-    padded = dist.padded(dist.cutoff + 5)
-    assert padded.shape == (dist.cutoff + 5,)
-    assert (padded[dist.cutoff + 1 :] == 0.0).all()

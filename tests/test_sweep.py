@@ -6,22 +6,27 @@ from dataclasses import replace
 import pytest
 
 from mdiqkd import (
+    DetectorParams,
     DistanceGrid,
     DomainError,
     FiniteKeyConfig,
     FluctuationMethod,
     Scenario,
     SourceKind,
+    SourceSpec,
+    build_distribution,
     calibrate_pulse_pairs,
     compare_sources,
     comparison_scenarios,
     cutoff_distance,
     evaluate_point,
+    gains,
     optimize_intensities,
     run_sweep,
     write_csv,
+    yield_tables,
 )
-from mdiqkd.sweep import CSV_COLUMNS, csv_rows
+from mdiqkd.sweep import CSV_COLUMNS, _cached_gains, csv_rows
 
 
 SMALL_GRID = {"grid": DistanceGrid(0.0, 100.0, 50.0)}
@@ -48,6 +53,22 @@ def test_rate_decreases_with_distance():
     rates = [p.rate for p in points]
     assert rates == sorted(rates, reverse=True)
     assert all(r > 0 for r in rates)
+
+
+def test_memoised_gains_equal_a_fresh_contraction():
+    key = (
+        SourceSpec.wcs(0.4), SourceSpec.vacuum(), DetectorParams(0.037, 1e-7), 15, 1e-15, 0.015
+    )
+    first = _cached_gains(*key)
+    assert _cached_gains(*key) is first
+    spec_a, spec_b, params, cutoff, tail_tolerance, e_d = key
+    fresh = gains(
+        build_distribution(spec_a, tail_tolerance),
+        build_distribution(spec_b, tail_tolerance),
+        yield_tables(params, cutoff),
+        e_d,
+    )
+    assert first == fresh
 
 
 def test_run_sweep_orders_by_distance():

@@ -22,7 +22,6 @@ from .config import DistanceGrid, Scenario, load_scenario, parse_kv_text, scenar
 from .decoy import (
     DecoyEstimate,
     DecoyInputs,
-    Direction,
     FLAG_CLAMPED,
     FLAG_ERROR_ABOVE_HALF,
     VacuumGains,
@@ -73,7 +72,6 @@ __all__ = [
     "DecoyEstimate",
     "DecoyInputs",
     "DetectorParams",
-    "Direction",
     "DistanceGrid",
     "DomainError",
     "DEFAULT_EPSILON",

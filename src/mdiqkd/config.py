@@ -28,11 +28,6 @@ from .finite_key import DEFAULT_EPSILON, FiniteKeyConfig, FluctuationMethod
 from .rates import SystemParams
 from .sources import SourceKind, SourceSpec
 
-# Estimator applied to phase-randomized coherent sources.  Only the
-# generic two-decoy scheme is implemented; the knob exists so configs
-# state the choice explicitly.
-WCS_ESTIMATORS = ("two_decoy_generic",)
-
 # Far beyond any rate curve, small enough that a tiny step cannot exhaust memory.
 MAX_GRID_POINTS = 100_000
 
@@ -43,6 +38,14 @@ _SIGNAL_KINDS = {
     "nonideal_css": SourceKind.NONIDEAL_CSS,
     "wcs": SourceKind.WCS,
     "sps": SourceKind.SPS,
+}
+
+# Decoy scheme of each signal source family.
+_SCHEMES = {
+    SourceKind.CSS: "one_decoy_css",
+    SourceKind.NONIDEAL_CSS: "two_decoy_generic",
+    SourceKind.WCS: "two_decoy_generic",
+    SourceKind.SPS: "single_photon_direct",
 }
 
 
@@ -94,7 +97,6 @@ class Scenario:
     grid: DistanceGrid = DistanceGrid()
     finite_key: FiniteKeyConfig = FiniteKeyConfig()
     cutoff: int = 15
-    wcs_estimator: str = "two_decoy_generic"
     mu1_candidates: Tuple[float, ...] = (0.05, 0.1, 0.2, 0.3)
     mu2_candidates: Tuple[float, ...] = (0.01, 0.02, 0.05)
 
@@ -115,11 +117,6 @@ class Scenario:
             )
         if self.cutoff < 1:
             raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
-        if self.wcs_estimator not in WCS_ESTIMATORS:
-            raise ConfigError(
-                f"wcs_estimator must be one of {WCS_ESTIMATORS}, got "
-                f"{self.wcs_estimator!r}"
-            )
         if not self.mu1_candidates or not self.mu2_candidates:
             raise ConfigError("optimization grids must be non-empty")
 
@@ -137,11 +134,7 @@ class Scenario:
 
     def scheme(self) -> str:
         """Decoy scheme used for this source family."""
-        if self.source_kind is SourceKind.CSS:
-            return "one_decoy_css"
-        if self.source_kind is SourceKind.SPS:
-            return "single_photon_direct"
-        return self.wcs_estimator if self.source_kind is SourceKind.WCS else "two_decoy_generic"
+        return _SCHEMES[self.source_kind]
 
 
 def parse_kv_text(text: str) -> Dict[str, str]:
@@ -225,7 +218,6 @@ _KEY_PARSERS = {
     "finite_key.sigmas": _parse_float,
     "finite_key.epsilon": _parse_float,
     "bsm.cutoff": _parse_int,
-    "decoy.wcs_estimator": lambda key, value: value,
     "optimize.mu1_values": _parse_float_list,
     "optimize.mu2_values": _parse_float_list,
 }
@@ -276,7 +268,6 @@ def scenario_from_mapping(mapping: Dict[str, str]) -> Scenario:
         grid=grid,
         finite_key=finite,
         cutoff=take("bsm.cutoff", defaults.cutoff),
-        wcs_estimator=take("decoy.wcs_estimator", defaults.wcs_estimator),
         mu1_candidates=take("optimize.mu1_values", defaults.mu1_candidates),
         mu2_candidates=take("optimize.mu2_values", defaults.mu2_candidates),
     )

@@ -1,6 +1,6 @@
 """Decoy-state bounds on the single-photon-pair yield and error rate.
 
-Two estimators are provided.
+Two decoy schemes are provided.
 
 ``one_decoy_css`` exploits the odd-only photon statistics of an ideal
 coherent-state superposition: with P(0) = P(2) = 0 a single decoy
@@ -20,21 +20,23 @@ columns,
 after which a two-point estimate in (P1, P2) bounds y11 and the decoy
 intensity alone bounds e11.
 
-Each observed gain enters the algebra through a ``direction`` tag that
-says whether replacing it by a smaller (LOW) or larger (HIGH) value
-weakens the bound.  The plain estimators ignore the tags; the finite-key
-layer substitutes confidence-interval endpoints according to them, so
-both paths share one copy of the formulas.
+Both schemes run through one estimator, ``estimate``.  It reads an
+interval table with one ``(lower, upper)`` pair per (channel, field),
+built once per evaluation by applying a ``Bounds`` map to every observed
+gain (``DecoyInputs.interval_table``), and takes each gain at the
+endpoint, LOW or HIGH, that weakens the bound.  The finite-key layer
+supplies its method's confidence-interval map; ``one_decoy_css`` and
+``two_decoy_generic`` are the identity-interval (asymptotic) case,
+``exact``, so every path shares one copy of the formulas.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .rates import GainSet
 from .sources import PhotonDistribution
 
@@ -50,23 +52,29 @@ DEGENERACY_TOLERANCE = 1e-12
 CSS_PURITY_TOLERANCE = 1e-12
 
 
-class Direction(enum.Enum):
-    """Which way a statistical fluctuation weakens a bound."""
+# A (lower, upper) interval and a map from an observed gain to one.
+Interval = Tuple[float, float]
+Bounds = Callable[[float], Interval]
 
-    LOW = "low"
-    HIGH = "high"
+# Endpoints of an interval, and the observed fields of a channel in the
+# order ``observe`` lists them.
+LOW, HIGH = 0, 1
+Q_Z, Q_X, EQ_X = 0, 1, 2
+
+# One channel's (q_z, q_x, eq_x) intervals.  Channels: "ss", "dd"
+# (signal/decoy intensity pairs), "s0", "0s", "d0", "0d", "00"
+# (vacuum-substituted).
+ChannelIntervals = Tuple[Interval, Interval, Interval]
 
 
-# View of the observed channel scalars: (channel, field, direction) -> value.
-# Channels: "ss", "dd" (signal/decoy intensity pairs), "s0", "0s", "d0",
-# "0d", "00" (vacuum-substituted).  Fields: "q_z", "q_x", "eq_x".
-ChannelView = Callable[[str, str, Direction], float]
+def exact(gain: float) -> Interval:
+    """The identity interval: the asymptotic case."""
+    return gain, gain
 
-_FIELD_ATTR = {
-    "q_z": "total_z",
-    "q_x": "total_x",
-    "eq_x": "error_weighted_x",
-}
+
+def observe(g: GainSet, bounds: Bounds = exact) -> ChannelIntervals:
+    """Intervals of the channel's q_z, q_x and eq_x gains."""
+    return bounds(g.total_z), bounds(g.total_x), bounds(g.error_weighted_x)
 
 
 @dataclass(frozen=True)
@@ -103,29 +111,17 @@ class DecoyInputs:
                 f"({self.mu_signal}, {self.mu_decoy})"
             )
 
-    def channel_view(self) -> ChannelView:
-        """Observed values, independent of the requested direction."""
-        channels = {"ss": self.gains_signal, "dd": self.gains_decoy}
-        if self.vacuum is not None:
-            channels.update(
-                s0=self.vacuum.signal_vacuum,
-                d0=self.vacuum.decoy_vacuum,
-                **{
-                    "0s": self.vacuum.vacuum_signal,
-                    "0d": self.vacuum.vacuum_decoy,
-                    "00": self.vacuum.vacuum_vacuum,
-                },
-            )
-
-        def view(channel: str, field: str, direction: Direction) -> float:
-            if channel not in channels:
-                raise DomainError(
-                    f"estimator needs channel {channel!r} but no vacuum-channel "
-                    f"gains were supplied"
-                )
-            return getattr(channels[channel], _FIELD_ATTR[field])
-
-        return view
+    def interval_table(self, bounds: Bounds = exact) -> Dict[str, ChannelIntervals]:
+        """Intervals of every observed gain, keyed by channel."""
+        table = {"ss": observe(self.gains_signal, bounds), "dd": observe(self.gains_decoy, bounds)}
+        vacuum = self.vacuum
+        if vacuum is not None:
+            table["s0"] = observe(vacuum.signal_vacuum, bounds)
+            table["0s"] = observe(vacuum.vacuum_signal, bounds)
+            table["d0"] = observe(vacuum.decoy_vacuum, bounds)
+            table["0d"] = observe(vacuum.vacuum_decoy, bounds)
+            table["00"] = observe(vacuum.vacuum_vacuum, bounds)
+        return table
 
 
 @dataclass(frozen=True)
@@ -165,20 +161,11 @@ def css_e11_bound(mu2: float, eq_decoy: float, y11: float) -> float:
     return s2 * s2 * eq_decoy / (mu2 * mu2 * y11)
 
 
-def _assemble_css(mu1: float, mu2: float, view: ChannelView) -> DecoyEstimate:
-    y11_z = css_y11_bound(
-        mu1,
-        mu2,
-        view("ss", "q_z", Direction.HIGH),
-        view("dd", "q_z", Direction.LOW),
-    )
-    y11_x = css_y11_bound(
-        mu1,
-        mu2,
-        view("ss", "q_x", Direction.HIGH),
-        view("dd", "q_x", Direction.LOW),
-    )
-    eq_x = view("dd", "eq_x", Direction.HIGH)
+def _assemble_css(mu1: float, mu2: float, table: Dict[str, ChannelIntervals]) -> DecoyEstimate:
+    ss, dd = table["ss"], table["dd"]
+    y11_z = css_y11_bound(mu1, mu2, ss[Q_Z][HIGH], dd[Q_Z][LOW])
+    y11_x = css_y11_bound(mu1, mu2, ss[Q_X][HIGH], dd[Q_X][LOW])
+    eq_x = dd[EQ_X][HIGH]
     return _finalize(y11_z, y11_x, lambda y: css_e11_bound(mu2, eq_x, y))
 
 
@@ -226,37 +213,38 @@ def generic_e11_bound(
 
 
 def _assemble_generic(
-    p_signal: tuple, p_decoy: tuple, view: ChannelView
+    p_signal: tuple, p_decoy: tuple, table: Dict[str, ChannelIntervals]
 ) -> DecoyEstimate:
-    p0s = p_signal[0]
-    p0d = p_decoy[0]
+    vac = table["00"]
 
-    def g(channel: str, field: str, favorable: Direction) -> float:
+    def g(p0: float, diag: ChannelIntervals, row: ChannelIntervals,
+          col: ChannelIntervals, field: int, favorable: int) -> float:
         # The diagonal term carries the sign of the whole g; the vacuum
         # cross terms enter with the opposite sign, the double-vacuum
         # term again with the same sign.
-        opposite = Direction.HIGH if favorable is Direction.LOW else Direction.LOW
-        p0 = p0s if channel == "ss" else p0d
-        zero_row = "s0" if channel == "ss" else "d0"
-        zero_col = "0s" if channel == "ss" else "0d"
+        opposite = HIGH - favorable
         return vacuum_substituted_gain(
-            view(channel, field, favorable),
-            view(zero_row, field, opposite),
-            view(zero_col, field, opposite),
-            view("00", field, favorable),
+            diag[field][favorable],
+            row[field][opposite],
+            col[field][opposite],
+            vac[field][favorable],
             p0,
         )
 
+    p0s = p_signal[0]
+    p0d = p_decoy[0]
+    ss, s0, zs = table["ss"], table["s0"], table["0s"]
+    dd, d0, zd = table["dd"], table["d0"], table["0d"]
     y11_z = generic_y11_bound(
-        p_signal, p_decoy, g("ss", "q_z", Direction.HIGH), g("dd", "q_z", Direction.LOW)
+        p_signal, p_decoy, g(p0s, ss, s0, zs, Q_Z, HIGH), g(p0d, dd, d0, zd, Q_Z, LOW)
     )
     y11_x = generic_y11_bound(
-        p_signal, p_decoy, g("ss", "q_x", Direction.HIGH), g("dd", "q_x", Direction.LOW)
+        p_signal, p_decoy, g(p0s, ss, s0, zs, Q_X, HIGH), g(p0d, dd, d0, zd, Q_X, LOW)
     )
-    eq_dd = view("dd", "eq_x", Direction.HIGH)
-    eq_d0 = view("d0", "eq_x", Direction.LOW)
-    eq_0d = view("0d", "eq_x", Direction.LOW)
-    eq_00 = view("00", "eq_x", Direction.HIGH)
+    eq_dd = dd[EQ_X][HIGH]
+    eq_d0 = d0[EQ_X][LOW]
+    eq_0d = zd[EQ_X][LOW]
+    eq_00 = vac[EQ_X][HIGH]
     return _finalize(
         y11_z,
         y11_x,
@@ -277,19 +265,34 @@ def _require_odd_only(dist: PhotonDistribution, label: str) -> None:
         )
 
 
+def estimate(inputs: DecoyInputs, scheme: str, bounds: Bounds = exact) -> DecoyEstimate:
+    """Decoy bounds with every observed gain at the endpoint of its
+    ``bounds`` interval that weakens the bound.
+
+    ``scheme`` selects the algebra: "one_decoy_css" (odd-only photon
+    statistics, one decoy intensity) or "two_decoy_generic" (signal +
+    decoy + vacuum, any statistics).
+    """
+    if scheme == "one_decoy_css":
+        _require_odd_only(inputs.dist_signal, "signal")
+        _require_odd_only(inputs.dist_decoy, "decoy")
+        return _assemble_css(inputs.mu_signal, inputs.mu_decoy, inputs.interval_table(bounds))
+    if scheme == "two_decoy_generic":
+        if inputs.vacuum is None:
+            raise DomainError("two-decoy estimator requires vacuum-channel gains")
+        return _assemble_generic(
+            _first_probs(inputs.dist_signal),
+            _first_probs(inputs.dist_decoy),
+            inputs.interval_table(bounds),
+        )
+    raise ConfigError(f"unknown decoy scheme {scheme!r}")
+
+
 def one_decoy_css(inputs: DecoyInputs) -> DecoyEstimate:
     """Single-decoy bounds valid for odd-only photon statistics."""
-    _require_odd_only(inputs.dist_signal, "signal")
-    _require_odd_only(inputs.dist_decoy, "decoy")
-    return _assemble_css(inputs.mu_signal, inputs.mu_decoy, inputs.channel_view())
+    return estimate(inputs, "one_decoy_css")
 
 
 def two_decoy_generic(inputs: DecoyInputs) -> DecoyEstimate:
     """Signal + decoy + vacuum bounds for general photon statistics."""
-    if inputs.vacuum is None:
-        raise DomainError("two-decoy estimator requires vacuum-channel gains")
-    return _assemble_generic(
-        _first_probs(inputs.dist_signal),
-        _first_probs(inputs.dist_decoy),
-        inputs.channel_view(),
-    )
+    return estimate(inputs, "two_decoy_generic")

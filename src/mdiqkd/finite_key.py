@@ -18,11 +18,14 @@ pulse pairs.  Two confidence constructions are supported:
   clamped to the physical count range [0, N] before converting back to
   rates.
 
-``worst_case_decoy`` replaces each observed gain in the decoy algebra
-by whichever interval endpoint weakens the bound, using the direction
-tags attached to the algebra itself.  The pipeline is deterministic:
-observed counts are taken at their expected (real-valued) positions
-rather than sampled.
+Each method's formula is one private kernel returning ``(lower,
+upper)``.  The public functions validate their arguments and wrap it in
+a ``FluctuationInterval``; ``interval_kernel`` hands it unchecked to the
+pipelines.  ``worst_case_decoy`` runs ``decoy.estimate`` on those
+intervals, so each observed gain enters the decoy algebra at whichever
+endpoint weakens the bound.  The pipeline is deterministic: observed
+counts are taken at their expected (real-valued) positions rather than
+sampled.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from . import decoy
-from .decoy import ChannelView, DecoyEstimate, DecoyInputs, Direction
+from .decoy import Bounds, DecoyEstimate, DecoyInputs, Interval, exact
 from .errors import ConfigError, DomainError
 
 
@@ -82,8 +85,20 @@ class FluctuationInterval:
                 f"invalid interval [{self.lower}, {self.upper}]"
             )
 
-    def pick(self, direction: Direction) -> float:
-        return self.lower if direction is Direction.LOW else self.upper
+
+def _standard(gain: float, pulse_pairs: float, sigmas: float) -> Interval:
+    if gain == 0.0:
+        return 0.0, sigmas * sigmas / pulse_pairs
+    delta = sigmas / math.sqrt(pulse_pairs * gain)
+    return max(0.0, gain * (1.0 - delta)), gain * (1.0 + delta)
+
+
+def _chernoff(observed_count: float, epsilon: float, n_trials: float) -> Interval:
+    x = observed_count
+    log_inv = math.log(1.0 / epsilon)
+    lower_dev = math.sqrt(2.0 * x * 1.5 * log_inv)
+    upper_dev = math.sqrt(2.0 * x * (math.log(16.0) + 4.0 * log_inv))
+    return max(0.0, x - lower_dev) / n_trials, min(n_trials, x + upper_dev) / n_trials
 
 
 def standard_interval(gain: float, pulse_pairs: float, sigmas: float = 5.0) -> FluctuationInterval:
@@ -99,10 +114,7 @@ def standard_interval(gain: float, pulse_pairs: float, sigmas: float = 5.0) -> F
         raise DomainError(f"pulse_pairs must be >= 1, got {pulse_pairs}")
     if not sigmas > 0.0:
         raise DomainError(f"sigmas must be > 0, got {sigmas}")
-    if gain == 0.0:
-        return FluctuationInterval(0.0, sigmas * sigmas / pulse_pairs)
-    delta = sigmas / math.sqrt(pulse_pairs * gain)
-    return FluctuationInterval(max(0.0, gain * (1.0 - delta)), gain * (1.0 + delta))
+    return FluctuationInterval(*_standard(gain, pulse_pairs, sigmas))
 
 
 def chernoff_interval(
@@ -117,13 +129,20 @@ def chernoff_interval(
         raise DomainError(
             f"n_trials ({n_trials}) must be >= observed count ({observed_count})"
         )
-    x = observed_count
-    log_inv = math.log(1.0 / epsilon)
-    lower_dev = math.sqrt(2.0 * x * 1.5 * log_inv)
-    upper_dev = math.sqrt(2.0 * x * (math.log(16.0) + 4.0 * log_inv))
-    lower = max(0.0, x - lower_dev) / n_trials
-    upper = min(n_trials, x + upper_dev) / n_trials
-    return FluctuationInterval(lower, upper)
+    return FluctuationInterval(*_chernoff(observed_count, epsilon, n_trials))
+
+
+def interval_kernel(config: FiniteKeyConfig) -> Bounds:
+    """``gain -> (lower, upper)``: the floats of ``gain_interval`` without
+    its checks, for gains a ``GainSet`` has validated."""
+    pulse_pairs = config.pulse_pairs
+    if config.method is FluctuationMethod.STANDARD:
+        sigmas = config.sigmas
+        return lambda gain: _standard(gain, pulse_pairs, sigmas)
+    if config.method is FluctuationMethod.CHERNOFF:
+        epsilon = config.epsilon
+        return lambda gain: _chernoff(gain * pulse_pairs, epsilon, pulse_pairs)
+    return exact
 
 
 def gain_interval(gain: float, config: FiniteKeyConfig) -> FluctuationInterval:
@@ -137,16 +156,6 @@ def gain_interval(gain: float, config: FiniteKeyConfig) -> FluctuationInterval:
     )
 
 
-def _worst_case_view(inputs: DecoyInputs, config: FiniteKeyConfig) -> ChannelView:
-    observed = inputs.channel_view()
-
-    def view(channel: str, field: str, direction: Direction) -> float:
-        value = observed(channel, field, direction)
-        return gain_interval(value, config).pick(direction)
-
-    return view
-
-
 def worst_case_decoy(
     inputs: DecoyInputs,
     config: FiniteKeyConfig,
@@ -155,21 +164,7 @@ def worst_case_decoy(
     """Decoy bounds with every gain at its least favorable endpoint.
 
     ``scheme`` selects the estimator: "one_decoy_css" or
-    "two_decoy_generic".  With the asymptotic method this reduces
-    exactly to the plain estimators.
+    "two_decoy_generic".  With the asymptotic method this is exactly
+    the plain estimator.
     """
-    if scheme == "one_decoy_css":
-        decoy._require_odd_only(inputs.dist_signal, "signal")
-        decoy._require_odd_only(inputs.dist_decoy, "decoy")
-        view = _worst_case_view(inputs, config)
-        return decoy._assemble_css(inputs.mu_signal, inputs.mu_decoy, view)
-    if scheme == "two_decoy_generic":
-        if inputs.vacuum is None:
-            raise DomainError("two-decoy estimator requires vacuum-channel gains")
-        view = _worst_case_view(inputs, config)
-        return decoy._assemble_generic(
-            decoy._first_probs(inputs.dist_signal),
-            decoy._first_probs(inputs.dist_decoy),
-            view,
-        )
-    raise ConfigError(f"unknown decoy scheme {scheme!r}")
+    return decoy.estimate(inputs, scheme, interval_kernel(config))

@@ -127,7 +127,10 @@ def _terms(spec: SourceSpec) -> list[float]:
         a = spec.odd_weight  # 1 for an ideal cat: no even sector
         log_odd = math.log(a)
         log_even = math.log1p(-a) if a < 1.0 else -math.inf
-        log_sinh, log_cosh = math.log(math.sinh(mu)), math.log(math.cosh(mu))
+        try:
+            log_sinh, log_cosh = math.log(math.sinh(mu)), math.log(math.cosh(mu))
+        except OverflowError:  # mu > ~710: no convergence within _HARD_CAP
+            log_sinh = log_cosh = mu - math.log(2.0)  # sinh = cosh = e^mu / 2
         logs = [
             (b + log_odd) - log_sinh if n % 2 else (b + log_even) - log_cosh
             for n, b in enumerate(base)
@@ -172,7 +175,7 @@ def build_distribution(
         tails = [0.0] * len(terms)  # tails[N] = mass above N
         for n in range(len(terms) - 1, 0, -1):
             tails[n - 1] = tails[n] + terms[n]
-        if tails[0] + terms[0] < 1.0 - 1e-9:  # pragma: no cover - guarded by _HARD_CAP
+        if tails[0] + terms[0] < 1.0 - 1e-9:
             raise DomainError(
                 f"series for mu={spec.mu} does not converge within "
                 f"{_HARD_CAP} photons"

@@ -4,9 +4,15 @@
 statistics -> relay yield tables -> observed gains -> decoy bounds with
 finite-size worst-casing -> key rate.  Yield tables depend only on the
 overall efficiency, dark-count probability and cutoff, so they are
-cached and shared across sources and intensity settings; gains are
-cached per (source pair, detector, cutoff, tail tolerance,
-misalignment), so repeated evaluations at one distance reuse them.
+cached and shared across sources and intensity settings.  One memo per
+evaluation (``_observed``) holds both photon-number distributions and
+every gain the decoy scheme needs, keyed by (signal spec, decoy spec,
+scheme, detector params, cutoff, tail tolerance, misalignment), so a
+search that returns to a point costs one lookup.  Its misses read gains
+per source pair (``_cached_gains``), which evaluations with other
+intensity partners share.  The finite-size interval pass is not
+memoised: each evaluation applies its method's kernel once to every
+observed gain (``finite_key.interval_kernel``).
 
 All pipelines are serial and deterministic: identical inputs give
 bit-identical results in grid order.
@@ -23,12 +29,16 @@ from .bsm import DetectorParams, YieldTable, yield_tables
 from .config import Scenario
 from .decoy import (
     FLAG_ERROR_ABOVE_HALF,
+    HIGH,
+    LOW,
+    Bounds,
     DecoyInputs,
     DecoyEstimate,
     VacuumGains,
+    observe,
 )
 from .errors import DomainError
-from .finite_key import FiniteKeyConfig, gain_interval, worst_case_decoy
+from .finite_key import interval_kernel, worst_case_decoy
 from .rates import GainSet, KeyRatePoint, gains, key_rate
 from .sources import PhotonDistribution, SourceKind, SourceSpec, build_distribution
 
@@ -58,16 +68,52 @@ def _cached_gains(
     )
 
 
-def _sps_estimate(signal: GainSet, config: FiniteKeyConfig) -> DecoyEstimate:
+@lru_cache(maxsize=256)
+def _observed(
+    spec_signal: SourceSpec, spec_decoy: SourceSpec, scheme: str,
+    params: DetectorParams, cutoff: int, tail_tolerance: float, misalignment: float,
+) -> Tuple[GainSet, Optional[DecoyInputs]]:
+    """Signal gains and, for a decoy scheme, the estimator's inputs (both
+    distributions and every gain the scheme needs) at one distance.
+    Searches revisit few points, so a small memo holds them; points that
+    never repeat only pass through it."""
+
+    def gain(spec_a: SourceSpec, spec_b: SourceSpec) -> GainSet:
+        return _cached_gains(spec_a, spec_b, params, cutoff, tail_tolerance, misalignment)
+
+    gains_signal = gain(spec_signal, spec_signal)
+    if scheme == "single_photon_direct":
+        return gains_signal, None
+    vacuum = None
+    if scheme == "two_decoy_generic":
+        spec_vac = SourceSpec.vacuum()
+        vacuum = VacuumGains(
+            signal_vacuum=gain(spec_signal, spec_vac),
+            vacuum_signal=gain(spec_vac, spec_signal),
+            decoy_vacuum=gain(spec_decoy, spec_vac),
+            vacuum_decoy=gain(spec_vac, spec_decoy),
+            vacuum_vacuum=gain(spec_vac, spec_vac),
+        )
+    return gains_signal, DecoyInputs(
+        mu_signal=spec_signal.mu,
+        mu_decoy=spec_decoy.mu,
+        dist_signal=_cached_distribution(spec_signal, tail_tolerance),
+        dist_decoy=_cached_distribution(spec_decoy, tail_tolerance),
+        gains_signal=gains_signal,
+        gains_decoy=gain(spec_decoy, spec_decoy),
+        vacuum=vacuum,
+    )
+
+
+def _sps_estimate(signal: GainSet, bounds: Bounds) -> DecoyEstimate:
     """Direct single-photon bounds: no decoy algebra is needed.
 
     The (1, 1) channel is observed directly, so the worst case is just
     the unfavorable interval endpoint of each observed gain.
     """
-    y11 = gain_interval(signal.total_z, config).lower
-    q_x = gain_interval(signal.total_x, config).lower
-    eq_x = gain_interval(signal.error_weighted_x, config).upper
-    e11 = eq_x / q_x if q_x > 0.0 else math.inf
+    q_z, q_x, eq_x = observe(signal, bounds)
+    y11 = q_z[LOW]
+    e11 = eq_x[HIGH] / q_x[LOW] if q_x[LOW] > 0.0 else math.inf
     flags = {FLAG_ERROR_ABOVE_HALF} if e11 > 0.5 else set()
     return DecoyEstimate(y11_lower=y11, e11_upper=e11, flags=frozenset(flags))
 
@@ -75,49 +121,21 @@ def _sps_estimate(signal: GainSet, config: FiniteKeyConfig) -> DecoyEstimate:
 def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     """Evaluate the key rate of one scenario at one distance."""
     system = replace(scenario.system, distance_km=distance_km)
-    params = system.detector_params()
     scheme = scenario.scheme()
-
-    def gain(spec_a: SourceSpec, spec_b: SourceSpec) -> GainSet:
-        return _cached_gains(
-            spec_a, spec_b, params, scenario.cutoff, scenario.tail_tolerance,
-            system.misalignment,
-        )
-
+    spec_signal = scenario.signal_spec(scenario.signal_mu)
+    spec_decoy = scenario.signal_spec(scenario.decoy_mu)
+    gains_signal, inputs = _observed(
+        spec_signal, spec_decoy, scheme, system.detector_params(), scenario.cutoff,
+        scenario.tail_tolerance, system.misalignment,
+    )
     if scheme == "single_photon_direct":
-        gains_signal = gain(SourceSpec.sps(), SourceSpec.sps())
-        estimate = _sps_estimate(gains_signal, scenario.finite_key)
+        estimate = _sps_estimate(gains_signal, interval_kernel(scenario.finite_key))
         mu_signal = mu_decoy = 0.0
         p1 = 1.0
     else:
-        spec_signal = scenario.signal_spec(scenario.signal_mu)
-        spec_decoy = scenario.signal_spec(scenario.decoy_mu)
-        dist_signal = _cached_distribution(spec_signal, scenario.tail_tolerance)
-        dist_decoy = _cached_distribution(spec_decoy, scenario.tail_tolerance)
-        gains_signal = gain(spec_signal, spec_signal)
-        gains_decoy = gain(spec_decoy, spec_decoy)
-        vacuum = None
-        if scheme == "two_decoy_generic":
-            spec_vac = SourceSpec.vacuum()
-            vacuum = VacuumGains(
-                signal_vacuum=gain(spec_signal, spec_vac),
-                vacuum_signal=gain(spec_vac, spec_signal),
-                decoy_vacuum=gain(spec_decoy, spec_vac),
-                vacuum_decoy=gain(spec_vac, spec_decoy),
-                vacuum_vacuum=gain(spec_vac, spec_vac),
-            )
-        inputs = DecoyInputs(
-            mu_signal=scenario.signal_mu,
-            mu_decoy=scenario.decoy_mu,
-            dist_signal=dist_signal,
-            dist_decoy=dist_decoy,
-            gains_signal=gains_signal,
-            gains_decoy=gains_decoy,
-            vacuum=vacuum,
-        )
         estimate = worst_case_decoy(inputs, scenario.finite_key, scheme)
-        mu_signal, mu_decoy = scenario.signal_mu, scenario.decoy_mu
-        p1 = dist_signal.prob(1)
+        mu_signal, mu_decoy = inputs.mu_signal, inputs.mu_decoy
+        p1 = inputs.dist_signal.prob(1)
 
     q11_z = p1 * p1 * estimate.y11_lower
     raw = key_rate(

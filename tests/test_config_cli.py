@@ -86,7 +86,6 @@ def test_full_mapping_round_trip():
             "finite_key.sigmas": "6",
             "finite_key.epsilon": "1e-8",
             "bsm.cutoff": "10",
-            "decoy.wcs_estimator": "two_decoy_generic",
             "optimize.mu1_values": "0.1, 0.2",
             "optimize.mu2_values": "0.01",
         }
@@ -112,7 +111,7 @@ def test_full_mapping_round_trip():
         {"source.tail_tolerance": "1"},
         {"grid.step_km": "0"},
         {"grid.start_km": "100", "grid.stop_km": "50"},
-        {"decoy.wcs_estimator": "one_decoy"},
+        {"decoy.wcs_estimator": "two_decoy_generic"},  # removed key
         {"optimize.mu1_values": " , "},
         {"system.detector_efficiency": "0"},
         {"finite_key.pulse_pairs": "0"},
@@ -246,6 +245,21 @@ def test_cli_exit_code_on_domain_failure(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "bsm.cutoff = 21\n")
     assert main(["sweep", "--config", cfg]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_exit_code_on_non_convergent_cat_source(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "source.signal_mu = 800\nsource.decoy_mu = 0.01\n")
+    assert main(["sweep", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "series for mu=800.0 does not converge within 512 photons" in err
+
+
+def test_removed_wcs_estimator_key_is_unknown(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown config key 'decoy.wcs_estimator'"):
+        scenario_from_mapping({"decoy.wcs_estimator": "two_decoy_generic"})
+    cfg = _write_cfg(tmp_path, "source.kind = wcs\ndecoy.wcs_estimator = two_decoy_generic\n")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "unknown config key" in capsys.readouterr().err
 
 
 def test_cli_workers_validation(capsys):

@@ -1,8 +1,10 @@
 """Fluctuation intervals and worst-case decoy estimation."""
 
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdiqkd import (
     ConfigError,
@@ -10,13 +12,18 @@ from mdiqkd import (
     DomainError,
     FiniteKeyConfig,
     FluctuationMethod,
+    Scenario,
+    SystemParams,
     chernoff_interval,
+    comparison_scenarios,
+    evaluate_point,
     gain_interval,
     one_decoy_css,
     standard_interval,
     two_decoy_generic,
     worst_case_decoy,
 )
+from mdiqkd.finite_key import interval_kernel
 
 from test_decoy import _inputs
 from mdiqkd import SourceKind
@@ -164,3 +171,59 @@ def test_worst_case_unknown_scheme():
     inputs, _, _ = _inputs(SourceKind.CSS, 0.1, 0.01, 0.0)
     with pytest.raises(ConfigError):
         worst_case_decoy(inputs, FiniteKeyConfig(), "three_decoy")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gain=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    method=st.sampled_from(list(FluctuationMethod)),
+    pulse_pairs=st.one_of(st.just(1.0), st.floats(1.0, 1e300)),
+    sigmas=st.floats(1e-3, 1e3),
+    epsilon=st.floats(1e-300, 1.0, exclude_max=True),
+)
+def test_interval_kernel_matches_gain_interval(gain, method, pulse_pairs, sigmas, epsilon):
+    """The pipelines' unchecked kernel gives gain_interval's floats."""
+    config = FiniteKeyConfig(method, pulse_pairs, sigmas, epsilon)
+    interval = gain_interval(gain, config)
+    assert interval_kernel(config)(gain) == (interval.lower, interval.upper)
+
+
+_SOURCES = comparison_scenarios(Scenario())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sampled_from(_SOURCES),
+    efficiency=st.floats(0.01, 1.0),
+    dark_count=st.one_of(st.just(0.0), st.floats(1e-9, 1e-4)),
+    misalignment=st.floats(0.0, 0.1),
+    distance_km=st.floats(0.0, 300.0),
+    method=st.sampled_from([FluctuationMethod.STANDARD, FluctuationMethod.CHERNOFF]),
+    log_pulse_pairs=st.floats(6.0, 19.0),
+    log_growth=st.floats(0.5, 1.0),
+)
+def test_finite_rate_is_below_asymptotic_and_grows_with_pulse_count(
+    source, efficiency, dark_count, misalignment, distance_km, method,
+    log_pulse_pairs, log_growth,
+):
+    """Finite-size rates: R(N) <= R(N') <= R(asymptotic) for N < N'.
+
+    Pulse counts stay at or below 1e20, where every interval is wider
+    than the rounding of N Q / N, so both comparisons hold exactly.
+    """
+    system = SystemParams(
+        detector_efficiency=efficiency,
+        dark_count=dark_count,
+        misalignment=misalignment,
+    )
+    scenario = replace(source, system=system)
+
+    def rate(config: FiniteKeyConfig) -> float:
+        return evaluate_point(replace(scenario, finite_key=config), distance_km).rate
+
+    fewer = 10.0 ** log_pulse_pairs
+    more = 10.0 ** (log_pulse_pairs + log_growth)
+    asymptotic = rate(FiniteKeyConfig())
+    rate_fewer = rate(FiniteKeyConfig(method, fewer))
+    rate_more = rate(FiniteKeyConfig(method, more))
+    assert rate_fewer <= rate_more <= asymptotic

@@ -132,3 +132,18 @@ def test_distribution_is_read_only():
     with pytest.raises(TypeError):
         dist.probabilities[0] = 0.5
 
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SourceSpec.wcs(800.0),
+        SourceSpec.css(800.0),
+        SourceSpec.nonideal_css(800.0, 0.7),
+        SourceSpec.css(1e300),
+    ],
+)
+def test_intensity_beyond_the_photon_cap_is_a_domain_error(spec):
+    # sinh and cosh overflow above mu ~ 710; the series still gets the
+    # convergence error rather than an OverflowError
+    with pytest.raises(DomainError, match="does not converge within 512 photons"):
+        build_distribution(spec)

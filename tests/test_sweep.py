@@ -26,7 +26,7 @@ from mdiqkd import (
     write_csv,
     yield_tables,
 )
-from mdiqkd.sweep import CSV_COLUMNS, _cached_gains, csv_rows
+from mdiqkd.sweep import CSV_COLUMNS, _cached_gains, _observed, csv_rows
 
 
 SMALL_GRID = {"grid": DistanceGrid(0.0, 100.0, 50.0)}
@@ -69,6 +69,49 @@ def test_memoised_gains_equal_a_fresh_contraction():
         e_d,
     )
     assert first == fresh
+
+
+def _memo_key(scenario, distance_km):
+    system = replace(scenario.system, distance_km=distance_km)
+    return (
+        scenario.signal_spec(scenario.signal_mu), scenario.signal_spec(scenario.decoy_mu),
+        scenario.scheme(), system.detector_params(), scenario.cutoff,
+        scenario.tail_tolerance, system.misalignment,
+    )
+
+
+def test_per_point_memo_is_keyed_by_every_input():
+    base = small(
+        source_kind=SourceKind.NONIDEAL_CSS,
+        finite_key=FiniteKeyConfig(FluctuationMethod.STANDARD, 1e12),
+    )
+    _observed.cache_clear()
+    first = evaluate_point(base, 60.0)
+    assert _observed.cache_info().misses == 1
+    # a hit returns the memoised entry itself
+    entry = _observed(*_memo_key(base, 60.0))
+    assert _observed(*_memo_key(base, 60.0)) is entry
+    again = evaluate_point(base, 60.0)
+    assert _observed.cache_info().hits == 3
+    assert again == first and again.gains_signal is entry[0]
+    # and it equals a fresh computation
+    _observed.cache_clear()
+    _cached_gains.cache_clear()
+    assert evaluate_point(base, 60.0) == first
+    assert _observed(*_memo_key(base, 60.0)) == entry
+
+    variants = {
+        "misalignment": (replace(base, system=replace(base.system, misalignment=0.02)), 60.0),
+        "tail tolerance": (replace(base, tail_tolerance=1e-12), 60.0),
+        "cutoff": (replace(base, cutoff=12), 60.0),
+        "odd weight": (replace(base, odd_weight=0.8), 60.0),
+        "decoy mu": (replace(base, decoy_mu=0.02), 60.0),
+        "distance": (base, 61.0),
+    }
+    for field, (scenario, distance_km) in variants.items():
+        misses = _observed.cache_info().misses
+        evaluate_point(scenario, distance_km)
+        assert _observed.cache_info().misses == misses + 1, field
 
 
 def test_run_sweep_orders_by_distance():

@@ -5,40 +5,15 @@ photon-number pair in closed form, pushes fiber and detector loss onto
 the photon statistics of several source families (coherent-state
 superpositions, phase-randomized coherent states, single photons),
 bounds the single-photon contribution with decoy-state estimators, and
-applies finite-size penalties to every observed quantity.  Only the
-Fock-state test oracle ``mdiqkd.fock`` needs numpy; it is not imported.
+applies finite-size penalties to every observed quantity.  It needs
+only the standard library.
 """
 
-from .bsm import (
-    BellOutcome,
-    DetectorParams,
-    MAX_CUTOFF,
-    MAX_TOTAL_PHOTONS,
-    Polarization,
-    YieldTable,
-    yield_tables,
-)
+from .bsm import DetectorParams, MAX_CUTOFF, YieldTable, yield_tables
 from .config import DistanceGrid, Scenario, load_scenario, parse_kv_text, scenario_from_mapping
-from .decoy import (
-    DecoyEstimate,
-    DecoyInputs,
-    FLAG_CLAMPED,
-    FLAG_ERROR_ABOVE_HALF,
-    VacuumGains,
-    one_decoy_css,
-    two_decoy_generic,
-)
+from .decoy import DecoyEstimate, DecoyInputs, FLAG_CLAMPED, FLAG_ERROR_ABOVE_HALF, VacuumGains
 from .errors import ConfigError, CutoffError, DomainError
-from .finite_key import (
-    DEFAULT_EPSILON,
-    FiniteKeyConfig,
-    FluctuationInterval,
-    FluctuationMethod,
-    chernoff_interval,
-    gain_interval,
-    standard_interval,
-    worst_case_decoy,
-)
+from .finite_key import DEFAULT_EPSILON, FiniteKeyConfig, FluctuationMethod, worst_case_decoy
 from .rates import (
     GainSet,
     KeyRatePoint,
@@ -65,7 +40,6 @@ from .sweep import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BellOutcome",
     "CalibrationResult",
     "ConfigError",
     "CutoffError",
@@ -78,14 +52,11 @@ __all__ = [
     "FLAG_CLAMPED",
     "FLAG_ERROR_ABOVE_HALF",
     "FiniteKeyConfig",
-    "FluctuationInterval",
     "FluctuationMethod",
     "GainSet",
     "KeyRatePoint",
     "MAX_CUTOFF",
-    "MAX_TOTAL_PHOTONS",
     "PhotonDistribution",
-    "Polarization",
     "Scenario",
     "SinglePhotonQuantities",
     "SourceKind",
@@ -96,23 +67,18 @@ __all__ = [
     "binary_entropy",
     "build_distribution",
     "calibrate_pulse_pairs",
-    "chernoff_interval",
     "compare_sources",
     "comparison_scenarios",
     "cutoff_distance",
     "evaluate_point",
-    "gain_interval",
     "gains",
     "key_rate",
     "load_scenario",
-    "one_decoy_css",
     "optimize_intensities",
     "parse_kv_text",
     "run_sweep",
     "scenario_from_mapping",
-    "standard_interval",
     "true_single_photon_quantities",
-    "two_decoy_generic",
     "worst_case_decoy",
     "write_csv",
     "yield_tables",

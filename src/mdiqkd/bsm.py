@@ -1,6 +1,6 @@
 """Bell-state-measurement yields of the relay, in closed form.
 
-The relay optics and detectors are described in ``mdiqkd.fock``, the
+The relay optics and detectors are described in ``tests/fock.py``, the
 exact Fock-state simulation these forms are checked against.
 
 Yields are factored by loss.  A detector of efficiency eta is loss eta
@@ -32,7 +32,6 @@ This module needs only the standard library.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -40,25 +39,11 @@ from operator import mul
 
 from .errors import CutoffError, DomainError
 
-# Beyond a 40-photon total the exact-integer guarantees of the Fock
-# simulation (products of binomials below 2**53) no longer hold.
-MAX_TOTAL_PHOTONS = 40
-
-# Highest per-side photon number the tables accept: keeps i + j within
-# the propagation precision budget.
-MAX_CUTOFF = MAX_TOTAL_PHOTONS // 2
-
-
-class Polarization(enum.Enum):
-    H = "H"
-    V = "V"
-    PLUS = "plus"       # (H + V) / sqrt(2)
-    MINUS = "minus"     # (H - V) / sqrt(2)
-
-
-class BellOutcome(enum.Enum):
-    PSI_PLUS = "psi_plus"    # same-arm H and V clicks, other arm silent
-    PSI_MINUS = "psi_minus"  # cross-arm H and V clicks, others silent
+# Highest per-side photon number the tables accept.  Pairs then stay
+# within a 40-photon total, where the Fock-state simulation the tests
+# check these closed forms against is still exact (its products of
+# binomials stay below 2**53); beyond it the tables have no oracle.
+MAX_CUTOFF = 20
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="override the number of transmitted pulse pairs",
         )
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="K",
-            help="accepted for compatibility and ignored; runs are serial",
-        )
 
     add_common(commands.add_parser("sweep", help="rate versus distance"))
     add_common(commands.add_parser("compare", help="all four standard sources"))
@@ -117,8 +110,6 @@ def _yields_report(scenario: Scenario, distance_km: float) -> List[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         scenario = _load(args)
         if args.command == "sweep":
             points = run_sweep(scenario)

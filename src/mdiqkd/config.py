@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
-from .errors import ConfigError
-from .finite_key import DEFAULT_EPSILON, FiniteKeyConfig, FluctuationMethod
+from .errors import ConfigError, DomainError
+from .finite_key import FiniteKeyConfig, FluctuationMethod
 from .rates import SystemParams
 from .sources import SourceKind, SourceSpec
 
@@ -199,77 +199,49 @@ def _parse_method(key: str, value: str) -> FluctuationMethod:
         ) from None
 
 
-_KEY_PARSERS = {
-    "source.kind": _parse_kind,
-    "source.signal_mu": _parse_float,
-    "source.decoy_mu": _parse_float,
-    "source.odd_weight": _parse_float,
-    "source.tail_tolerance": _parse_float,
-    "system.detector_efficiency": _parse_float,
-    "system.dark_count": _parse_float,
-    "system.fiber_loss_db_km": _parse_float,
-    "system.misalignment": _parse_float,
-    "system.ec_efficiency": _parse_float,
-    "grid.start_km": _parse_float,
-    "grid.stop_km": _parse_float,
-    "grid.step_km": _parse_float,
-    "finite_key.method": _parse_method,
-    "finite_key.pulse_pairs": _parse_float,
-    "finite_key.sigmas": _parse_float,
-    "finite_key.epsilon": _parse_float,
-    "bsm.cutoff": _parse_int,
-    "optimize.mu1_values": _parse_float_list,
-    "optimize.mu2_values": _parse_float_list,
+# Each config key sets one field of one dataclass; the defaults live on
+# the dataclasses.
+_KEYS = {
+    "source.kind": (Scenario, "source_kind", _parse_kind),
+    "source.signal_mu": (Scenario, "signal_mu", _parse_float),
+    "source.decoy_mu": (Scenario, "decoy_mu", _parse_float),
+    "source.odd_weight": (Scenario, "odd_weight", _parse_float),
+    "source.tail_tolerance": (Scenario, "tail_tolerance", _parse_float),
+    "system.detector_efficiency": (SystemParams, "detector_efficiency", _parse_float),
+    "system.dark_count": (SystemParams, "dark_count", _parse_float),
+    "system.fiber_loss_db_km": (SystemParams, "fiber_loss_db_km", _parse_float),
+    "system.misalignment": (SystemParams, "misalignment", _parse_float),
+    "system.ec_efficiency": (SystemParams, "ec_efficiency", _parse_float),
+    "grid.start_km": (DistanceGrid, "start_km", _parse_float),
+    "grid.stop_km": (DistanceGrid, "stop_km", _parse_float),
+    "grid.step_km": (DistanceGrid, "step_km", _parse_float),
+    "finite_key.method": (FiniteKeyConfig, "method", _parse_method),
+    "finite_key.pulse_pairs": (FiniteKeyConfig, "pulse_pairs", _parse_float),
+    "finite_key.sigmas": (FiniteKeyConfig, "sigmas", _parse_float),
+    "finite_key.epsilon": (FiniteKeyConfig, "epsilon", _parse_float),
+    "bsm.cutoff": (Scenario, "cutoff", _parse_int),
+    "optimize.mu1_values": (Scenario, "mu1_candidates", _parse_float_list),
+    "optimize.mu2_values": (Scenario, "mu2_candidates", _parse_float_list),
 }
 
 
 def scenario_from_mapping(mapping: Dict[str, str]) -> Scenario:
     """Build a validated Scenario from raw config pairs."""
-    values = {}
+    fields: Dict[type, dict] = {target: {} for target, _, _ in _KEYS.values()}
     for key, raw in mapping.items():
-        if key not in _KEY_PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _KEY_PARSERS[key](key, raw)
-
-    def take(key: str, default):
-        return values[key] if key in values else default
-
+        target, field, parse = _KEYS[key]
+        fields[target][field] = parse(key, raw)
     try:
-        system = SystemParams(
-            distance_km=0.0,
-            detector_efficiency=take("system.detector_efficiency", 0.40),
-            dark_count=take("system.dark_count", 1e-7),
-            fiber_loss_db_km=take("system.fiber_loss_db_km", 0.2),
-            misalignment=take("system.misalignment", 0.015),
-            ec_efficiency=take("system.ec_efficiency", 1.16),
-        )
-    except ValueError as exc:
+        system = SystemParams(**fields[SystemParams])
+    except DomainError as exc:
         raise ConfigError(str(exc)) from None
-    grid = DistanceGrid(
-        start_km=take("grid.start_km", 0.0),
-        stop_km=take("grid.stop_km", 400.0),
-        step_km=take("grid.step_km", 25.0),
-    )
-    finite = FiniteKeyConfig(
-        method=take("finite_key.method", FluctuationMethod.ASYMPTOTIC),
-        pulse_pairs=take("finite_key.pulse_pairs", 1e14),
-        sigmas=take("finite_key.sigmas", 5.0),
-        epsilon=take("finite_key.epsilon", DEFAULT_EPSILON),
-    )
-    kind = take("source.kind", SourceKind.CSS)
-    defaults = Scenario()
     return Scenario(
-        source_kind=kind,
-        signal_mu=take("source.signal_mu", defaults.signal_mu),
-        decoy_mu=take("source.decoy_mu", defaults.decoy_mu),
-        odd_weight=take("source.odd_weight", defaults.odd_weight),
-        tail_tolerance=take("source.tail_tolerance", defaults.tail_tolerance),
         system=system,
-        grid=grid,
-        finite_key=finite,
-        cutoff=take("bsm.cutoff", defaults.cutoff),
-        mu1_candidates=take("optimize.mu1_values", defaults.mu1_candidates),
-        mu2_candidates=take("optimize.mu2_values", defaults.mu2_candidates),
+        grid=DistanceGrid(**fields[DistanceGrid]),
+        finite_key=FiniteKeyConfig(**fields[FiniteKeyConfig]),
+        **fields[Scenario],
     )
 
 

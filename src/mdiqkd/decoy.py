@@ -2,7 +2,7 @@
 
 Two decoy schemes are provided.
 
-``one_decoy_css`` exploits the odd-only photon statistics of an ideal
+``"one_decoy_css"`` exploits the odd-only photon statistics of an ideal
 coherent-state superposition: with P(0) = P(2) = 0 a single decoy
 intensity already pins down the (1, 1) contribution,
 
@@ -10,7 +10,7 @@ intensity already pins down the (1, 1) contribution,
            / [mu1^2 mu2^2 (mu1^2 - mu2^2)],
     e11 <= sinh^2(mu2) E(mu2) Q(mu2) / (mu2^2 y11).
 
-``two_decoy_generic`` works for any source with nonvanishing one- and
+``"two_decoy_generic"`` works for any source with nonvanishing one- and
 two-photon probabilities (phase-randomized coherent states, imperfect
 superpositions).  Vacuum-substituted gains remove the 0-photon rows and
 columns,
@@ -20,14 +20,14 @@ columns,
 after which a two-point estimate in (P1, P2) bounds y11 and the decoy
 intensity alone bounds e11.
 
-Both schemes run through one estimator, ``estimate``.  It reads an
-interval table with one ``(lower, upper)`` pair per (channel, field),
-built once per evaluation by applying a ``Bounds`` map to every observed
-gain (``DecoyInputs.interval_table``), and takes each gain at the
-endpoint, LOW or HIGH, that weakens the bound.  The finite-key layer
-supplies its method's confidence-interval map; ``one_decoy_css`` and
-``two_decoy_generic`` are the identity-interval (asymptotic) case,
-``exact``, so every path shares one copy of the formulas.
+Both schemes run through one estimator, ``estimate(inputs, scheme,
+bounds)``.  It reads an interval table with one ``(lower, upper)`` pair
+per (channel, field), built once per evaluation by applying a ``Bounds``
+map to every observed gain (``DecoyInputs.interval_table``), and takes
+each gain at the endpoint, LOW or HIGH, that weakens the bound.  The
+finite-key layer supplies its method's confidence-interval map; the
+default, ``exact``, is the identity interval of the asymptotic case, so
+every path shares one copy of the formulas.
 """
 
 from __future__ import annotations
@@ -286,13 +286,3 @@ def estimate(inputs: DecoyInputs, scheme: str, bounds: Bounds = exact) -> DecoyE
             inputs.interval_table(bounds),
         )
     raise ConfigError(f"unknown decoy scheme {scheme!r}")
-
-
-def one_decoy_css(inputs: DecoyInputs) -> DecoyEstimate:
-    """Single-decoy bounds valid for odd-only photon statistics."""
-    return estimate(inputs, "one_decoy_css")
-
-
-def two_decoy_generic(inputs: DecoyInputs) -> DecoyEstimate:
-    """Signal + decoy + vacuum bounds for general photon statistics."""
-    return estimate(inputs, "two_decoy_generic")

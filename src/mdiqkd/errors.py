@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 Three failure families matter to callers: bad configuration input, bad
-physical-domain input, and requests that would exceed the numeric
-precision budget of the Fock-space engine.  The CLI maps ConfigError to
+physical-domain input, and photon-number truncations beyond what the
+yield tables support.  The CLI maps ConfigError to
 exit code 2 and the other two to exit code 3.
 """
 

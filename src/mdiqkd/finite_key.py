@@ -16,14 +16,13 @@ pulse pairs.  Two confidence constructions are supported:
 
   each side violated with probability at most eps.  Deviations are
   clamped to the physical count range [0, N] before converting back to
-  rates.
+  rates, and the rates are widened where needed to contain Q.
 
 Each method's formula is one private kernel returning ``(lower,
-upper)``.  The public functions validate their arguments and wrap it in
-a ``FluctuationInterval``; ``interval_kernel`` hands it unchecked to the
-pipelines.  ``worst_case_decoy`` runs ``decoy.estimate`` on those
-intervals, so each observed gain enters the decoy algebra at whichever
-endpoint weakens the bound.  The pipeline is deterministic: observed
+upper)``; ``interval_kernel`` selects it for a ``FiniteKeyConfig``.
+``worst_case_decoy`` runs ``decoy.estimate`` on those intervals, so
+each observed gain enters the decoy algebra at whichever endpoint
+weakens the bound.  The pipeline is deterministic: observed
 counts are taken at their expected (real-valued) positions rather than
 sampled.
 """
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 
 from . import decoy
 from .decoy import Bounds, DecoyEstimate, DecoyInputs, Interval, exact
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 
 class FluctuationMethod(enum.Enum):
@@ -72,88 +71,40 @@ class FiniteKeyConfig:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
-@dataclass(frozen=True)
-class FluctuationInterval:
-    """Confidence interval for one gain, as rates in [0, 1]."""
-
-    lower: float
-    upper: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.lower <= self.upper:
-            raise DomainError(
-                f"invalid interval [{self.lower}, {self.upper}]"
-            )
-
-
 def _standard(gain: float, pulse_pairs: float, sigmas: float) -> Interval:
+    # A vanishing gain carries no relative-width information; its upper
+    # limit falls back to the count level sigmas^2 at which a zero
+    # observation is still compatible with the band.
     if gain == 0.0:
         return 0.0, sigmas * sigmas / pulse_pairs
     delta = sigmas / math.sqrt(pulse_pairs * gain)
     return max(0.0, gain * (1.0 - delta)), gain * (1.0 + delta)
 
 
-def _chernoff(observed_count: float, epsilon: float, n_trials: float) -> Interval:
-    x = observed_count
+def _chernoff(gain: float, pulse_pairs: float, epsilon: float) -> Interval:
+    x = gain * pulse_pairs
     log_inv = math.log(1.0 / epsilon)
     lower_dev = math.sqrt(2.0 * x * 1.5 * log_inv)
     upper_dev = math.sqrt(2.0 * x * (math.log(16.0) + 4.0 * log_inv))
-    return max(0.0, x - lower_dev) / n_trials, min(n_trials, x + upper_dev) / n_trials
-
-
-def standard_interval(gain: float, pulse_pairs: float, sigmas: float = 5.0) -> FluctuationInterval:
-    """Gaussian s-sigma band around an observed gain.
-
-    A vanishing gain carries no relative-width information; its upper
-    limit falls back to the count level sigmas^2 at which a zero
-    observation is still compatible with the band.
-    """
-    if not 0.0 <= gain <= 1.0:
-        raise DomainError(f"gain must lie in [0, 1], got {gain}")
-    if not pulse_pairs >= 1.0:
-        raise DomainError(f"pulse_pairs must be >= 1, got {pulse_pairs}")
-    if not sigmas > 0.0:
-        raise DomainError(f"sigmas must be > 0, got {sigmas}")
-    return FluctuationInterval(*_standard(gain, pulse_pairs, sigmas))
-
-
-def chernoff_interval(
-    observed_count: float, epsilon: float, n_trials: float
-) -> FluctuationInterval:
-    """Chernoff band for the expected rate behind an observed count."""
-    if observed_count < 0.0:
-        raise DomainError(f"observed count must be >= 0, got {observed_count}")
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not n_trials >= observed_count:
-        raise DomainError(
-            f"n_trials ({n_trials}) must be >= observed count ({observed_count})"
-        )
-    return FluctuationInterval(*_chernoff(observed_count, epsilon, n_trials))
+    lower = max(0.0, x - lower_dev) / pulse_pairs
+    upper = min(pulse_pairs, x + upper_dev) / pulse_pairs
+    # Above about N = 1e30 the deviations fall below the rounding of
+    # N Q / N, which can step past Q; the interval must still hold it.
+    return min(lower, gain), max(upper, gain)
 
 
 def interval_kernel(config: FiniteKeyConfig) -> Bounds:
-    """``gain -> (lower, upper)``: the floats of ``gain_interval`` without
-    its checks, for gains a ``GainSet`` has validated."""
+    """``gain -> (lower, upper)`` under the configured method, with
+    ``0 <= lower <= gain <= upper``.  Unchecked: ``FiniteKeyConfig``
+    validates N, sigma and epsilon, and ``GainSet`` every gain."""
     pulse_pairs = config.pulse_pairs
     if config.method is FluctuationMethod.STANDARD:
         sigmas = config.sigmas
         return lambda gain: _standard(gain, pulse_pairs, sigmas)
     if config.method is FluctuationMethod.CHERNOFF:
         epsilon = config.epsilon
-        return lambda gain: _chernoff(gain * pulse_pairs, epsilon, pulse_pairs)
+        return lambda gain: _chernoff(gain, pulse_pairs, epsilon)
     return exact
-
-
-def gain_interval(gain: float, config: FiniteKeyConfig) -> FluctuationInterval:
-    """Interval for one observed gain under the configured method."""
-    if config.method is FluctuationMethod.ASYMPTOTIC:
-        return FluctuationInterval(gain, gain)
-    if config.method is FluctuationMethod.STANDARD:
-        return standard_interval(gain, config.pulse_pairs, config.sigmas)
-    return chernoff_interval(
-        gain * config.pulse_pairs, config.epsilon, config.pulse_pairs
-    )
 
 
 def worst_case_decoy(

@@ -23,21 +23,39 @@ cancellation-free on every path:
 * mixed-basis pairs expand the diagonal pulse into H/V sectors, which
   cannot interfere because the sector photon totals are measured.
 
-``bell_yield`` applies threshold detectors to one output.  The key-rate
-pipeline never imports this module, the only one that needs numpy: the
-tests check the closed forms of ``mdiqkd.bsm`` against it.
+``bell_yield`` applies threshold detectors to one output.  The tests
+check the closed forms of ``mdiqkd.bsm`` against it; the package never
+imports it, and only it needs numpy.
 """
 
 from __future__ import annotations
 
+import enum
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bsm import MAX_TOTAL_PHOTONS, BellOutcome, DetectorParams, Polarization
-from .errors import CutoffError, DomainError
+from mdiqkd.bsm import DetectorParams
+from mdiqkd.errors import CutoffError, DomainError
+
+# Beyond a 40-photon total the exact-integer guarantees of the
+# simulation (products of binomials below 2**53) no longer hold.
+MAX_TOTAL_PHOTONS = 40
+
+
+class Polarization(enum.Enum):
+    H = "H"
+    V = "V"
+    PLUS = "plus"       # (H + V) / sqrt(2)
+    MINUS = "minus"     # (H - V) / sqrt(2)
+
+
+class BellOutcome(enum.Enum):
+    PSI_PLUS = "psi_plus"    # same-arm H and V clicks, other arm silent
+    PSI_MINUS = "psi_minus"  # cross-arm H and V clicks, others silent
+
 
 _FACT = [float(math.factorial(n)) for n in range(MAX_TOTAL_PHOTONS + 1)]
 

@@ -8,18 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdiqkd import (
-    BellOutcome,
-    CutoffError,
-    DetectorParams,
-    DomainError,
-    Polarization,
-    yield_tables,
-)
+from mdiqkd import CutoffError, DetectorParams, DomainError, yield_tables
 from mdiqkd.bsm import _lossless_tables
-from mdiqkd.fock import bell_yield, click_probability, propagate
 
 from _oracles import dense_tables, oracle_bell_yield, oracle_propagate
+from fock import BellOutcome, Polarization, bell_yield, click_probability, propagate
 
 P = Polarization
 POL_NAMES = {"h": P.H, "v": P.V, "plus": P.PLUS, "minus": P.MINUS}

@@ -11,8 +11,11 @@ import mdiqkd
 from mdiqkd import (
     ConfigError,
     DistanceGrid,
+    FiniteKeyConfig,
     FluctuationMethod,
+    Scenario,
     SourceKind,
+    SystemParams,
     load_scenario,
     parse_kv_text,
     scenario_from_mapping,
@@ -63,6 +66,8 @@ def test_defaults_without_config():
     assert scenario.system.ec_efficiency == 1.16
     assert scenario.finite_key.method is FluctuationMethod.ASYMPTOTIC
     assert scenario.cutoff == 15
+    # every default is the dataclasses' own
+    assert scenario == Scenario()
 
 
 def test_full_mapping_round_trip():
@@ -90,12 +95,25 @@ def test_full_mapping_round_trip():
             "optimize.mu2_values": "0.01",
         }
     )
-    assert scenario.source_kind is SourceKind.NONIDEAL_CSS
-    assert scenario.odd_weight == 0.8
+    assert scenario == Scenario(
+        source_kind=SourceKind.NONIDEAL_CSS,
+        signal_mu=0.2,
+        decoy_mu=0.02,
+        odd_weight=0.8,
+        tail_tolerance=1e-12,
+        system=SystemParams(0.0, 0.5, 1e-6, 0.21, 0.02, 1.2),
+        grid=DistanceGrid(10.0, 50.0, 20.0),
+        finite_key=FiniteKeyConfig(FluctuationMethod.CHERNOFF, 1e13, 6.0, 1e-8),
+        cutoff=10,
+        mu1_candidates=(0.1, 0.2),
+        mu2_candidates=(0.01,),
+    )
     assert scenario.grid.distances() == (10.0, 30.0, 50.0)
-    assert scenario.finite_key.method is FluctuationMethod.CHERNOFF
-    assert scenario.finite_key.epsilon == 1e-8
-    assert scenario.mu1_candidates == (0.1, 0.2)
+
+
+def test_public_names_resolve():
+    for name in mdiqkd.__all__:
+        assert getattr(mdiqkd, name) is not None, name
 
 
 @pytest.mark.parametrize(
@@ -200,14 +218,6 @@ def test_cli_output_is_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_parallel_is_byte_identical(tmp_path):
-    cfg = _write_cfg(tmp_path, BASE_CFG)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(["compare", "--config", cfg, "--out", str(a)]) == 0
-    assert main(["compare", "--config", cfg, "--workers", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_cli_method_and_pulses_overrides(tmp_path):
     cfg = _write_cfg(tmp_path, BASE_CFG)
     out = tmp_path / "rates.csv"
@@ -262,9 +272,12 @@ def test_removed_wcs_estimator_key_is_unknown(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_cli_workers_validation(capsys):
-    assert main(["sweep", "--workers", "0"]) == 2
-    assert "--workers" in capsys.readouterr().err
+def test_cli_rejects_workers_flag(capsys):
+    """Runs are serial; the former --workers flag is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
 
 def test_cli_rejects_infinite_pulse_count(capsys):
@@ -289,20 +302,24 @@ def test_non_finite_grid_is_rejected(tmp_path, capsys, field):
 
 
 _NO_NUMPY_SCRIPT = """
-import os, sys
+import importlib, os, pkgutil, sys
 import mdiqkd, mdiqkd.cli
 assert "numpy" not in sys.modules, "import mdiqkd loaded numpy"
 for command in ("compare", "sweep", "yields"):
     code = mdiqkd.cli.main([command, "--config", sys.argv[1], "--out", os.devnull])
     assert code == 0, (command, code)
     assert "numpy" not in sys.modules, command + " loaded numpy"
-import mdiqkd.fock
-assert "numpy" in sys.modules, "mdiqkd.fock did not load numpy"
+for module in pkgutil.iter_modules(mdiqkd.__path__, "mdiqkd."):
+    importlib.import_module(module.name)
+    assert "numpy" not in sys.modules, module.name + " loaded numpy"
+import numpy
+assert "numpy" in sys.modules, "the check cannot see numpy"
 """
 
 
 def test_package_and_cli_run_without_numpy(tmp_path):
-    """Only the Fock-state simulator needs numpy."""
+    """No module of the package needs numpy; only the tests' Fock-state
+    simulator does."""
     config = tmp_path / "grid.cfg"
     config.write_text("grid.start_km = 0\ngrid.stop_km = 100\ngrid.step_km = 50\n")
     src = os.path.dirname(os.path.dirname(mdiqkd.__file__))

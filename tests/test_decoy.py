@@ -4,6 +4,7 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mdiqkd import (
     DecoyInputs,
@@ -11,18 +12,18 @@ from mdiqkd import (
     FLAG_CLAMPED,
     FLAG_ERROR_ABOVE_HALF,
     GainSet,
+    Scenario,
     SourceKind,
     SourceSpec,
     SystemParams,
     VacuumGains,
     build_distribution,
+    evaluate_point,
     gains,
-    one_decoy_css,
     true_single_photon_quantities,
-    two_decoy_generic,
     yield_tables,
 )
-from mdiqkd.decoy import css_y11_bound, generic_y11_bound, vacuum_substituted_gain
+from mdiqkd.decoy import css_y11_bound, estimate, generic_y11_bound, vacuum_substituted_gain
 
 
 def _table(distance_km: float, cutoff: int = 15):
@@ -67,13 +68,13 @@ def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_we
 @pytest.mark.parametrize("distance_km", [0.0, 100.0, 300.0])
 def test_one_decoy_brackets_truth(distance_km):
     inputs, table, e_d = _inputs(SourceKind.CSS, 0.1, 0.01, distance_km)
-    estimate = one_decoy_css(inputs)
+    bounds = estimate(inputs, "one_decoy_css")
     truth = true_single_photon_quantities(table, e_d)
-    assert estimate.y11_lower <= truth.y11_z + 1e-12
-    assert estimate.e11_upper >= truth.e11_x - 1e-12
+    assert bounds.y11_lower <= truth.y11_z + 1e-12
+    assert bounds.e11_upper >= truth.e11_x - 1e-12
     # odd-only statistics make the single-decoy bound very tight
-    assert estimate.y11_lower >= 0.99 * truth.y11_z
-    assert estimate.flags == frozenset()
+    assert bounds.y11_lower >= 0.99 * truth.y11_z
+    assert bounds.flags == frozenset()
 
 
 @pytest.mark.parametrize("distance_km", [0.0, 100.0, 300.0])
@@ -83,23 +84,96 @@ def test_one_decoy_brackets_truth(distance_km):
 )
 def test_two_decoy_brackets_truth(kind, mu1, mu2, distance_km):
     inputs, table, e_d = _inputs(kind, mu1, mu2, distance_km)
-    estimate = two_decoy_generic(inputs)
+    bounds = estimate(inputs, "two_decoy_generic")
     truth = true_single_photon_quantities(table, e_d)
-    assert estimate.y11_lower <= truth.y11_z + 1e-12
-    assert estimate.e11_upper >= truth.e11_x - 1e-12
-    assert estimate.y11_lower > 0.0
+    assert bounds.y11_lower <= truth.y11_z + 1e-12
+    assert bounds.e11_upper >= truth.e11_x - 1e-12
+    assert bounds.y11_lower > 0.0
+
+
+_KINDS = (SourceKind.SPS, SourceKind.CSS, SourceKind.NONIDEAL_CSS, SourceKind.WCS)
+
+
+@st.composite
+def _intensities(draw):
+    """(mu1, mu2) over the optimization grids' range: decoys from 0.005,
+    signals at least 5 % brighter."""
+    mu2 = draw(st.floats(0.005, 0.5))
+    return draw(st.floats(1.05 * mu2, 1.0)), mu2
+
+
+def _bracketing_point(kind, intensities, odd_weight, efficiency, dark_count,
+                      misalignment, distance_km):
+    """Asymptotic bounds at one point and the exact (1, 1) values."""
+    system = SystemParams(
+        detector_efficiency=efficiency, dark_count=dark_count, misalignment=misalignment
+    )
+    mu1, mu2 = intensities
+    scenario = Scenario(
+        source_kind=kind, signal_mu=mu1, decoy_mu=mu2, odd_weight=odd_weight,
+        system=system, cutoff=20,
+    )
+    point = evaluate_point(scenario, distance_km)
+    table = yield_tables(replace(system, distance_km=distance_km).detector_params(), 1)
+    return point, true_single_photon_quantities(table, misalignment)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(_KINDS),
+    intensities=_intensities(),
+    odd_weight=st.floats(0.1, 0.95),
+    efficiency=st.floats(0.01, 1.0),
+    dark_count=st.one_of(st.just(0.0), st.floats(1e-12, 1e-3)),
+    misalignment=st.floats(0.0, 0.5),
+    distance_km=st.floats(0.0, 400.0),
+)
+def test_decoy_bounds_bracket_truth_property(
+    kind, intensities, odd_weight, efficiency, dark_count, misalignment, distance_km
+):
+    """y11_lower <= true y11 and, where y11_lower > 0, e11_upper >= true
+    e11, exactly, for every source family."""
+    point, truth = _bracketing_point(
+        kind, intensities, odd_weight, efficiency, dark_count, misalignment, distance_km
+    )
+    assert point.y11_lower <= truth.y11_z
+    if point.y11_lower > 0.0:
+        assert point.e11_upper >= truth.e11_x
+
+
+# Outside the property's intensity range rounding breaks the bracket.
+# Both bounds cancel two terms: near-equal intensities amplify the
+# rounding of the gains by about mu2 / (mu1 - mu2), and at mu2 ~ 1e-3 the
+# bound's slack (order mu1^2 mu2^2) is below that rounding.
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="float decoy algebra is not rounded outward"
+)
+@pytest.mark.parametrize(
+    "kind,intensities,efficiency,dark_count,misalignment,distance_km",
+    [
+        (SourceKind.CSS, (0.00105, 0.001), 0.95, 0.0, 0.0, 0.0078125),
+        (SourceKind.CSS, (0.0100000001, 0.01), 0.5, 1e-7, 0.015, 50.0),
+    ],
+)
+def test_decoy_bounds_bracket_truth_fails_when_rounding_dominates(
+    kind, intensities, efficiency, dark_count, misalignment, distance_km
+):
+    point, truth = _bracketing_point(
+        kind, intensities, 0.7, efficiency, dark_count, misalignment, distance_km
+    )
+    assert point.y11_lower <= truth.y11_z
 
 
 def test_one_decoy_rejects_even_photon_mass():
     inputs, _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 0.0)
     with pytest.raises(DomainError):
-        one_decoy_css(inputs)
+        estimate(inputs, "one_decoy_css")
 
 
 def test_two_decoy_requires_vacuum_channels():
     inputs, _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 0.0)
     with pytest.raises(DomainError):
-        two_decoy_generic(replace(inputs, vacuum=None))
+        estimate(replace(inputs, vacuum=None), "two_decoy_generic")
 
 
 def test_two_decoy_degenerate_for_odd_only_sources():
@@ -107,7 +181,7 @@ def test_two_decoy_degenerate_for_odd_only_sources():
     makes the two-point linear system singular."""
     inputs, _, _ = _inputs(SourceKind.CSS, 0.1, 0.01, 0.0)
     with pytest.raises(DomainError):
-        two_decoy_generic(inputs)
+        estimate(inputs, "two_decoy_generic")
 
 
 def test_intensity_ordering_is_validated():
@@ -149,19 +223,19 @@ def test_negative_yield_bound_is_clamped_and_flagged():
     # a huge signal gain with a negligible decoy gain drives the
     # estimate negative
     inputs = _fabricated_inputs(0.9, 1e-9, 0.9, 1e-9, 1e-11)
-    estimate = one_decoy_css(inputs)
-    assert estimate.y11_lower == 0.0
-    assert FLAG_CLAMPED in estimate.flags
-    assert math.isinf(estimate.e11_upper)
+    bounds = estimate(inputs, "one_decoy_css")
+    assert bounds.y11_lower == 0.0
+    assert FLAG_CLAMPED in bounds.flags
+    assert math.isinf(bounds.e11_upper)
 
 
 def test_error_bound_above_half_is_flagged():
     # error-weighted gain close to the decoy gain forces e11 toward 1
     inputs = _fabricated_inputs(0.08, 0.008, 0.08, 0.008, 0.0079)
-    estimate = one_decoy_css(inputs)
-    assert estimate.y11_lower > 0.0
-    assert estimate.e11_upper > 0.5
-    assert FLAG_ERROR_ABOVE_HALF in estimate.flags
+    bounds = estimate(inputs, "one_decoy_css")
+    assert bounds.y11_lower > 0.0
+    assert bounds.e11_upper > 0.5
+    assert FLAG_ERROR_ABOVE_HALF in bounds.flags
 
 
 def test_css_bound_scalar_identity():

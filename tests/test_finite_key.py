@@ -4,91 +4,69 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdiqkd import (
     ConfigError,
     DEFAULT_EPSILON,
-    DomainError,
     FiniteKeyConfig,
     FluctuationMethod,
     Scenario,
+    SourceKind,
     SystemParams,
-    chernoff_interval,
     comparison_scenarios,
     evaluate_point,
-    gain_interval,
-    one_decoy_css,
-    standard_interval,
-    two_decoy_generic,
     worst_case_decoy,
 )
+from mdiqkd.decoy import estimate
 from mdiqkd.finite_key import interval_kernel
 
 from test_decoy import _inputs
-from mdiqkd import SourceKind
+
+
+def _kernel(method, pulse_pairs, **kwargs):
+    return interval_kernel(FiniteKeyConfig(method, pulse_pairs, **kwargs))
 
 
 def test_standard_interval_reference_case():
     # gain 1e-6 over 1e12 pulses: delta = 5 / sqrt(1e6) = 0.005
-    interval = standard_interval(1e-6, 1e12, sigmas=5.0)
-    assert interval.lower == pytest.approx(0.995e-6, rel=1e-12)
-    assert interval.upper == pytest.approx(1.005e-6, rel=1e-12)
+    lower, upper = _kernel(FluctuationMethod.STANDARD, 1e12, sigmas=5.0)(1e-6)
+    assert lower == pytest.approx(0.995e-6, rel=1e-12)
+    assert upper == pytest.approx(1.005e-6, rel=1e-12)
 
 
 def test_standard_interval_clamps_lower_at_zero():
-    interval = standard_interval(1e-12, 1e6, sigmas=5.0)  # delta >> 1
-    assert interval.lower == 0.0
-    assert interval.upper > 1e-12
+    lower, upper = _kernel(FluctuationMethod.STANDARD, 1e6, sigmas=5.0)(1e-12)  # delta >> 1
+    assert lower == 0.0
+    assert upper > 1e-12
 
 
 def test_standard_interval_vanishing_gain():
-    interval = standard_interval(0.0, 1e12, sigmas=5.0)
-    assert interval.lower == 0.0
-    assert interval.upper == pytest.approx(25.0 / 1e12, rel=1e-15)
-
-
-def test_standard_interval_validation():
-    with pytest.raises(DomainError):
-        standard_interval(-0.1, 1e12)
-    with pytest.raises(DomainError):
-        standard_interval(0.5, 0.0)
-    with pytest.raises(DomainError):
-        standard_interval(0.5, 1e12, sigmas=0.0)
+    lower, upper = _kernel(FluctuationMethod.STANDARD, 1e12, sigmas=5.0)(0.0)
+    assert lower == 0.0
+    assert upper == pytest.approx(25.0 / 1e12, rel=1e-15)
 
 
 def test_chernoff_interval_reference_case():
     # frozen deviations for X = 1e6, eps = 2.865e-7
-    interval = chernoff_interval(1e6, 2.865e-7, 1e12)
+    lower, upper = _kernel(FluctuationMethod.CHERNOFF, 1e12, epsilon=2.865e-7)(1e-6)
     lower_dev = 6722.840315103048
     upper_dev = 11228.062871698417
-    assert interval.lower == pytest.approx((1e6 - lower_dev) / 1e12, rel=1e-12)
-    assert interval.upper == pytest.approx((1e6 + upper_dev) / 1e12, rel=1e-12)
+    assert lower == pytest.approx((1e6 - lower_dev) / 1e12, rel=1e-12)
+    assert upper == pytest.approx((1e6 + upper_dev) / 1e12, rel=1e-12)
     # the upper tail needs a larger deviation than the lower tail at
     # equal failure probability
     assert upper_dev > lower_dev
 
 
 def test_chernoff_interval_clamps_to_physical_counts():
-    interval = chernoff_interval(5.0, 1e-7, 10.0)
-    assert interval.lower == 0.0  # deviation exceeds the count
-    assert interval.upper == 1.0  # clamped at n_trials
+    lower, upper = _kernel(FluctuationMethod.CHERNOFF, 10.0, epsilon=1e-7)(0.5)
+    assert lower == 0.0  # deviation exceeds the count
+    assert upper == 1.0  # clamped at N
 
 
 def test_chernoff_interval_zero_count():
-    interval = chernoff_interval(0.0, 1e-7, 1e10)
-    assert interval.lower == 0.0 and interval.upper == 0.0
-
-
-def test_chernoff_interval_validation():
-    with pytest.raises(DomainError):
-        chernoff_interval(-1.0, 1e-7, 1e10)
-    with pytest.raises(DomainError):
-        chernoff_interval(1.0, 0.0, 1e10)
-    with pytest.raises(DomainError):
-        chernoff_interval(1.0, 1.0, 1e10)
-    with pytest.raises(DomainError):
-        chernoff_interval(100.0, 1e-7, 10.0)
+    assert _kernel(FluctuationMethod.CHERNOFF, 1e10, epsilon=1e-7)(0.0) == (0.0, 0.0)
 
 
 def test_default_epsilon_matches_five_sigma_tail():
@@ -98,13 +76,12 @@ def test_default_epsilon_matches_five_sigma_tail():
 
 
 def test_gain_interval_dispatch():
-    asym = gain_interval(0.01, FiniteKeyConfig(FluctuationMethod.ASYMPTOTIC))
-    assert asym.lower == asym.upper == 0.01
-    std = gain_interval(0.01, FiniteKeyConfig(FluctuationMethod.STANDARD, 1e10))
-    assert std.lower < 0.01 < std.upper
-    cher = gain_interval(0.01, FiniteKeyConfig(FluctuationMethod.CHERNOFF, 1e10))
-    assert cher.lower < 0.01 < cher.upper
-    assert std.lower != cher.lower
+    assert _kernel(FluctuationMethod.ASYMPTOTIC, 1e10)(0.01) == (0.01, 0.01)
+    std = _kernel(FluctuationMethod.STANDARD, 1e10)(0.01)
+    assert std[0] < 0.01 < std[1]
+    cher = _kernel(FluctuationMethod.CHERNOFF, 1e10)(0.01)
+    assert cher[0] < 0.01 < cher[1]
+    assert std[0] != cher[0]
 
 
 def test_finite_key_config_validation():
@@ -121,12 +98,12 @@ def test_finite_key_config_validation():
 def test_asymptotic_worst_case_equals_plain_estimators():
     config = FiniteKeyConfig(FluctuationMethod.ASYMPTOTIC)
     inputs, _, _ = _inputs(SourceKind.CSS, 0.1, 0.01, 50.0)
-    plain = one_decoy_css(inputs)
+    plain = estimate(inputs, "one_decoy_css")
     worst = worst_case_decoy(inputs, config, "one_decoy_css")
     assert worst == plain
 
     inputs, _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 50.0)
-    plain = two_decoy_generic(inputs)
+    plain = estimate(inputs, "two_decoy_generic")
     worst = worst_case_decoy(inputs, config, "two_decoy_generic")
     assert worst == plain
 
@@ -162,7 +139,7 @@ def test_worst_case_tightens_with_more_pulses():
     assert y11s == sorted(y11s)
     assert e11s == sorted(e11s, reverse=True)
     # converges to the asymptotic value
-    asym = two_decoy_generic(inputs)
+    asym = estimate(inputs, "two_decoy_generic")
     assert estimates[-1].y11_lower == pytest.approx(asym.y11_lower, rel=1e-3)
     assert estimates[-1].e11_upper == pytest.approx(asym.e11_upper, rel=1e-3)
 
@@ -177,15 +154,17 @@ def test_worst_case_unknown_scheme():
 @given(
     gain=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
     method=st.sampled_from(list(FluctuationMethod)),
-    pulse_pairs=st.one_of(st.just(1.0), st.floats(1.0, 1e300)),
+    log_pulse_pairs=st.one_of(st.just(0.0), st.just(300.0), st.floats(0.0, 300.0)),
     sigmas=st.floats(1e-3, 1e3),
     epsilon=st.floats(1e-300, 1.0, exclude_max=True),
 )
-def test_interval_kernel_matches_gain_interval(gain, method, pulse_pairs, sigmas, epsilon):
-    """The pipelines' unchecked kernel gives gain_interval's floats."""
-    config = FiniteKeyConfig(method, pulse_pairs, sigmas, epsilon)
-    interval = gain_interval(gain, config)
-    assert interval_kernel(config)(gain) == (interval.lower, interval.upper)
+# (N Q - dev) / N rounds to 0.10000000000000002 without the clamp.
+@example(0.1, FluctuationMethod.CHERNOFF, 200.0, 5.0, DEFAULT_EPSILON)
+def test_interval_kernel_contains_gain(gain, method, log_pulse_pairs, sigmas, epsilon):
+    """0 <= lower <= Q <= upper for every method and N in [1, 1e300]."""
+    config = FiniteKeyConfig(method, 10.0 ** log_pulse_pairs, sigmas, epsilon)
+    lower, upper = interval_kernel(config)(gain)
+    assert 0.0 <= lower <= gain <= upper
 
 
 _SOURCES = comparison_scenarios(Scenario())

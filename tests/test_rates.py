@@ -9,6 +9,7 @@ from mdiqkd import (
     CutoffError,
     DetectorParams,
     DomainError,
+    GainSet,
     SourceSpec,
     SystemParams,
     binary_entropy,
@@ -144,6 +145,15 @@ def test_gains_reject_undersized_table():
     dist = build_distribution(SourceSpec.wcs(0.4))  # needs ~12 photon numbers
     with pytest.raises(CutoffError):
         gains(dist, dist, table, misalignment=0.015)
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+def test_gain_set_rejects_gains_outside_unit_interval(value):
+    """The interval kernels take gains unchecked; GainSet is their guard."""
+    fields = dict.fromkeys(GainSet.__dataclass_fields__, 0.5)
+    for name in fields:
+        with pytest.raises(DomainError, match=f"gain {name}="):
+            GainSet(**dict(fields, **{name: value}))
 
 
 def test_misalignment_flips_correct_and_error():

@@ -1,8 +1,8 @@
 """Key rates for measurement-device-independent QKD.
 
-The package computes the relay's Bell-state-measurement yields per
-photon-number pair in closed form, pushes fiber and detector loss onto
-the photon statistics of several source families (coherent-state
+The package computes, in closed form, the relay's Bell-state-measurement
+yields per photon-number pair and the photon statistics after fiber and
+detector loss of several source families (coherent-state
 superpositions, phase-randomized coherent states, single photons),
 bounds the single-photon contribution with decoy-state estimators, and
 applies finite-size penalties to every observed quantity.  It needs

@@ -5,14 +5,14 @@ exact Fock-state simulation these forms are checked against.
 
 Yields are factored by loss.  A detector of efficiency eta is loss eta
 in front of an ideal threshold detector with the same dark count, and
-uniform loss commutes with the passive relay optics, so the yield table
-at eta is L Y1 L^T, with L[i, k] = C(i, k) eta^k (1 - eta)^(i - k) (k of
-i photons survive) and Y1 the table at unit efficiency.  A gain never
-needs that table: the loss is pushed onto the two photon-number vectors
-instead, p^T L Y1 L^T q = a^T Y1 b with a = L^T p and b = L^T q (the
-photon statistics after loss), and a^T Y1 b is contracted directly.
-Every term is a product of non-negative numbers, so float64 loses no
-digits to cancellation.  Y1 is built once per (p_d, cutoff).
+uniform loss commutes with the passive relay optics, so the loss of
+fiber and detectors together acts on the photon statistics before the
+relay.  A gain is a^T Y1 b, where a and b are the two sources'
+photon-number distributions after loss (``sources.transmitted``, in
+closed form) and Y1 is the table at unit efficiency; the lossy table
+itself is never built.  Every term is a product of non-negative
+numbers, so float64 loses no digits to cancellation.  Y1 is built once
+per (p_d, cutoff).
 
 Y1 has a closed form: at unit efficiency a detector fires on any photon
 and with probability p_d on vacuum, so psi_plus depends only on which
@@ -93,29 +93,6 @@ def _flat_lossless(dark_count: float, cutoff: int, rows: int, cols: int) -> tupl
     )
 
 
-@functools.lru_cache(maxsize=256)
-def _loss_columns(eta: float, cutoff: int) -> tuple:
-    """Columns of L: entry k holds C(i, k) eta^k (1 - eta)^(i - k) for
-    i = k..cutoff.  L is exactly the identity at eta = 1 and a column of
-    ones at eta = 0."""
-    kept = [eta**k for k in range(cutoff + 1)]
-    lost = [(1.0 - eta) ** m for m in range(cutoff + 1)]
-    return tuple(
-        tuple(math.comb(i, k) * kept[k] * lost[i - k] for i in range(k, cutoff + 1))
-        for k in range(cutoff + 1)
-    )
-
-
-@functools.lru_cache(maxsize=1024)
-def _lossy(probabilities: tuple, eta: float, cutoff: int) -> tuple:
-    """L^T p: the photon-number distribution p after loss eta."""
-    columns = _loss_columns(eta, cutoff)
-    return tuple(
-        sum(map(mul, probabilities[k:], columns[k]))
-        for k in range(len(probabilities))
-    )
-
-
 @dataclass(frozen=True)
 class YieldTable:
     """Bell-measurement yields per photon-number pair at one efficiency.
@@ -133,37 +110,40 @@ class YieldTable:
     directly in gain formulas.
 
     ``lossless`` holds the four unit-efficiency tables Y1 for the dark
-    count and ``loss`` the columns of L for the efficiency; every yield
-    and gain is the contraction of ``contract``.
+    count; every yield and gain is the contraction of ``contract``.
     """
 
     params: DetectorParams
     cutoff: int
     lossless: tuple
-    loss: tuple
 
-    def contract(self, pa: tuple, pb: tuple) -> tuple:
-        """(correct_z, error_z, correct_x, error_x) gains of the
-        photon-number distributions ``pa`` and ``pb`` (tuples of
-        probabilities from zero photons up)."""
-        if len(pa) > self.cutoff + 1 or len(pb) > self.cutoff + 1:
-            raise CutoffError(
-                f"distribution cutoffs ({len(pa) - 1}, {len(pb) - 1}) exceed "
-                f"the yield-table cutoff {self.cutoff}"
-            )
-        eta = self.params.efficiency
-        a = _lossy(pa, eta, self.cutoff)
-        b = _lossy(pb, eta, self.cutoff)
+    def contract(self, a: tuple, b: tuple) -> tuple:
+        """(correct_z, error_z, correct_x, error_x) gains of the two
+        photon-number distributions that reach the relay, ``a`` and ``b``
+        (tuples of probabilities from zero photons up, after loss), each
+        at most ``cutoff + 1`` long."""
         products = [x * y for x in a for y in b]
         flat = _flat_lossless(self.params.dark_count, self.cutoff, len(a), len(b))
         return tuple(sum(map(mul, products, table)) for table in flat)
 
     def pair(self, i: int, j: int) -> tuple:
         """(correct_z, error_z, correct_x, error_x) yields of the (i, j)
-        photon pair: the contraction of two unit vectors."""
+        photon pair: the contraction of the two Fock states after loss,
+        binomial rows C(n, k) eta^k (1 - eta)^(n - k)."""
         if i < 0 or j < 0:
             raise DomainError(f"photon numbers must be >= 0, got ({i}, {j})")
-        return self.contract((0.0,) * i + (1.0,), (0.0,) * j + (1.0,))
+        if i > self.cutoff or j > self.cutoff:
+            raise CutoffError(
+                f"photon numbers ({i}, {j}) exceed the yield-table cutoff {self.cutoff}"
+            )
+        eta = self.params.efficiency
+
+        def row(n: int) -> tuple:
+            return tuple(
+                math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k) for k in range(n + 1)
+            )
+
+        return self.contract(row(i), row(j))
 
     def single_pair(self, basis: str) -> tuple[float, float]:
         """(correct, error) yields of the (1, 1) photon pair."""
@@ -184,9 +164,4 @@ def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:
             f"cutoff {cutoff} exceeds the numeric precision budget "
             f"(max {MAX_CUTOFF} per side)"
         )
-    return YieldTable(
-        params,
-        cutoff,
-        _lossless_tables(params.dark_count, cutoff),
-        _loss_columns(params.efficiency, cutoff),
-    )
+    return YieldTable(params, cutoff, _lossless_tables(params.dark_count, cutoff))

@@ -33,6 +33,7 @@ every path shares one copy of the formulas.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -149,10 +150,16 @@ def _finalize(y11_z: float, y11_x: float, e11_raw: Callable[[float], float]) -> 
 
 
 def css_y11_bound(mu1: float, mu2: float, q_signal: float, q_decoy: float) -> float:
-    """One-decoy yield bound; may be negative before clamping."""
+    """One-decoy yield bound; may be negative before clamping.  Raises
+    when the denominator underflows (mu below about 1e-54)."""
     s1, s2 = math.sinh(mu1), math.sinh(mu2)
     numerator = mu1**4 * s2 * s2 * q_decoy - mu2**4 * s1 * s1 * q_signal
     denominator = mu1 * mu1 * mu2 * mu2 * (mu1 * mu1 - mu2 * mu2)
+    if denominator < sys.float_info.min:
+        raise DomainError(
+            f"one-decoy denominator mu1^2 mu2^2 (mu1^2 - mu2^2) underflows for "
+            f"intensities ({mu1}, {mu2})"
+        )
     return numerator / denominator
 
 

@@ -1,7 +1,8 @@
 """Gains, error rates and the secret-key-rate formula.
 
 Gains are obtained by weighting the per-photon-pair yield tables with
-the two sources' photon-number distributions (``YieldTable.contract``).
+the two sources' photon-number distributions after loss
+(``sources.transmitted`` and ``YieldTable.contract``).
 Misalignment enters only here: a fraction e_d of intrinsically correct
 coincidences is recorded as an error and vice versa, so the
 error-weighted gain of a channel is
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .bsm import DetectorParams, YieldTable
-from .errors import DomainError
-from .sources import PhotonDistribution
+from .errors import CutoffError, DomainError
+from .sources import PhotonDistribution, transmitted
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,26 @@ def gains(
     table: YieldTable,
     misalignment: float,
 ) -> GainSet:
-    """Contract two photon-number distributions against a yield table."""
+    """Contract two emitted photon-number distributions, after the
+    table's loss, against a yield table.  Raises ``CutoffError`` when an
+    emitted distribution runs past the table's cutoff.
+
+    Only ``spec``, ``cutoff`` and ``tail_tolerance`` of each distribution
+    are read: the statistics after loss come from ``transmitted`` in
+    closed form, not from ``probabilities``.
+    """
     if not 0.0 <= misalignment <= 1.0:
         raise DomainError(f"misalignment must lie in [0, 1], got {misalignment}")
-    correct_z, error_z, correct_x, error_x = table.contract(
-        dist_a.probabilities, dist_b.probabilities
-    )
+    cutoff = table.cutoff
+    if dist_a.cutoff > cutoff or dist_b.cutoff > cutoff:
+        raise CutoffError(
+            f"distribution cutoffs ({dist_a.cutoff}, {dist_b.cutoff}) exceed "
+            f"the yield-table cutoff {cutoff}"
+        )
+    eta = table.params.efficiency
+    a, _ = transmitted(dist_a.spec, eta, dist_a.tail_tolerance, cutoff)
+    b, _ = transmitted(dist_b.spec, eta, dist_b.tail_tolerance, cutoff)
+    correct_z, error_z, correct_x, error_x = table.contract(a, b)
     e_d = misalignment
     return GainSet(
         correct_z=correct_z,

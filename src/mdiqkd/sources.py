@@ -16,11 +16,19 @@ Distributions are truncated at the smallest N whose analytic tail mass
 falls below a tolerance; the tail is reported, never folded back into
 the retained probabilities.  A distribution is a tuple of floats, built
 with ``math`` from the log-series, so this module needs no numpy.
+
+Loss eta (fiber and detectors) keeps every family in closed form, which
+``transmitted`` evaluates without summing over emitted photon numbers.
+With x = eta mu and r = (1 - eta) mu, Poisson(mu) becomes Poisson(x),
+the odd cat p'(k) = x^k c_k / (k! sinh(mu)) with c_k = cosh(r) for odd k
+and sinh(r) for even k, the even part the same over cosh(mu) with cosh
+and sinh swapped, and a single photon arrives with probability eta.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +37,10 @@ from .errors import DomainError
 # Terms beyond this photon number are never enumerated; intensities that
 # need more are outside the regime this engine is built for.
 _HARD_CAP = 512
+
+# Relative widening of the transmitted tail bound, above its roundings
+# (about two per photon number) for any cutoff up to _HARD_CAP.
+_TAIL_SLACK = 1.0 + 1e-12
 
 
 class SourceKind(enum.Enum):
@@ -91,12 +103,14 @@ class PhotonDistribution:
     ``probabilities[n]`` is the analytic p(n); entries are not
     renormalized after truncation.  ``tail_mass`` is the analytic mass
     above the cutoff, so sum(probabilities) + tail_mass == 1 up to
-    floating-point error.
+    floating-point error.  ``tail_tolerance`` is the bound the cutoff
+    was chosen for; ``transmitted`` truncates with it too.
     """
 
     spec: SourceSpec
     probabilities: tuple[float, ...]
     tail_mass: float
+    tail_tolerance: float
 
     @property
     def cutoff(self) -> int:
@@ -184,4 +198,72 @@ def build_distribution(
         probs = tuple(terms[: n_max + 1])
         tail = tails[n_max]
 
-    return PhotonDistribution(spec=spec, probabilities=probs, tail_mass=tail)
+    return PhotonDistribution(spec, probs, tail, tail_tolerance)
+
+
+def _sinhc(z: float) -> float:
+    """sinh(z) / z, 1 at z = 0."""
+    return math.sinh(z) / z if z else 1.0
+
+
+# Each gain reads two of these, and a distance's decoy channels share
+# a handful of sources, so most calls repeat one.
+@functools.lru_cache(maxsize=1024)
+def transmitted(
+    spec: SourceSpec, eta: float, tail_tolerance: float, cutoff: int
+) -> tuple[tuple[float, ...], float]:
+    """Photon-number statistics of ``spec`` after loss ``eta``, up to at
+    most ``cutoff`` photons, and an upper bound on the mass above the
+    last entry kept (sound wherever that mass is a normal float).
+
+    The series stops at the smallest N whose tail bound is at most
+    ``tail_tolerance`` times the multi-photon mass kept (k >= 2), or at
+    ``cutoff``.  A gain can be as small as x^2 (long distance) or mu^2
+    (two-photon interference cancels the (1, 1) term) while a dropped
+    three-photon term enters some yields at order one, so neither a tail
+    relative to the arriving mass x nor the emitted cutoff's absolute
+    one would be small against it.  Loss moves mass only downwards, so
+    at a cap at least the emitted cutoff the tail is at most the emitted
+    tail.
+    """
+    if spec.kind is SourceKind.VACUUM:
+        return (1.0,), 0.0
+    if spec.kind is SourceKind.SPS:
+        return (1.0 - eta, eta), 0.0
+    mu = spec.mu
+    x = eta * mu
+    # Every p'(k) is built from g_k = x^k / k!.  The odd sector is
+    # a cosh(r) eta g_(k-1) / (k sinhc(mu)) for odd k and, as sinh(r) =
+    # (1 - eta) mu sinhc(r), a (1 - eta) g_k sinhc(r) / sinhc(mu) for even
+    # k, so a tiny mu does not underflow x before 1 / sinh(mu) scales it
+    # back up.  Each sector is at most its cosh(r) form for every k, and
+    # those forms fall by x / (k + 1) per step, so the tail above N is at
+    # most the next one over 1 - x / (N + 2).
+    if spec.kind is SourceKind.WCS:  # e^-x g_k at every k
+        odd_cosh = odd_sinh = 0.0
+        even_cosh = even_sinh = math.exp(-x)
+    else:
+        a = spec.odd_weight
+        r = (1.0 - eta) * mu
+        s = _sinhc(mu)
+        odd_cosh = a * math.cosh(r) / s  # odd k, times eta g_(k-1) / k
+        odd_sinh = a * (1.0 - eta) * _sinhc(r) / s  # even k, times g_k
+        even_cosh = (1.0 - a) * math.cosh(r) / math.cosh(mu)
+        even_sinh = (1.0 - a) * math.sinh(r) / math.cosh(mu)
+    probs = []
+    multi = 0.0
+    g_prev, g = 0.0, 1.0  # g_(k-1), g_k
+    for k in range(cutoff + 1):
+        if k % 2:
+            p = odd_cosh * eta * g_prev / k + even_sinh * g
+        else:
+            p = (odd_sinh + even_cosh) * g
+        probs.append(p)
+        if k > 1:
+            multi += p
+        g_prev, g = g, g * x / (k + 1)
+        bound = odd_cosh * eta * g_prev / (k + 1) + even_cosh * g
+        tail = _TAIL_SLACK * bound / (1.0 - x / (k + 2)) if x < k + 2 else math.inf
+        if tail <= tail_tolerance * multi:
+            break
+    return tuple(probs), tail

@@ -1,18 +1,21 @@
 """Rate-versus-distance pipelines and the CSV result format.
 
-``evaluate_point`` wires the full chain for one distance: photon
-statistics -> relay yield tables -> observed gains -> decoy bounds with
-finite-size worst-casing -> key rate.  Yield tables depend only on the
-overall efficiency, dark-count probability and cutoff, so they are
-cached and shared across sources and intensity settings.  One memo per
-evaluation (``_observed``) holds both photon-number distributions and
-every gain the decoy scheme needs, keyed by (signal spec, decoy spec,
-scheme, detector params, cutoff, tail tolerance, misalignment), so a
-search that returns to a point costs one lookup.  Its misses read gains
-per source pair (``_cached_gains``), which evaluations with other
-intensity partners share.  The finite-size interval pass is not
-memoised: each evaluation applies its method's kernel once to every
-observed gain (``finite_key.interval_kernel``).
+``evaluate_point`` wires the full chain for one distance: emitted photon
+statistics -> the same statistics after loss, in closed form -> observed
+gains, contracted against the lossless relay yield tables -> decoy
+bounds with finite-size worst-casing -> key rate.  Both middle steps
+are cached: the lossless tables depend only on the dark-count
+probability and cutoff and serve every source and distance, and the
+statistics after loss (``sources.transmitted``) serve every channel and
+intensity partner of a source at one distance.  One memo per
+evaluation (``_observed``) holds both emitted photon-number
+distributions and every gain the decoy scheme needs, keyed by (signal
+spec, decoy spec, scheme, detector params, cutoff, tail tolerance,
+misalignment), so a search that returns to a point costs one lookup.
+Its misses read gains per source pair (``_cached_gains``), which
+evaluations with other intensity partners share.  The finite-size
+interval pass is not memoised: each evaluation applies its method's
+kernel once to every observed gain (``finite_key.interval_kernel``).
 
 All pipelines are serial and deterministic: identical inputs give
 bit-identical results in grid order.

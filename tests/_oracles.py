@@ -11,6 +11,12 @@ exact arithmetic where possible:
 * ``oracle_gain`` is a plain double loop over photon numbers.
 * ``dense_tables`` lays a yield table out as one matrix per channel, so
   the double loop and elementwise checks can read it.
+* ``oracle_distribution`` gives a source's photon-number statistics in
+  50-digit arithmetic, and ``binomial_fold`` applies loss to them the
+  long way, photon by photon: p'(k) = sum_n p(n) C(n, k) eta^k
+  (1 - eta)^(n - k).
+* ``oracle_wcs_gains`` gives the four channel gains of two weak coherent
+  sources in closed form (modified Bessel function I0), in 50 digits.
 """
 
 from __future__ import annotations
@@ -19,7 +25,9 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
+
+import mpmath
 
 Config = Tuple[int, int, int, int]
 
@@ -157,3 +165,87 @@ def dense_tables(table) -> Dict[str, list]:
         name: [[yields[k] for yields in row] for row in pairs]
         for k, name in enumerate(names)
     }
+
+
+def oracle_distribution(spec, tail: float) -> List[mpmath.mpf]:
+    """p(0), ..., p(N) of a ``SourceSpec`` in 50-digit arithmetic, for the
+    first N >= 2 whose remaining mass is below ``tail`` times the mass
+    from 2 to N photons.  A gain can be as small as its multi-photon part
+    (far below the arriving mass at long distance, or where interference
+    cancels the one-photon pairs), so the depth is set relative to it."""
+    kind = spec.kind.value
+    if kind == "vacuum":
+        return [mpmath.mpf(1)]
+    if kind == "sps":
+        return [mpmath.mpf(0), mpmath.mpf(1)]
+    with mpmath.workdps(50):
+        mu = mpmath.mpf(spec.mu)
+        a = mpmath.mpf(spec.odd_weight)
+        if mu == 0:  # the limits mu^n / sinh(mu) -> [n == 1], mu^n / cosh(mu) -> [n == 0]
+            return [mpmath.mpf(1)] if kind == "wcs" else [1 - a, a]
+
+        def p(n: int):
+            power = mu**n / mpmath.factorial(n)
+            if kind == "wcs":
+                return mpmath.exp(-mu) * power
+            if n % 2:
+                return a * power / mpmath.sinh(mu)
+            return (1 - a) * power / mpmath.cosh(mu)
+
+        # the remaining mass is summed term by term: 1 - sum would cancel
+        terms = [p(n) for n in range(64)]
+        n_max = 2
+        while mpmath.fsum(terms[n_max + 1:]) >= tail * mpmath.fsum(terms[2 : n_max + 1]):
+            n_max += 1
+            terms.append(p(len(terms)))
+        return terms[: n_max + 1]
+
+
+def binomial_fold(probs, eta) -> List[mpmath.mpf]:
+    """The distribution ``probs`` after loss ``eta``, in 50 digits."""
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eta)
+        return [
+            mpmath.fsum(
+                p * mpmath.binomial(n, k) * e**k * (1 - e) ** (n - k)
+                for n, p in enumerate(probs)
+                if n >= k
+            )
+            for k in range(len(probs))
+        ]
+
+
+def oracle_wcs_gains(mu_a: float, mu_b: float, eta: float, dark: float) -> Tuple:
+    """(correct_z, error_z, correct_x, error_x) gains of two weak coherent
+    sources, from the A/B table of ``mdiqkd.bsm`` summed in closed form.
+
+    With x = eta mu_A, y = eta mu_B and n = i + j the Poisson weights sum
+    to  sum 2^-n = e^-(x+y)/2,  sum C(n, i) 2^-n = e^-(x+y)/2 I0(sqrt(x y))
+    and  sum C(n, i) 4^-n = e^-3(x+y)/4 I0(sqrt(x y) / 2);  the vacuum pair
+    takes its own two-dark-count term.
+    """
+    with mpmath.workdps(50):
+        e, pd = mpmath.mpf(eta), mpmath.mpf(dark)
+        x, y = e * mpmath.mpf(mu_a), e * mpmath.mpf(mu_b)
+        vacuum = mpmath.exp(-x - y)  # weight of the (0, 0) pair
+        halves = mpmath.exp(-(x + y) / 2) - vacuum
+        binomial_halves = (
+            mpmath.exp(-(x + y) / 2) * mpmath.besseli(0, mpmath.sqrt(x * y)) - vacuum
+        )
+        binomial_quarters = (
+            mpmath.exp(-3 * (x + y) / 4) * mpmath.besseli(0, mpmath.sqrt(x * y) / 2) - vacuum
+        )
+        # pairs with one side empty: sum over i of e^-y e^-x (x/2)^i / i!, both ways
+        one_side = mpmath.exp(-y - x / 2) + mpmath.exp(-x - y / 2) - 2 * vacuum
+        silent = (1 - pd) ** 2
+
+        def channel(a_sum, b_sum):
+            # Y1 = (1 - p_d)^2 (A - (1 - p_d) B) summed, plus the vacuum pair
+            return silent * (a_sum - (1 - pd) * b_sum) + vacuum * 2 * pd**2 * silent
+
+        return (
+            channel(2 * halves, 2 * one_side),
+            channel(2 * binomial_halves, 2 * binomial_halves),
+            channel(2 * binomial_halves, 4 * binomial_quarters),
+            channel(2 * halves, 4 * binomial_quarters),
+        )

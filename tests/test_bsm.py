@@ -231,6 +231,15 @@ def test_yield_tables_cutoff_validation():
         yield_tables(params, 21)
 
 
+def test_pair_rejects_photon_numbers_outside_the_table():
+    table = yield_tables(DetectorParams(0.4, 1e-7), 4)
+    assert table.pair(4, 4)[0] >= 0.0
+    with pytest.raises(CutoffError):
+        table.pair(5, 0)
+    with pytest.raises(DomainError):
+        table.pair(0, -1)
+
+
 def test_detector_params_validation():
     with pytest.raises(DomainError):
         DetectorParams(efficiency=1.5, dark_count=0.0)

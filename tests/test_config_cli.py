@@ -264,6 +264,20 @@ def test_cli_exit_code_on_non_convergent_cat_source(tmp_path, capsys):
     assert "series for mu=800.0 does not converge within 512 photons" in err
 
 
+@pytest.mark.parametrize(
+    "signal,decoy", [("2e-55", "1e-55"), ("1e-320", "5e-324"), ("2e-54", "1e-54")]
+)
+def test_cli_exit_code_on_underflowing_one_decoy_denominator(tmp_path, capsys, signal, decoy):
+    # mu1^2 mu2^2 (mu1^2 - mu2^2) is 0 in float64 in the first two cases
+    # and subnormal, with two significant bits, in the last
+    cfg = _write_cfg(
+        tmp_path, f"source.kind = css\nsource.signal_mu = {signal}\nsource.decoy_mu = {decoy}\n"
+    )
+    assert main(["sweep", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "one-decoy denominator mu1^2 mu2^2 (mu1^2 - mu2^2) underflows" in err
+
+
 def test_removed_wcs_estimator_key_is_unknown(tmp_path, capsys):
     with pytest.raises(ConfigError, match="unknown config key 'decoy.wcs_estimator'"):
         scenario_from_mapping({"decoy.wcs_estimator": "two_decoy_generic"})

@@ -20,7 +20,7 @@ from mdiqkd import (
     yield_tables,
 )
 
-from _oracles import dense_tables, oracle_gain
+from _oracles import dense_tables, oracle_distribution, oracle_gain, oracle_wcs_gains
 from test_bsm import _SMALLEST_NONZERO, _bell_yield_tables
 
 
@@ -120,15 +120,20 @@ _SOURCES = st.one_of(
     spec_b=_SOURCES,
 )
 def test_gains_match_per_pair_detection_property(eta, dark, e_d, spec_a, spec_b):
-    """Loss pushed onto the photon-number vectors gives the gains of the
-    per-pair detection tables of the Fock simulator."""
+    """Loss taken in closed form on the photon statistics gives the gains
+    of the Fock simulator's per-pair detection tables, contracted with
+    each source truncated deeper than the closed form."""
     params = DetectorParams(eta, dark)
-    # mu <= 0.3 keeps every tail below 1e-12 within 10 photons
-    da, db = (build_distribution(s, tail_tolerance=1e-12) for s in (spec_a, spec_b))
-    g = gains(da, db, yield_tables(params, 10), e_d)
+    # mu <= 0.3 keeps the oracle within 17 photons
+    deep_a, deep_b = (
+        [float(p) for p in oracle_distribution(s, 1e-22)] for s in (spec_a, spec_b)
+    )
+    cutoff = max(len(deep_a), len(deep_b), 2) - 1
+    da, db = (build_distribution(s) for s in (spec_a, spec_b))
+    g = gains(da, db, yield_tables(params, cutoff), e_d)
     want = {
-        name: oracle_gain(da.probabilities, db.probabilities, table)
-        for name, table in _bell_yield_tables(params, 10).items()
+        name: oracle_gain(deep_a, deep_b, table)
+        for name, table in _bell_yield_tables(params, cutoff).items()
     }
     for basis in ("z", "x"):
         correct, error = want[f"correct_{basis}"], want[f"error_{basis}"]
@@ -138,6 +143,25 @@ def test_gains_match_per_pair_detection_property(eta, dark, e_d, spec_a, spec_b)
         got = getattr(g, name)
         assert (got == 0.0) == (value == 0.0), name
         assert got == pytest.approx(value, rel=1e-13, abs=0.0), name
+
+
+@pytest.mark.parametrize(
+    "mu_a,mu_b", [(0.4, 0.4), (0.4, 0.07), (0.07, 0.07), (0.07, 0.0), (0.0, 0.0)]
+)
+def test_wcs_gains_match_bessel_closed_form(mu_a, mu_b):
+    """Weak coherent gains equal the 50-digit I0 closed form to 1e-12
+    relative over 0-600 km; mu = 0 is the vacuum source."""
+
+    def emitted(mu):
+        return build_distribution(SourceSpec.wcs(mu) if mu else SourceSpec.vacuum())
+
+    da, db = emitted(mu_a), emitted(mu_b)
+    for distance_km in range(0, 601, 10):
+        params = SystemParams(distance_km=distance_km).detector_params()
+        g = gains(da, db, yield_tables(params, 15), 0.0)
+        want = oracle_wcs_gains(mu_a, mu_b, params.efficiency, params.dark_count)
+        for name, value in zip(("correct_z", "error_z", "correct_x", "error_x"), want):
+            assert abs(getattr(g, name) - value) <= 1e-12 * value, (distance_km, name)
 
 
 def test_gains_reject_undersized_table():

@@ -1,11 +1,17 @@
 """Photon-number statistics of the supported source families."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mdiqkd import DomainError, SourceSpec, build_distribution
+from mdiqkd.sources import transmitted
+
+from _oracles import binomial_fold, oracle_distribution
 
 
 ALL_SPECS = [
@@ -147,3 +153,53 @@ def test_intensity_beyond_the_photon_cap_is_a_domain_error(spec):
     # convergence error rather than an OverflowError
     with pytest.raises(DomainError, match="does not converge within 512 photons"):
         build_distribution(spec)
+
+
+_MU = st.floats(0.0, 1.0)
+_SPECS = st.one_of(
+    st.builds(SourceSpec.wcs, _MU),
+    st.builds(SourceSpec.css, _MU),
+    st.builds(SourceSpec.nonideal_css, _MU, st.floats(1e-3, 1.0)),
+    st.just(SourceSpec.sps()),
+    st.just(SourceSpec.vacuum()),
+)
+# A few units in the last place of the smallest subnormal: values that
+# small carry no relative precision.
+_SUBNORMAL_SLACK = 4 * 5e-324
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=_SPECS,
+    eta=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    cutoff=st.integers(1, 20),
+)
+# At small x the geometric tail bound exceeds the exact tail by less
+# than its rounding, which the bound's widening covers.
+@example(SourceSpec.wcs(1.938234842519534e-06), 3.6899075685943434e-05, 1)
+def test_transmitted_matches_binomial_fold(spec, eta, cutoff):
+    """The closed form after loss equals the photon-by-photon fold of a
+    deeply truncated source at k <= 2, its tail bounds the mass it drops,
+    and it never runs past the cutoff."""
+    probs, tail = transmitted(spec, eta, 1e-15, cutoff)
+    assert len(probs) <= cutoff + 1
+    fold = binomial_fold(oracle_distribution(spec, 1e-40), eta)
+    fold += [mpmath.mpf(0)] * (len(probs) - len(fold))
+    with mpmath.workdps(50):
+        for k, got in enumerate(probs[:3]):
+            assert abs(got - fold[k]) <= 1e-13 * fold[k] + _SUBNORMAL_SLACK, k
+        dropped = mpmath.fsum(fold[len(probs):])
+        # a bound that underflows carries no digits to compare
+        assert tail >= dropped or dropped < sys.float_info.min
+
+
+@pytest.mark.parametrize("eta,length", [(0.4, 12), (4e-3, 7), (4e-5, 5), (0.0, 1)])
+def test_transmitted_weak_coherent_state_shortens_with_loss(eta, length):
+    """WCS mu = 0.4 emits 13 photon numbers above the tolerance; after
+    loss the series stops once its tail is below the tolerance times the
+    multi-photon mass.  The efficiencies are those of 0, 200 and 400 km
+    of 0.2 dB/km fiber at detector efficiency 0.4, and no light."""
+    probs, tail = transmitted(SourceSpec.wcs(0.4), eta, 1e-15, 15)
+    assert len(probs) == length
+    assert probs[0] == pytest.approx(math.exp(-0.4 * eta), rel=1e-15)
+    assert 0.0 <= tail <= 1e-15 * sum(probs[2:])

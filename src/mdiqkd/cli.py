@@ -19,16 +19,11 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
+from .bsm import yield_tables
 from .config import Scenario, load_scenario
 from .errors import ConfigError, CutoffError, DomainError
 from .rates import true_single_photon_quantities
-from .sweep import (
-    _cached_tables,
-    compare_sources,
-    optimize_intensities,
-    run_sweep,
-    write_csv,
-)
+from .sweep import compare_sources, optimize_intensities, run_sweep, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +82,7 @@ def _write_lines(lines: List[str], out: Optional[str]) -> None:
 
 def _yields_report(scenario: Scenario, distance_km: float) -> List[str]:
     system = replace(scenario.system, distance_km=distance_km)
-    table = _cached_tables(system.detector_params(), scenario.cutoff)
+    table = yield_tables(system.detector_params(), scenario.cutoff)
     truth = true_single_photon_quantities(table, system.misalignment)
     vacuum_yield = table.pair(0, 0)[0]
 

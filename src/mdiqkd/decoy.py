@@ -93,17 +93,24 @@ class VacuumGains:
 class DecoyInputs:
     """Everything a decoy estimator may consume.
 
+    The two intensities are those of the two distributions' specs.
     ``vacuum`` may be None for the one-decoy estimator, which never
     looks at vacuum channels.
     """
 
-    mu_signal: float
-    mu_decoy: float
     dist_signal: PhotonDistribution
     dist_decoy: PhotonDistribution
     gains_signal: GainSet
     gains_decoy: GainSet
     vacuum: Optional[VacuumGains] = None
+
+    @property
+    def mu_signal(self) -> float:
+        return self.dist_signal.spec.mu
+
+    @property
+    def mu_decoy(self) -> float:
+        return self.dist_decoy.spec.mu
 
     def __post_init__(self) -> None:
         if not self.mu_signal > self.mu_decoy > 0.0:

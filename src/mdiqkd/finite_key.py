@@ -14,9 +14,11 @@ pulse pairs.  Two confidence constructions are supported:
       E >= X - sqrt(2 X ln(eps^(-3/2))),
       E <= X + sqrt(2 X ln(16 eps^(-4))),
 
-  each side violated with probability at most eps.  Deviations are
-  clamped to the physical count range [0, N] before converting back to
-  rates, and the rates are widened where needed to contain Q.
+  each side violated with probability at most eps.  The deviations
+  are taken over N before they are applied, Q -/+ sqrt(2 Q c / N), and
+  the endpoints clamped to the physical range [0, 1]; each endpoint is
+  then monotone in N and contains Q however far its deviation falls
+  below the rounding of Q.
 
 Each method's formula is one private kernel returning ``(lower,
 upper)``; ``interval_kernel`` selects it for a ``FiniteKeyConfig``.
@@ -82,15 +84,12 @@ def _standard(gain: float, pulse_pairs: float, sigmas: float) -> Interval:
 
 
 def _chernoff(gain: float, pulse_pairs: float, epsilon: float) -> Interval:
-    x = gain * pulse_pairs
+    # The deviations as rates: each endpoint is a chain of roundings
+    # monotone in N, so it moves towards Q as N grows and never passes it.
     log_inv = math.log(1.0 / epsilon)
-    lower_dev = math.sqrt(2.0 * x * 1.5 * log_inv)
-    upper_dev = math.sqrt(2.0 * x * (math.log(16.0) + 4.0 * log_inv))
-    lower = max(0.0, x - lower_dev) / pulse_pairs
-    upper = min(pulse_pairs, x + upper_dev) / pulse_pairs
-    # Above about N = 1e30 the deviations fall below the rounding of
-    # N Q / N, which can step past Q; the interval must still hold it.
-    return min(lower, gain), max(upper, gain)
+    lower_dev = math.sqrt(2.0 * gain * 1.5 * log_inv / pulse_pairs)
+    upper_dev = math.sqrt(2.0 * gain * (math.log(16.0) + 4.0 * log_inv) / pulse_pairs)
+    return max(0.0, gain - lower_dev), min(1.0, gain + upper_dev)
 
 
 def interval_kernel(config: FiniteKeyConfig) -> Bounds:

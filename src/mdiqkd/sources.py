@@ -12,25 +12,30 @@ distribution p(n).  Supported families:
 * ``sps`` -- ideal single-photon source, p(1) = 1.
 * ``vacuum`` -- p(0) = 1.
 
-Distributions are truncated at the smallest N whose analytic tail mass
-falls below a tolerance; the tail is reported, never folded back into
-the retained probabilities.  A distribution is a tuple of floats, built
-with ``math`` from the log-series, so this module needs no numpy.
-
-Loss eta (fiber and detectors) keeps every family in closed form, which
-``transmitted`` evaluates without summing over emitted photon numbers.
-With x = eta mu and r = (1 - eta) mu, Poisson(mu) becomes Poisson(x),
-the odd cat p'(k) = x^k c_k / (k! sinh(mu)) with c_k = cosh(r) for odd k
+One recurrence per family (``_series``) gives the statistics after
+any loss eta (fiber and detectors) in closed form, without summing over
+emitted photon numbers; eta = 1 gives the emitted statistics.  With
+x = eta mu and r = (1 - eta) mu, Poisson(mu) becomes Poisson(x), the
+odd cat p'(k) = x^k c_k / (k! sinh(mu)) with c_k = cosh(r) for odd k
 and sinh(r) for even k, the even part the same over cosh(mu) with cosh
 and sinh swapped, and a single photon arrives with probability eta.
+
+``build_distribution`` truncates the emitted series at the smallest N
+whose tail mass falls below a tolerance; the tail is reported, never
+folded back into the retained probabilities.  ``transmitted`` truncates
+the series after loss relative to the multi-photon mass it keeps.  A
+distribution is a tuple of floats built with ``math``, so this module
+needs no numpy.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import DomainError
 
@@ -42,6 +47,10 @@ _HARD_CAP = 512
 # (about two per photon number) for any cutoff up to _HARD_CAP.
 _TAIL_SLACK = 1.0 + 1e-12
 
+# Unit roundoff of a double: mass below this fraction of the tail
+# tolerance is below its rounding and cannot move an emitted cutoff.
+_ROUNDING = 2.0**-53
+
 
 class SourceKind(enum.Enum):
     CSS = "css"
@@ -49,6 +58,11 @@ class SourceKind(enum.Enum):
     WCS = "wcs"
     SPS = "sps"
     VACUUM = "vacuum"
+
+    # Members are singletons, so the identity hash serves as well as
+    # Enum's name hash and skips a Python-level call; every memo key
+    # hashes a SourceSpec.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -130,28 +144,57 @@ class PhotonDistribution:
         return sum(n * p for n, p in enumerate(self.probabilities))
 
 
-def _terms(spec: SourceSpec) -> list[float]:
-    """p(n) for n = 0.._HARD_CAP from log p(n), 0 where the sector is empty."""
-    mu = spec.mu
-    log_mu = math.log(mu)
-    base = [n * log_mu - math.lgamma(n + 1.0) for n in range(_HARD_CAP + 1)]
-    if spec.kind is SourceKind.WCS:
-        logs = [b - mu for b in base]
-    elif spec.kind in (SourceKind.CSS, SourceKind.NONIDEAL_CSS):
-        a = spec.odd_weight  # 1 for an ideal cat: no even sector
-        log_odd = math.log(a)
-        log_even = math.log1p(-a) if a < 1.0 else -math.inf
-        try:
-            log_sinh, log_cosh = math.log(math.sinh(mu)), math.log(math.cosh(mu))
-        except OverflowError:  # mu > ~710: no convergence within _HARD_CAP
-            log_sinh = log_cosh = mu - math.log(2.0)  # sinh = cosh = e^mu / 2
-        logs = [
-            (b + log_odd) - log_sinh if n % 2 else (b + log_even) - log_cosh
-            for n, b in enumerate(base)
-        ]
-    else:  # pragma: no cover - sps/vacuum never reach here
-        raise DomainError(f"no series form for {spec.kind}")
-    return [math.exp(x) for x in logs]
+def _sinhc(z: float) -> float:
+    """sinh(z) / z, 1 at z = 0."""
+    return math.sinh(z) / z if z else 1.0
+
+
+def _series(spec: SourceSpec, eta: float) -> Iterator[tuple[float, float]]:
+    """(p'(k), bound on the mass above k) for k = 0, 1, ..., _HARD_CAP
+    of ``spec`` after loss ``eta``; at eta = 1 the emitted statistics.
+    The bound is sound wherever that mass is a normal float.  Raises
+    ``DomainError`` once the series runs past ``_HARD_CAP``."""
+    kind = spec.kind
+    # A single photon is the mu -> 0 limit of the cat, the vacuum that of
+    # the weak coherent state.
+    mu = 0.0 if kind in (SourceKind.SPS, SourceKind.VACUUM) else spec.mu
+    x = eta * mu
+    # Every p'(k) is built from g_k = x^k / k!.  The odd sector is
+    # a cosh(r) eta g_(k-1) / (k sinhc(mu)) for odd k and, as sinh(r) =
+    # (1 - eta) mu sinhc(r), a (1 - eta) g_k sinhc(r) / sinhc(mu) for even
+    # k, so a tiny mu does not underflow x before 1 / sinh(mu) scales it
+    # back up.  Each sector is at most its cosh(r) form for every k, and
+    # those forms fall by x / (k + 1) per step, so the tail above N is at
+    # most the next one over 1 - x / (N + 2).
+    if mu >= _HARD_CAP:  # never converges; cosh(mu) overflows above ~710
+        raise _no_convergence(spec)
+    if kind in (SourceKind.WCS, SourceKind.VACUUM):  # e^-x g_k at every k
+        odd_cosh = odd_sinh = 0.0
+        even_cosh = even_sinh = math.exp(-x)
+    else:
+        a = 1.0 if kind is SourceKind.SPS else spec.odd_weight
+        r = (1.0 - eta) * mu
+        s = _sinhc(mu)
+        odd_cosh = a * math.cosh(r) / s  # odd k, times eta g_(k-1) / k
+        odd_sinh = a * (1.0 - eta) * _sinhc(r) / s  # even k, times g_k
+        even_cosh = (1.0 - a) * math.cosh(r) / math.cosh(mu)
+        even_sinh = (1.0 - a) * math.sinh(r) / math.cosh(mu)
+    g_prev, g = 0.0, 1.0  # g_(k-1), g_k
+    for k in range(_HARD_CAP + 1):
+        if k % 2:
+            p = odd_cosh * eta * g_prev / k + even_sinh * g
+        else:
+            p = (odd_sinh + even_cosh) * g
+        g_prev, g = g, g * x / (k + 1)
+        bound = odd_cosh * eta * g_prev / (k + 1) + even_cosh * g
+        yield p, (_TAIL_SLACK * bound / (1.0 - x / (k + 2)) if x < k + 2 else math.inf)
+    raise _no_convergence(spec)
+
+
+def _no_convergence(spec: SourceSpec) -> DomainError:
+    return DomainError(
+        f"series for mu={spec.mu} does not converge within {_HARD_CAP} photons"
+    )
 
 
 def build_distribution(
@@ -160,50 +203,26 @@ def build_distribution(
     """Truncate the photon-number series of ``spec``.
 
     The cutoff N_max is the smallest N whose tail mass (sum of the
-    analytic terms above N) is strictly below ``tail_tolerance``.
+    terms above N) is strictly below ``tail_tolerance``.  Terms are
+    summed until the bound on the mass beyond them is below the rounding
+    of the tolerance, so every term that could move the cutoff counts.
     """
     if not 0.0 < tail_tolerance <= 1e-6:
         raise DomainError(
             f"tail tolerance must lie in (0, 1e-6], got {tail_tolerance}"
         )
-
-    # Degenerate and zero-intensity limits are analytic, not numeric.
-    tail = 0.0
-    if spec.kind is SourceKind.VACUUM:
-        probs = (1.0,)
-    elif spec.kind is SourceKind.SPS:
-        probs = (0.0, 1.0)
-    elif spec.mu == 0.0:
-        if spec.kind is SourceKind.WCS:
-            probs = (1.0,)
-        elif spec.kind is SourceKind.CSS:
-            # mu/sinh(mu) -> 1: all mass at a single photon.
-            probs = (0.0, 1.0)
-        else:
-            a = spec.odd_weight
-            probs = (1.0 - a, a)
-    else:
-        terms = _terms(spec)
-        # Suffix sums accumulate small terms first, so the reported tail
-        # is the analytic remainder rather than a cancellation residue.
-        tails = [0.0] * len(terms)  # tails[N] = mass above N
-        for n in range(len(terms) - 1, 0, -1):
-            tails[n - 1] = tails[n] + terms[n]
-        if tails[0] + terms[0] < 1.0 - 1e-9:
-            raise DomainError(
-                f"series for mu={spec.mu} does not converge within "
-                f"{_HARD_CAP} photons"
-            )
-        n_max = next(n for n, mass in enumerate(tails) if mass < tail_tolerance)
-        probs = tuple(terms[: n_max + 1])
-        tail = tails[n_max]
-
-    return PhotonDistribution(spec, probs, tail, tail_tolerance)
-
-
-def _sinhc(z: float) -> float:
-    """sinh(z) / z, 1 at z = 0."""
-    return math.sinh(z) / z if z else 1.0
+    terms = []
+    for p, bound in _series(spec, 1.0):
+        terms.append(p)
+        if bound < tail_tolerance * _ROUNDING:
+            break
+    # Suffix sums accumulate small terms first, so the reported tail
+    # is the analytic remainder rather than a cancellation residue.
+    tails = list(itertools.accumulate(reversed(terms[1:]), initial=0.0))[::-1]
+    n_max = next(n for n, mass in enumerate(tails) if mass < tail_tolerance)
+    return PhotonDistribution(
+        spec, tuple(terms[: n_max + 1]), tails[n_max], tail_tolerance
+    )
 
 
 # Each gain reads two of these, and a distance's decoy channels share
@@ -226,44 +245,12 @@ def transmitted(
     at a cap at least the emitted cutoff the tail is at most the emitted
     tail.
     """
-    if spec.kind is SourceKind.VACUUM:
-        return (1.0,), 0.0
-    if spec.kind is SourceKind.SPS:
-        return (1.0 - eta, eta), 0.0
-    mu = spec.mu
-    x = eta * mu
-    # Every p'(k) is built from g_k = x^k / k!.  The odd sector is
-    # a cosh(r) eta g_(k-1) / (k sinhc(mu)) for odd k and, as sinh(r) =
-    # (1 - eta) mu sinhc(r), a (1 - eta) g_k sinhc(r) / sinhc(mu) for even
-    # k, so a tiny mu does not underflow x before 1 / sinh(mu) scales it
-    # back up.  Each sector is at most its cosh(r) form for every k, and
-    # those forms fall by x / (k + 1) per step, so the tail above N is at
-    # most the next one over 1 - x / (N + 2).
-    if spec.kind is SourceKind.WCS:  # e^-x g_k at every k
-        odd_cosh = odd_sinh = 0.0
-        even_cosh = even_sinh = math.exp(-x)
-    else:
-        a = spec.odd_weight
-        r = (1.0 - eta) * mu
-        s = _sinhc(mu)
-        odd_cosh = a * math.cosh(r) / s  # odd k, times eta g_(k-1) / k
-        odd_sinh = a * (1.0 - eta) * _sinhc(r) / s  # even k, times g_k
-        even_cosh = (1.0 - a) * math.cosh(r) / math.cosh(mu)
-        even_sinh = (1.0 - a) * math.sinh(r) / math.cosh(mu)
     probs = []
     multi = 0.0
-    g_prev, g = 0.0, 1.0  # g_(k-1), g_k
-    for k in range(cutoff + 1):
-        if k % 2:
-            p = odd_cosh * eta * g_prev / k + even_sinh * g
-        else:
-            p = (odd_sinh + even_cosh) * g
+    for k, (p, tail) in zip(range(cutoff + 1), _series(spec, eta)):
         probs.append(p)
         if k > 1:
             multi += p
-        g_prev, g = g, g * x / (k + 1)
-        bound = odd_cosh * eta * g_prev / (k + 1) + even_cosh * g
-        tail = _TAIL_SLACK * bound / (1.0 - x / (k + 2)) if x < k + 2 else math.inf
         if tail <= tail_tolerance * multi:
             break
     return tuple(probs), tail

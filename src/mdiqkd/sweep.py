@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 
-from .bsm import DetectorParams, YieldTable, yield_tables
+from .bsm import DetectorParams, yield_tables
 from .config import Scenario
 from .decoy import (
     FLAG_ERROR_ABOVE_HALF,
@@ -47,11 +47,6 @@ from .sources import PhotonDistribution, SourceKind, SourceSpec, build_distribut
 
 
 @lru_cache(maxsize=256)
-def _cached_tables(params: DetectorParams, cutoff: int) -> YieldTable:
-    return yield_tables(params, cutoff)
-
-
-@lru_cache(maxsize=256)
 def _cached_distribution(spec: SourceSpec, tail_tolerance: float) -> PhotonDistribution:
     return build_distribution(spec, tail_tolerance)
 
@@ -66,7 +61,7 @@ def _cached_gains(
     return gains(
         _cached_distribution(spec_a, tail_tolerance),
         _cached_distribution(spec_b, tail_tolerance),
-        _cached_tables(params, cutoff),
+        yield_tables(params, cutoff),
         misalignment,
     )
 
@@ -98,8 +93,6 @@ def _observed(
             vacuum_vacuum=gain(spec_vac, spec_vac),
         )
     return gains_signal, DecoyInputs(
-        mu_signal=spec_signal.mu,
-        mu_decoy=spec_decoy.mu,
         dist_signal=_cached_distribution(spec_signal, tail_tolerance),
         dist_decoy=_cached_distribution(spec_decoy, tail_tolerance),
         gains_signal=gains_signal,

@@ -183,8 +183,6 @@ def _decoy_inputs(kind, mu1, mu2, table, misalignment):
         vacuum_vacuum=gains(dv, dv, table, misalignment),
     )
     return DecoyInputs(
-        mu_signal=mu1,
-        mu_decoy=mu2,
         dist_signal=ds,
         dist_decoy=dd,
         gains_signal=gains(ds, ds, table, misalignment),

@@ -52,8 +52,6 @@ def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_we
     )
     return (
         DecoyInputs(
-            mu_signal=mu1,
-            mu_decoy=mu2,
             dist_signal=ds,
             dist_decoy=dd,
             gains_signal=gains(ds, ds, table, e_d),
@@ -188,12 +186,14 @@ def test_two_decoy_degenerate_for_odd_only_sources():
 
 def test_intensity_ordering_is_validated():
     ds = build_distribution(SourceSpec.css(0.1))
+    dd = build_distribution(SourceSpec.css(0.01))
+    d0 = build_distribution(SourceSpec.css(0.0))
     table, e_d = _table(0.0)
     g = gains(ds, ds, table, e_d)
     with pytest.raises(DomainError):
-        DecoyInputs(0.01, 0.1, ds, ds, g, g)
+        DecoyInputs(dd, ds, g, g)
     with pytest.raises(DomainError):
-        DecoyInputs(0.1, 0.0, ds, ds, g, g)
+        DecoyInputs(ds, d0, g, g)
 
 
 def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x):
@@ -212,8 +212,6 @@ def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x)
     ds = build_distribution(SourceSpec.css(0.1))
     dd = build_distribution(SourceSpec.css(0.01))
     return DecoyInputs(
-        mu_signal=0.1,
-        mu_decoy=0.01,
         dist_signal=ds,
         dist_decoy=dd,
         gains_signal=gain_set(q_signal_z, q_signal_x, 0.015 * q_signal_x),

@@ -2,8 +2,9 @@
 
 import math
 
+import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mdiqkd import (
     CutoffError,
@@ -22,6 +23,7 @@ from mdiqkd import (
 
 from _oracles import dense_tables, oracle_distribution, oracle_gain, oracle_wcs_gains
 from test_bsm import _SMALLEST_NONZERO, _bell_yield_tables
+from test_sources import _SUBNORMAL_SLACK
 
 
 def test_overall_efficiency_combines_detector_and_fiber():
@@ -119,30 +121,33 @@ _SOURCES = st.one_of(
     spec_a=_SOURCES,
     spec_b=_SOURCES,
 )
+# correct_z is 2.8e-312, where one unit in the last place is 1.8e-12 of it
+@example(0.5, 0.0, 0.0, SourceSpec.css(0.25), SourceSpec.wcs(2.225073858507e-311))
 def test_gains_match_per_pair_detection_property(eta, dark, e_d, spec_a, spec_b):
     """Loss taken in closed form on the photon statistics gives the gains
     of the Fock simulator's per-pair detection tables, contracted with
     each source truncated deeper than the closed form."""
     params = DetectorParams(eta, dark)
     # mu <= 0.3 keeps the oracle within 17 photons
-    deep_a, deep_b = (
-        [float(p) for p in oracle_distribution(s, 1e-22)] for s in (spec_a, spec_b)
-    )
+    deep_a, deep_b = (oracle_distribution(s, 1e-22) for s in (spec_a, spec_b))
     cutoff = max(len(deep_a), len(deep_b), 2) - 1
     da, db = (build_distribution(s) for s in (spec_a, spec_b))
     g = gains(da, db, yield_tables(params, cutoff), e_d)
-    want = {
-        name: oracle_gain(deep_a, deep_b, table)
-        for name, table in _bell_yield_tables(params, cutoff).items()
-    }
-    for basis in ("z", "x"):
-        correct, error = want[f"correct_{basis}"], want[f"error_{basis}"]
-        want[f"total_{basis}"] = correct + error
-        want[f"error_weighted_{basis}"] = e_d * correct + (1.0 - e_d) * error
+    # the contraction in 50 digits, rounded once
+    with mpmath.workdps(50):
+        want = {
+            name: oracle_gain(deep_a, deep_b, table.tolist())
+            for name, table in _bell_yield_tables(params, cutoff).items()
+        }
+        for basis in ("z", "x"):
+            correct, error = want[f"correct_{basis}"], want[f"error_{basis}"]
+            want[f"total_{basis}"] = correct + error
+            want[f"error_weighted_{basis}"] = e_d * correct + (1 - e_d) * error
     for name, value in want.items():
-        got = getattr(g, name)
+        got, value = getattr(g, name), float(value)
         assert (got == 0.0) == (value == 0.0), name
-        assert got == pytest.approx(value, rel=1e-13, abs=0.0), name
+        # a subnormal gain carries fewer digits than the relative tolerance
+        assert got == pytest.approx(value, rel=1e-13, abs=_SUBNORMAL_SLACK), name
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mdiqkd import DomainError, SourceSpec, build_distribution
 from mdiqkd.sources import transmitted
@@ -146,11 +146,15 @@ def test_distribution_is_read_only():
         SourceSpec.css(800.0),
         SourceSpec.nonideal_css(800.0, 0.7),
         SourceSpec.css(1e300),
+        SourceSpec.wcs(460.0),
+        SourceSpec.css(460.0),
+        SourceSpec.nonideal_css(460.0, 0.7),
     ],
 )
 def test_intensity_beyond_the_photon_cap_is_a_domain_error(spec):
     # sinh and cosh overflow above mu ~ 710; the series still gets the
-    # convergence error rather than an OverflowError
+    # convergence error rather than an OverflowError.  At 460 they do not
+    # overflow, but 512 photons hold too little of the mass.
     with pytest.raises(DomainError, match="does not converge within 512 photons"):
         build_distribution(spec)
 
@@ -166,6 +170,34 @@ _SPECS = st.one_of(
 # A few units in the last place of the smallest subnormal: values that
 # small carry no relative precision.
 _SUBNORMAL_SLACK = 4 * 5e-324
+_LOG_MU = st.floats(-300.0, math.log10(5.0)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.one_of(
+        st.builds(SourceSpec.wcs, _LOG_MU),
+        st.builds(SourceSpec.css, _LOG_MU),
+        st.builds(SourceSpec.nonideal_css, _LOG_MU, st.floats(0.0, 1.0, exclude_min=True)),
+    ),
+    tail_tolerance=st.floats(-16.0, -6.0).map(lambda e: 10.0**e),
+)
+# p(1) = a mu / sinh(mu) rounds to 0.5 here; exp of a log-series, which
+# loses |log p(n)| units in the last place, gave 0.5000000000000275.
+@example(SourceSpec.nonideal_css(6.4e-232, 0.5), 1e-15)
+def test_emitted_statistics_match_the_oracle(spec, tail_tolerance):
+    """Every kept p(n) is within a few roundings per photon of the
+    50-digit statistics, and the cutoff is the smallest N whose 50-digit
+    tail is below the tolerance."""
+    dist = build_distribution(spec, tail_tolerance)
+    want = oracle_distribution(spec, 1e-40)
+    with mpmath.workdps(50):
+        for n, got in enumerate(dist.probabilities):
+            assert abs(got - want[n]) <= 4 * (n + 1) * 2**-53 * want[n] + _SUBNORMAL_SLACK, n
+        tails = [mpmath.fsum(want[n + 1 :]) for n in range(len(want))]
+        # a tail within its own rounding of the tolerance may fall either way
+        assume(all(abs(t - tail_tolerance) > 1e-12 * tail_tolerance for t in tails))
+        assert dist.cutoff == next(n for n, t in enumerate(tails) if t < tail_tolerance)
 
 
 @settings(max_examples=150, deadline=None)

@@ -11,7 +11,7 @@ only the standard library.
 
 from .bsm import DetectorParams, MAX_CUTOFF, YieldTable, yield_tables
 from .config import DistanceGrid, Scenario, load_scenario, parse_kv_text, scenario_from_mapping
-from .decoy import DecoyEstimate, DecoyInputs, FLAG_CLAMPED, FLAG_ERROR_ABOVE_HALF, VacuumGains
+from .decoy import DecoyEstimate, DecoyInputs, FLAG_CLAMPED, FLAG_ERROR_ABOVE_HALF
 from .errors import ConfigError, CutoffError, DomainError
 from .finite_key import DEFAULT_EPSILON, FiniteKeyConfig, FluctuationMethod, worst_case_decoy
 from .rates import (
@@ -62,7 +62,6 @@ __all__ = [
     "SourceKind",
     "SourceSpec",
     "SystemParams",
-    "VacuumGains",
     "YieldTable",
     "binary_entropy",
     "build_distribution",

@@ -107,15 +107,13 @@ class YieldTable:
     The factor-4 multiplicity of equivalent input/outcome combinations
     cancels against the 1/4 probability of each basis-state pair, so
     these single-pair yields multiply photon-number probabilities
-    directly in gain formulas.
-
-    ``lossless`` holds the four unit-efficiency tables Y1 for the dark
-    count; every yield and gain is the contraction of ``contract``.
+    directly in gain formulas.  Every yield and gain is a contraction
+    (``contract``) against the four unit-efficiency tables Y1 of the
+    dark count.
     """
 
     params: DetectorParams
     cutoff: int
-    lossless: tuple
 
     def contract(self, a: tuple, b: tuple) -> tuple:
         """(correct_z, error_z, correct_x, error_x) gains of the two
@@ -164,4 +162,4 @@ def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:
             f"cutoff {cutoff} exceeds the numeric precision budget "
             f"(max {MAX_CUTOFF} per side)"
         )
-    return YieldTable(params, cutoff, _lossless_tables(params.dark_count, cutoff))
+    return YieldTable(params, cutoff)

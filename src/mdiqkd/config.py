@@ -40,14 +40,6 @@ _SIGNAL_KINDS = {
     "sps": SourceKind.SPS,
 }
 
-# Decoy scheme of each signal source family.
-_SCHEMES = {
-    SourceKind.CSS: "one_decoy_css",
-    SourceKind.NONIDEAL_CSS: "two_decoy_generic",
-    SourceKind.WCS: "two_decoy_generic",
-    SourceKind.SPS: "single_photon_direct",
-}
-
 
 @dataclass(frozen=True)
 class DistanceGrid:
@@ -131,10 +123,6 @@ class Scenario:
         if kind is SourceKind.WCS:
             return SourceSpec.wcs(mu)
         return SourceSpec.sps()
-
-    def scheme(self) -> str:
-        """Decoy scheme used for this source family."""
-        return _SCHEMES[self.source_kind]
 
 
 def parse_kv_text(text: str) -> Dict[str, str]:

@@ -1,33 +1,37 @@
 """Decoy-state bounds on the single-photon-pair yield and error rate.
 
-Two decoy schemes are provided.
+The estimator follows from the signal source's photon statistics, so
+``estimate`` picks it by the signal distribution's ``spec.kind``:
 
-``"one_decoy_css"`` exploits the odd-only photon statistics of an ideal
-coherent-state superposition: with P(0) = P(2) = 0 a single decoy
-intensity already pins down the (1, 1) contribution,
+* ``sps``: the (1, 1) channel is observed directly; y11 is the signal
+  gain and e11 its error rate.
+
+* ``css``: odd-only statistics, P(0) = P(2) = 0, let a single decoy
+  intensity pin down the (1, 1) contribution,
 
     y11 >= [mu1^4 sinh^2(mu2) Q(mu2) - mu2^4 sinh^2(mu1) Q(mu1)]
            / [mu1^2 mu2^2 (mu1^2 - mu2^2)],
     e11 <= sinh^2(mu2) E(mu2) Q(mu2) / (mu2^2 y11).
 
-``"two_decoy_generic"`` works for any source with nonvanishing one- and
-two-photon probabilities (phase-randomized coherent states, imperfect
-superpositions).  Vacuum-substituted gains remove the 0-photon rows and
-columns,
+* ``wcs`` and ``nonideal_css``: any source with nonvanishing one- and
+  two-photon probabilities takes the vacuum-plus-decoy bound (Ma &
+  Razavi, PRA 86, 062319 (2012)).  Vacuum-substituted gains remove the
+  0-photon rows and columns,
 
     g(mu) = Q(mu,mu) - P0 Q(mu,0) - P0 Q(0,mu) + P0^2 Q(0,0),
 
-after which a two-point estimate in (P1, P2) bounds y11 and the decoy
-intensity alone bounds e11.
+  after which a two-point estimate in (P1, P2) bounds y11 and the decoy
+  intensity alone bounds e11.
 
-Both schemes run through one estimator, ``estimate(inputs, scheme,
-bounds)``.  It reads an interval table with one ``(lower, upper)`` pair
-per (channel, field), built once per evaluation by applying a ``Bounds``
-map to every observed gain (``DecoyInputs.interval_table``), and takes
-each gain at the endpoint, LOW or HIGH, that weakens the bound.  The
-finite-key layer supplies its method's confidence-interval map; the
-default, ``exact``, is the identity interval of the asymptotic case, so
-every path shares one copy of the formulas.
+``CHANNELS`` lists the gains each estimator reads; ``DecoyInputs``
+holds them keyed by channel and rejects inputs that lack one.  Each
+evaluation builds one interval table, a ``(lower, upper)`` pair per
+(channel, field), by applying a ``Bounds`` map to every observed gain,
+and the algebra takes each gain at the endpoint, LOW or HIGH, that
+weakens the bound.  The finite-key layer supplies its method's
+confidence-interval map; the default, ``exact``, is the identity
+interval of the asymptotic case, so every path shares one copy of the
+formulas.
 """
 
 from __future__ import annotations
@@ -35,11 +39,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Mapping, Tuple
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .rates import GainSet
-from .sources import PhotonDistribution
+from .sources import PhotonDistribution, SourceKind
 
 FLAG_CLAMPED = "clamped_to_zero"
 FLAG_ERROR_ABOVE_HALF = "error_bound_above_half"
@@ -62,10 +66,18 @@ Bounds = Callable[[float], Interval]
 LOW, HIGH = 0, 1
 Q_Z, Q_X, EQ_X = 0, 1, 2
 
-# One channel's (q_z, q_x, eq_x) intervals.  Channels: "ss", "dd"
-# (signal/decoy intensity pairs), "s0", "0s", "d0", "0d", "00"
-# (vacuum-substituted).
+# One channel's (q_z, q_x, eq_x) intervals.  A channel names the two
+# pulses of a pair: "s" signal, "d" decoy, "0" vacuum.
 ChannelIntervals = Tuple[Interval, Interval, Interval]
+
+# The channels each signal family's estimator reads.
+_VACUUM_PLUS_DECOY = ("ss", "dd", "s0", "0s", "d0", "0d", "00")
+CHANNELS = {
+    SourceKind.SPS: ("ss",),
+    SourceKind.CSS: ("ss", "dd"),
+    SourceKind.NONIDEAL_CSS: _VACUUM_PLUS_DECOY,
+    SourceKind.WCS: _VACUUM_PLUS_DECOY,
+}
 
 
 def exact(gain: float) -> Interval:
@@ -79,30 +91,19 @@ def observe(g: GainSet, bounds: Bounds = exact) -> ChannelIntervals:
 
 
 @dataclass(frozen=True)
-class VacuumGains:
-    """Gains of the five channels in which at least one pulse is vacuum."""
-
-    signal_vacuum: GainSet
-    vacuum_signal: GainSet
-    decoy_vacuum: GainSet
-    vacuum_decoy: GainSet
-    vacuum_vacuum: GainSet
-
-
-@dataclass(frozen=True)
 class DecoyInputs:
-    """Everything a decoy estimator may consume.
-
-    The two intensities are those of the two distributions' specs.
-    ``vacuum`` may be None for the one-decoy estimator, which never
-    looks at vacuum channels.
-    """
+    """Everything a decoy estimator consumes: both photon-number
+    distributions and the gains of every channel in
+    ``CHANNELS[dist_signal.spec.kind]``.  The two intensities are those
+    of the distributions' specs."""
 
     dist_signal: PhotonDistribution
     dist_decoy: PhotonDistribution
-    gains_signal: GainSet
-    gains_decoy: GainSet
-    vacuum: Optional[VacuumGains] = None
+    gains: Mapping[str, GainSet]
+
+    @property
+    def kind(self) -> SourceKind:
+        return self.dist_signal.spec.kind
 
     @property
     def mu_signal(self) -> float:
@@ -113,23 +114,20 @@ class DecoyInputs:
         return self.dist_decoy.spec.mu
 
     def __post_init__(self) -> None:
-        if not self.mu_signal > self.mu_decoy > 0.0:
+        channels = CHANNELS.get(self.kind)
+        if channels is None:
+            raise DomainError(f"no decoy estimator for a {self.kind.value} signal source")
+        missing = [c for c in channels if c not in self.gains]
+        if missing:
+            raise DomainError(
+                f"{self.kind.value} decoy estimator needs the gains of channel(s) "
+                f"{', '.join(missing)}"
+            )
+        if self.kind is not SourceKind.SPS and not self.mu_signal > self.mu_decoy > 0.0:
             raise DomainError(
                 f"intensities must satisfy mu_signal > mu_decoy > 0, got "
                 f"({self.mu_signal}, {self.mu_decoy})"
             )
-
-    def interval_table(self, bounds: Bounds = exact) -> Dict[str, ChannelIntervals]:
-        """Intervals of every observed gain, keyed by channel."""
-        table = {"ss": observe(self.gains_signal, bounds), "dd": observe(self.gains_decoy, bounds)}
-        vacuum = self.vacuum
-        if vacuum is not None:
-            table["s0"] = observe(vacuum.signal_vacuum, bounds)
-            table["0s"] = observe(vacuum.vacuum_signal, bounds)
-            table["d0"] = observe(vacuum.decoy_vacuum, bounds)
-            table["0d"] = observe(vacuum.vacuum_decoy, bounds)
-            table["00"] = observe(vacuum.vacuum_vacuum, bounds)
-        return table
 
 
 @dataclass(frozen=True)
@@ -279,24 +277,19 @@ def _require_odd_only(dist: PhotonDistribution, label: str) -> None:
         )
 
 
-def estimate(inputs: DecoyInputs, scheme: str, bounds: Bounds = exact) -> DecoyEstimate:
+def estimate(inputs: DecoyInputs, bounds: Bounds = exact) -> DecoyEstimate:
     """Decoy bounds with every observed gain at the endpoint of its
-    ``bounds`` interval that weakens the bound.
-
-    ``scheme`` selects the algebra: "one_decoy_css" (odd-only photon
-    statistics, one decoy intensity) or "two_decoy_generic" (signal +
-    decoy + vacuum, any statistics).
-    """
-    if scheme == "one_decoy_css":
+    ``bounds`` interval that weakens the bound, by the estimator of the
+    signal source's kind."""
+    kind = inputs.kind
+    table = {c: observe(inputs.gains[c], bounds) for c in CHANNELS[kind]}
+    if kind is SourceKind.SPS:
+        q_z, q_x, eq_x = table["ss"]
+        return _finalize(q_z[LOW], q_x[LOW], lambda y: eq_x[HIGH] / y)
+    if kind is SourceKind.CSS:
         _require_odd_only(inputs.dist_signal, "signal")
         _require_odd_only(inputs.dist_decoy, "decoy")
-        return _assemble_css(inputs.mu_signal, inputs.mu_decoy, inputs.interval_table(bounds))
-    if scheme == "two_decoy_generic":
-        if inputs.vacuum is None:
-            raise DomainError("two-decoy estimator requires vacuum-channel gains")
-        return _assemble_generic(
-            _first_probs(inputs.dist_signal),
-            _first_probs(inputs.dist_decoy),
-            inputs.interval_table(bounds),
-        )
-    raise ConfigError(f"unknown decoy scheme {scheme!r}")
+        return _assemble_css(inputs.mu_signal, inputs.mu_decoy, table)
+    return _assemble_generic(
+        _first_probs(inputs.dist_signal), _first_probs(inputs.dist_decoy), table
+    )

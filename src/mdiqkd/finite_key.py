@@ -22,11 +22,11 @@ pulse pairs.  Two confidence constructions are supported:
 
 Each method's formula is one private kernel returning ``(lower,
 upper)``; ``interval_kernel`` selects it for a ``FiniteKeyConfig``.
-``worst_case_decoy`` runs ``decoy.estimate`` on those intervals, so
-each observed gain enters the decoy algebra at whichever endpoint
-weakens the bound.  The pipeline is deterministic: observed
-counts are taken at their expected (real-valued) positions rather than
-sampled.
+``worst_case_decoy`` runs ``decoy.estimate``, which picks the estimator
+by the source kind, on those intervals, so each observed gain enters
+the bound at whichever endpoint weakens it.  The pipeline is
+deterministic: observed counts are taken at their expected
+(real-valued) positions rather than sampled.
 """
 
 from __future__ import annotations
@@ -106,15 +106,8 @@ def interval_kernel(config: FiniteKeyConfig) -> Bounds:
     return exact
 
 
-def worst_case_decoy(
-    inputs: DecoyInputs,
-    config: FiniteKeyConfig,
-    scheme: str,
-) -> DecoyEstimate:
-    """Decoy bounds with every gain at its least favorable endpoint.
-
-    ``scheme`` selects the estimator: "one_decoy_css" or
-    "two_decoy_generic".  With the asymptotic method this is exactly
-    the plain estimator.
-    """
-    return decoy.estimate(inputs, scheme, interval_kernel(config))
+def worst_case_decoy(inputs: DecoyInputs, config: FiniteKeyConfig) -> DecoyEstimate:
+    """Decoy bounds with every gain at its least favorable endpoint, by
+    the estimator of the signal source's kind.  With the asymptotic
+    method this is exactly the plain estimator."""
+    return decoy.estimate(inputs, interval_kernel(config))

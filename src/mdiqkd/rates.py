@@ -13,7 +13,8 @@ The secret fraction follows the standard decoy-state form
 
     R = Q11_Z (1 - H(e11_X)) - Q_Z f H(E_Z)
 
-per pulse pair in the matched-basis channel, clamped at zero.
+per pulse pair in the matched-basis channel.  ``key_rate`` returns it
+unclamped; the pipelines report both it and its clamp at zero.
 """
 
 from __future__ import annotations
@@ -177,14 +178,15 @@ def key_rate(
     q_z: float,
     qber_z: float,
     ec_efficiency: float,
-    clamped: bool = True,
 ) -> float:
-    """Secret bits per pulse pair in the matched Z channel.
+    """Secret bits per pulse pair in the matched Z channel, unclamped: a
+    negative value says by how much the error-correction cost exceeds
+    the privacy term.
 
     ``e11_x`` is the single-photon phase-error bound.  Values at or
     above 1/2 saturate the privacy term (H evaluated at 1/2), which
-    drives the rate to zero; this keeps flagged over-unity error bounds
-    well defined.
+    drives the rate to zero or below; this keeps flagged over-unity
+    error bounds well defined.
     """
     if q11_z < 0.0 or q_z < 0.0:
         raise DomainError("gains must be >= 0")
@@ -195,8 +197,7 @@ def key_rate(
     if ec_efficiency < 1.0:
         raise DomainError(f"error-correction efficiency must be >= 1, got {ec_efficiency}")
     privacy = 1.0 - binary_entropy(min(e11_x, 0.5))
-    raw = q11_z * privacy - q_z * ec_efficiency * binary_entropy(qber_z)
-    return max(0.0, raw) if clamped else raw
+    return q11_z * privacy - q_z * ec_efficiency * binary_entropy(qber_z)
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,17 @@
 ``evaluate_point`` wires the full chain for one distance: emitted photon
 statistics -> the same statistics after loss, in closed form -> observed
 gains, contracted against the lossless relay yield tables -> decoy
-bounds with finite-size worst-casing -> key rate.  Both middle steps
+bounds with finite-size worst-casing -> key rate.  One path serves
+every source family: ``decoy.estimate`` picks the estimator by the
+signal source's kind, and ``decoy.CHANNELS`` says which gains it reads
+(the signal pair alone for a single-photon source).  Both middle steps
 are cached: the lossless tables depend only on the dark-count
 probability and cutoff and serve every source and distance, and the
 statistics after loss (``sources.transmitted``) serve every channel and
 intensity partner of a source at one distance.  One memo per
 evaluation (``_observed``) holds both emitted photon-number
-distributions and every gain the decoy scheme needs, keyed by (signal
-spec, decoy spec, scheme, detector params, cutoff, tail tolerance,
+distributions and every gain the estimator needs, keyed by (signal
+spec, decoy spec, detector params, cutoff, tail tolerance,
 misalignment), so a search that returns to a point costs one lookup.
 Its misses read gains per source pair (``_cached_gains``), which
 evaluations with other intensity partners share.  The finite-size
@@ -30,18 +33,9 @@ from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bsm import DetectorParams, yield_tables
 from .config import Scenario
-from .decoy import (
-    FLAG_ERROR_ABOVE_HALF,
-    HIGH,
-    LOW,
-    Bounds,
-    DecoyInputs,
-    DecoyEstimate,
-    VacuumGains,
-    observe,
-)
+from .decoy import CHANNELS, DecoyInputs
 from .errors import DomainError
-from .finite_key import interval_kernel, worst_case_decoy
+from .finite_key import worst_case_decoy
 from .rates import GainSet, KeyRatePoint, gains, key_rate
 from .sources import PhotonDistribution, SourceKind, SourceSpec, build_distribution
 
@@ -66,73 +60,42 @@ def _cached_gains(
     )
 
 
+_VACUUM = SourceSpec.vacuum()
+
+
 @lru_cache(maxsize=256)
 def _observed(
-    spec_signal: SourceSpec, spec_decoy: SourceSpec, scheme: str,
+    spec_signal: SourceSpec, spec_decoy: SourceSpec,
     params: DetectorParams, cutoff: int, tail_tolerance: float, misalignment: float,
-) -> Tuple[GainSet, Optional[DecoyInputs]]:
-    """Signal gains and, for a decoy scheme, the estimator's inputs (both
-    distributions and every gain the scheme needs) at one distance.
+) -> DecoyInputs:
+    """The estimator's inputs at one distance: both distributions and
+    the gains of every channel the signal kind's estimator reads.
     Searches revisit few points, so a small memo holds them; points that
     never repeat only pass through it."""
-
-    def gain(spec_a: SourceSpec, spec_b: SourceSpec) -> GainSet:
-        return _cached_gains(spec_a, spec_b, params, cutoff, tail_tolerance, misalignment)
-
-    gains_signal = gain(spec_signal, spec_signal)
-    if scheme == "single_photon_direct":
-        return gains_signal, None
-    vacuum = None
-    if scheme == "two_decoy_generic":
-        spec_vac = SourceSpec.vacuum()
-        vacuum = VacuumGains(
-            signal_vacuum=gain(spec_signal, spec_vac),
-            vacuum_signal=gain(spec_vac, spec_signal),
-            decoy_vacuum=gain(spec_decoy, spec_vac),
-            vacuum_decoy=gain(spec_vac, spec_decoy),
-            vacuum_vacuum=gain(spec_vac, spec_vac),
-        )
-    return gains_signal, DecoyInputs(
+    specs = {"s": spec_signal, "d": spec_decoy, "0": _VACUUM}
+    return DecoyInputs(
         dist_signal=_cached_distribution(spec_signal, tail_tolerance),
         dist_decoy=_cached_distribution(spec_decoy, tail_tolerance),
-        gains_signal=gains_signal,
-        gains_decoy=gain(spec_decoy, spec_decoy),
-        vacuum=vacuum,
+        gains={
+            c: _cached_gains(
+                specs[c[0]], specs[c[1]], params, cutoff, tail_tolerance, misalignment
+            )
+            for c in CHANNELS[spec_signal.kind]
+        },
     )
-
-
-def _sps_estimate(signal: GainSet, bounds: Bounds) -> DecoyEstimate:
-    """Direct single-photon bounds: no decoy algebra is needed.
-
-    The (1, 1) channel is observed directly, so the worst case is just
-    the unfavorable interval endpoint of each observed gain.
-    """
-    q_z, q_x, eq_x = observe(signal, bounds)
-    y11 = q_z[LOW]
-    e11 = eq_x[HIGH] / q_x[LOW] if q_x[LOW] > 0.0 else math.inf
-    flags = {FLAG_ERROR_ABOVE_HALF} if e11 > 0.5 else set()
-    return DecoyEstimate(y11_lower=y11, e11_upper=e11, flags=frozenset(flags))
 
 
 def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     """Evaluate the key rate of one scenario at one distance."""
     system = replace(scenario.system, distance_km=distance_km)
-    scheme = scenario.scheme()
-    spec_signal = scenario.signal_spec(scenario.signal_mu)
-    spec_decoy = scenario.signal_spec(scenario.decoy_mu)
-    gains_signal, inputs = _observed(
-        spec_signal, spec_decoy, scheme, system.detector_params(), scenario.cutoff,
-        scenario.tail_tolerance, system.misalignment,
+    inputs = _observed(
+        scenario.signal_spec(scenario.signal_mu), scenario.signal_spec(scenario.decoy_mu),
+        system.detector_params(), scenario.cutoff, scenario.tail_tolerance,
+        system.misalignment,
     )
-    if scheme == "single_photon_direct":
-        estimate = _sps_estimate(gains_signal, interval_kernel(scenario.finite_key))
-        mu_signal = mu_decoy = 0.0
-        p1 = 1.0
-    else:
-        estimate = worst_case_decoy(inputs, scenario.finite_key, scheme)
-        mu_signal, mu_decoy = inputs.mu_signal, inputs.mu_decoy
-        p1 = inputs.dist_signal.prob(1)
-
+    estimate = worst_case_decoy(inputs, scenario.finite_key)
+    gains_signal = inputs.gains["ss"]
+    p1 = inputs.dist_signal.prob(1)
     q11_z = p1 * p1 * estimate.y11_lower
     raw = key_rate(
         q11_z,
@@ -140,14 +103,13 @@ def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
         gains_signal.total_z,
         gains_signal.qber_z,
         system.ec_efficiency,
-        clamped=False,
     )
     return KeyRatePoint(
         distance_km=distance_km,
         source=scenario.source_kind.value,
         method=scenario.finite_key.method.value,
-        mu_signal=mu_signal,
-        mu_decoy=mu_decoy,
+        mu_signal=inputs.mu_signal,
+        mu_decoy=inputs.mu_decoy,
         gains_signal=gains_signal,
         y11_lower=estimate.y11_lower,
         e11_upper=estimate.e11_upper,

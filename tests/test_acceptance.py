@@ -19,7 +19,7 @@ from fock import MAX_TOTAL_PHOTONS, BellOutcome, Polarization, bell_yield, propa
 from mdiqkd.bsm import DetectorParams, yield_tables
 from mdiqkd.cli import main as cli_main
 from mdiqkd.config import DistanceGrid, Scenario
-from mdiqkd.decoy import DecoyInputs, VacuumGains, estimate
+from mdiqkd.decoy import CHANNELS, DecoyInputs, estimate
 from mdiqkd.finite_key import FiniteKeyConfig, FluctuationMethod
 from mdiqkd.rates import SystemParams, gains, true_single_photon_quantities
 from mdiqkd.sources import SourceKind, SourceSpec, build_distribution
@@ -167,27 +167,16 @@ def test_announcement_yields_match_loss_enumeration_oracle(capsys):
 
 
 def _decoy_inputs(kind, mu1, mu2, table, misalignment):
-    if kind is SourceKind.CSS:
-        specs = (SourceSpec.css(mu1), SourceSpec.css(mu2))
-    elif kind is SourceKind.NONIDEAL_CSS:
-        specs = (SourceSpec.nonideal_css(mu1, 0.7), SourceSpec.nonideal_css(mu2, 0.7))
-    else:
-        specs = (SourceSpec.wcs(mu1), SourceSpec.wcs(mu2))
-    ds, dd = (build_distribution(s) for s in specs)
-    dv = build_distribution(SourceSpec.vacuum())
-    vacuum = VacuumGains(
-        signal_vacuum=gains(ds, dv, table, misalignment),
-        vacuum_signal=gains(dv, ds, table, misalignment),
-        decoy_vacuum=gains(dd, dv, table, misalignment),
-        vacuum_decoy=gains(dv, dd, table, misalignment),
-        vacuum_vacuum=gains(dv, dv, table, misalignment),
-    )
+    spec = Scenario(source_kind=kind, odd_weight=0.7).signal_spec
+    dists = {
+        "s": build_distribution(spec(mu1)),
+        "d": build_distribution(spec(mu2)),
+        "0": build_distribution(SourceSpec.vacuum()),
+    }
     return DecoyInputs(
-        dist_signal=ds,
-        dist_decoy=dd,
-        gains_signal=gains(ds, ds, table, misalignment),
-        gains_decoy=gains(dd, dd, table, misalignment),
-        vacuum=vacuum,
+        dists["s"],
+        dists["d"],
+        {c: gains(dists[c[0]], dists[c[1]], table, misalignment) for c in CHANNELS[kind]},
     )
 
 
@@ -195,9 +184,9 @@ def test_decoy_bounds_bracket_exact_single_pair_values(capsys):
     start = time.perf_counter()
     slack = 1e-12
     settings = (
-        ("css one-decoy", SourceKind.CSS, 0.1, 0.01, "one_decoy_css"),
-        ("nonideal-css two-decoy", SourceKind.NONIDEAL_CSS, 0.1, 0.01, "two_decoy_generic"),
-        ("wcs two-decoy", SourceKind.WCS, 0.4, 0.07, "two_decoy_generic"),
+        ("css one-decoy", SourceKind.CSS, 0.1, 0.01),
+        ("nonideal-css two-decoy", SourceKind.NONIDEAL_CSS, 0.1, 0.01),
+        ("wcs two-decoy", SourceKind.WCS, 0.4, 0.07),
     )
     base = SystemParams()
     worst_y = float("inf")  # min of (true y11 - lower bound)
@@ -207,8 +196,8 @@ def test_decoy_bounds_bracket_exact_single_pair_values(capsys):
         system = replace(base, distance_km=25.0 * step)
         table = yield_tables(system.detector_params(), 15)
         truth = true_single_photon_quantities(table, system.misalignment)
-        for _, kind, mu1, mu2, scheme in settings:
-            bounds = estimate(_decoy_inputs(kind, mu1, mu2, table, system.misalignment), scheme)
+        for _, kind, mu1, mu2 in settings:
+            bounds = estimate(_decoy_inputs(kind, mu1, mu2, table, system.misalignment))
             worst_y = min(worst_y, truth.y11_z - bounds.y11_lower)
             worst_e = min(worst_e, bounds.e11_upper - truth.e11_x)
             points += 1

@@ -278,6 +278,14 @@ def test_cli_exit_code_on_underflowing_one_decoy_denominator(tmp_path, capsys, s
     assert "one-decoy denominator mu1^2 mu2^2 (mu1^2 - mu2^2) underflows" in err
 
 
+def test_cli_exit_code_on_odd_only_imperfect_cat(tmp_path, capsys):
+    """An imperfect cat with odd weight 1 has no two-photon component, so
+    the two-decoy estimator its kind selects has a singular system."""
+    cfg = _write_cfg(tmp_path, "source.kind = nonideal_css\nsource.odd_weight = 1\n")
+    assert main(["sweep", "--config", cfg]) == 3
+    assert "denominator_ill_conditioned" in capsys.readouterr().err
+
+
 def test_removed_wcs_estimator_key_is_unknown(tmp_path, capsys):
     with pytest.raises(ConfigError, match="unknown config key 'decoy.wcs_estimator'"):
         scenario_from_mapping({"decoy.wcs_estimator": "two_decoy_generic"})

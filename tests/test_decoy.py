@@ -12,18 +12,24 @@ from mdiqkd import (
     FLAG_CLAMPED,
     FLAG_ERROR_ABOVE_HALF,
     GainSet,
+    PhotonDistribution,
     Scenario,
     SourceKind,
     SourceSpec,
     SystemParams,
-    VacuumGains,
     build_distribution,
     evaluate_point,
     gains,
     true_single_photon_quantities,
     yield_tables,
 )
-from mdiqkd.decoy import css_y11_bound, estimate, generic_y11_bound, vacuum_substituted_gain
+from mdiqkd.decoy import (
+    CHANNELS,
+    css_y11_bound,
+    estimate,
+    generic_y11_bound,
+    vacuum_substituted_gain,
+)
 
 
 def _table(distance_km: float, cutoff: int = 15):
@@ -32,41 +38,24 @@ def _table(distance_km: float, cutoff: int = 15):
 
 
 def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_weight=0.7):
+    """Estimator inputs with the gains of every channel the kind reads."""
     table, e_d = _table(distance_km)
-
-    def spec(mu):
-        if kind is SourceKind.CSS:
-            return SourceSpec.css(mu)
-        if kind is SourceKind.NONIDEAL_CSS:
-            return SourceSpec.nonideal_css(mu, odd_weight)
-        return SourceSpec.wcs(mu)
-
-    ds, dd = build_distribution(spec(mu1)), build_distribution(spec(mu2))
-    dv = build_distribution(SourceSpec.vacuum())
-    vacuum = VacuumGains(
-        signal_vacuum=gains(ds, dv, table, e_d),
-        vacuum_signal=gains(dv, ds, table, e_d),
-        decoy_vacuum=gains(dd, dv, table, e_d),
-        vacuum_decoy=gains(dv, dd, table, e_d),
-        vacuum_vacuum=gains(dv, dv, table, e_d),
-    )
-    return (
-        DecoyInputs(
-            dist_signal=ds,
-            dist_decoy=dd,
-            gains_signal=gains(ds, ds, table, e_d),
-            gains_decoy=gains(dd, dd, table, e_d),
-            vacuum=vacuum,
-        ),
-        table,
-        e_d,
-    )
+    spec = Scenario(source_kind=kind, odd_weight=odd_weight).signal_spec
+    dists = {
+        "s": build_distribution(spec(mu1)),
+        "d": build_distribution(spec(mu2)),
+        "0": build_distribution(SourceSpec.vacuum()),
+    }
+    channel_gains = {
+        c: gains(dists[c[0]], dists[c[1]], table, e_d) for c in CHANNELS[kind]
+    }
+    return DecoyInputs(dists["s"], dists["d"], channel_gains), table, e_d
 
 
 @pytest.mark.parametrize("distance_km", [0.0, 100.0, 300.0])
 def test_one_decoy_brackets_truth(distance_km):
     inputs, table, e_d = _inputs(SourceKind.CSS, 0.1, 0.01, distance_km)
-    bounds = estimate(inputs, "one_decoy_css")
+    bounds = estimate(inputs)
     truth = true_single_photon_quantities(table, e_d)
     assert bounds.y11_lower <= truth.y11_z + 1e-12
     assert bounds.e11_upper >= truth.e11_x - 1e-12
@@ -82,11 +71,21 @@ def test_one_decoy_brackets_truth(distance_km):
 )
 def test_two_decoy_brackets_truth(kind, mu1, mu2, distance_km):
     inputs, table, e_d = _inputs(kind, mu1, mu2, distance_km)
-    bounds = estimate(inputs, "two_decoy_generic")
+    bounds = estimate(inputs)
     truth = true_single_photon_quantities(table, e_d)
     assert bounds.y11_lower <= truth.y11_z + 1e-12
     assert bounds.e11_upper >= truth.e11_x - 1e-12
     assert bounds.y11_lower > 0.0
+
+
+def test_single_photon_bounds_are_the_observed_gains():
+    """A single-photon source is observed directly: no decoy algebra."""
+    inputs, _, _ = _inputs(SourceKind.SPS, 0.0, 0.0, 100.0)
+    signal = inputs.gains["ss"]
+    bounds = estimate(inputs)
+    assert bounds.y11_lower == signal.total_z
+    assert bounds.e11_upper == signal.error_weighted_x / signal.total_x
+    assert bounds.flags == frozenset()
 
 
 _KINDS = (SourceKind.SPS, SourceKind.CSS, SourceKind.NONIDEAL_CSS, SourceKind.WCS)
@@ -165,23 +164,36 @@ def test_decoy_bounds_bracket_truth_fails_when_rounding_dominates(
 
 
 def test_one_decoy_rejects_even_photon_mass():
-    inputs, _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 0.0)
-    with pytest.raises(DomainError):
-        estimate(inputs, "one_decoy_css")
+    """The one-decoy algebra assumes odd-only statistics; a cat-kind
+    distribution that carries even mass is refused."""
+    inputs, _, _ = _inputs(SourceKind.CSS, 0.1, 0.01, 0.0)
+    poisson = build_distribution(SourceSpec.wcs(0.1))
+    even = PhotonDistribution(
+        SourceSpec.css(0.1), poisson.probabilities, poisson.tail_mass, poisson.tail_tolerance
+    )
+    with pytest.raises(DomainError, match="odd-only photon statistics"):
+        estimate(replace(inputs, dist_signal=even))
 
 
 def test_two_decoy_requires_vacuum_channels():
     inputs, _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 0.0)
-    with pytest.raises(DomainError):
-        estimate(replace(inputs, vacuum=None), "two_decoy_generic")
+    without_vacuum = {c: g for c, g in inputs.gains.items() if c != "00"}
+    with pytest.raises(DomainError, match="needs the gains of channel\\(s\\) 00"):
+        replace(inputs, gains=without_vacuum)
+
+
+def test_vacuum_signal_has_no_estimator():
+    dv = build_distribution(SourceSpec.vacuum())
+    with pytest.raises(DomainError, match="no decoy estimator for a vacuum signal source"):
+        DecoyInputs(dv, dv, {})
 
 
 def test_two_decoy_degenerate_for_odd_only_sources():
-    """Ideal superposition sources have no two-photon component, which
-    makes the two-point linear system singular."""
-    inputs, _, _ = _inputs(SourceKind.CSS, 0.1, 0.01, 0.0)
-    with pytest.raises(DomainError):
-        estimate(inputs, "two_decoy_generic")
+    """An imperfect cat with odd weight 1 has no two-photon component,
+    which makes the two-point linear system singular."""
+    inputs, _, _ = _inputs(SourceKind.NONIDEAL_CSS, 0.1, 0.01, 0.0, odd_weight=1.0)
+    with pytest.raises(DomainError, match="denominator_ill_conditioned"):
+        estimate(inputs)
 
 
 def test_intensity_ordering_is_validated():
@@ -191,9 +203,9 @@ def test_intensity_ordering_is_validated():
     table, e_d = _table(0.0)
     g = gains(ds, ds, table, e_d)
     with pytest.raises(DomainError):
-        DecoyInputs(dd, ds, g, g)
+        DecoyInputs(dd, ds, {"ss": g, "dd": g})
     with pytest.raises(DomainError):
-        DecoyInputs(ds, d0, g, g)
+        DecoyInputs(ds, d0, {"ss": g, "dd": g})
 
 
 def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x):
@@ -214,8 +226,10 @@ def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x)
     return DecoyInputs(
         dist_signal=ds,
         dist_decoy=dd,
-        gains_signal=gain_set(q_signal_z, q_signal_x, 0.015 * q_signal_x),
-        gains_decoy=gain_set(q_decoy_z, q_decoy_x, eq_decoy_x),
+        gains={
+            "ss": gain_set(q_signal_z, q_signal_x, 0.015 * q_signal_x),
+            "dd": gain_set(q_decoy_z, q_decoy_x, eq_decoy_x),
+        },
     )
 
 
@@ -223,7 +237,7 @@ def test_negative_yield_bound_is_clamped_and_flagged():
     # a huge signal gain with a negligible decoy gain drives the
     # estimate negative
     inputs = _fabricated_inputs(0.9, 1e-9, 0.9, 1e-9, 1e-11)
-    bounds = estimate(inputs, "one_decoy_css")
+    bounds = estimate(inputs)
     assert bounds.y11_lower == 0.0
     assert FLAG_CLAMPED in bounds.flags
     assert math.isinf(bounds.e11_upper)
@@ -232,7 +246,7 @@ def test_negative_yield_bound_is_clamped_and_flagged():
 def test_error_bound_above_half_is_flagged():
     # error-weighted gain close to the decoy gain forces e11 toward 1
     inputs = _fabricated_inputs(0.08, 0.008, 0.08, 0.008, 0.0079)
-    bounds = estimate(inputs, "one_decoy_css")
+    bounds = estimate(inputs)
     assert bounds.y11_lower > 0.0
     assert bounds.e11_upper > 0.5
     assert FLAG_ERROR_ABOVE_HALF in bounds.flags

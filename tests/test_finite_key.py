@@ -95,33 +95,26 @@ def test_finite_key_config_validation():
         FiniteKeyConfig(FluctuationMethod.CHERNOFF, epsilon=1.5)
 
 
+_ESTIMATOR_CASES = [
+    (SourceKind.SPS, 0.0, 0.0),
+    (SourceKind.CSS, 0.1, 0.01),
+    (SourceKind.WCS, 0.4, 0.07),
+]
+
+
 def test_asymptotic_worst_case_equals_plain_estimators():
     config = FiniteKeyConfig(FluctuationMethod.ASYMPTOTIC)
-    inputs, _, _ = _inputs(SourceKind.CSS, 0.1, 0.01, 50.0)
-    plain = estimate(inputs, "one_decoy_css")
-    worst = worst_case_decoy(inputs, config, "one_decoy_css")
-    assert worst == plain
-
-    inputs, _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 50.0)
-    plain = estimate(inputs, "two_decoy_generic")
-    worst = worst_case_decoy(inputs, config, "two_decoy_generic")
-    assert worst == plain
+    for kind, mu1, mu2 in _ESTIMATOR_CASES:
+        inputs, _, _ = _inputs(kind, mu1, mu2, 50.0)
+        assert worst_case_decoy(inputs, config) == estimate(inputs)
 
 
-@pytest.mark.parametrize(
-    "kind,mu1,mu2,scheme",
-    [
-        (SourceKind.CSS, 0.1, 0.01, "one_decoy_css"),
-        (SourceKind.WCS, 0.4, 0.07, "two_decoy_generic"),
-    ],
-)
+@pytest.mark.parametrize("kind,mu1,mu2", _ESTIMATOR_CASES)
 @pytest.mark.parametrize("method", [FluctuationMethod.STANDARD, FluctuationMethod.CHERNOFF])
-def test_worst_case_weakens_both_bounds(kind, mu1, mu2, scheme, method):
+def test_worst_case_weakens_both_bounds(kind, mu1, mu2, method):
     inputs, _, _ = _inputs(kind, mu1, mu2, 50.0)
-    asymptotic = worst_case_decoy(
-        inputs, FiniteKeyConfig(FluctuationMethod.ASYMPTOTIC), scheme
-    )
-    finite = worst_case_decoy(inputs, FiniteKeyConfig(method, 1e13), scheme)
+    asymptotic = worst_case_decoy(inputs, FiniteKeyConfig(FluctuationMethod.ASYMPTOTIC))
+    finite = worst_case_decoy(inputs, FiniteKeyConfig(method, 1e13))
     assert finite.y11_lower <= asymptotic.y11_lower
     assert finite.e11_upper >= asymptotic.e11_upper
 
@@ -129,9 +122,7 @@ def test_worst_case_weakens_both_bounds(kind, mu1, mu2, scheme, method):
 def test_worst_case_tightens_with_more_pulses():
     inputs, _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 50.0)
     estimates = [
-        worst_case_decoy(
-            inputs, FiniteKeyConfig(FluctuationMethod.STANDARD, n), "two_decoy_generic"
-        )
+        worst_case_decoy(inputs, FiniteKeyConfig(FluctuationMethod.STANDARD, n))
         for n in (1e12, 1e14, 1e16, 1e20)
     ]
     y11s = [e.y11_lower for e in estimates]
@@ -139,15 +130,9 @@ def test_worst_case_tightens_with_more_pulses():
     assert y11s == sorted(y11s)
     assert e11s == sorted(e11s, reverse=True)
     # converges to the asymptotic value
-    asym = estimate(inputs, "two_decoy_generic")
+    asym = estimate(inputs)
     assert estimates[-1].y11_lower == pytest.approx(asym.y11_lower, rel=1e-3)
     assert estimates[-1].e11_upper == pytest.approx(asym.e11_upper, rel=1e-3)
-
-
-def test_worst_case_unknown_scheme():
-    inputs, _, _ = _inputs(SourceKind.CSS, 0.1, 0.01, 0.0)
-    with pytest.raises(ConfigError):
-        worst_case_decoy(inputs, FiniteKeyConfig(), "three_decoy")
 
 
 @settings(max_examples=300, deadline=None)

@@ -215,10 +215,11 @@ def test_key_rate_formula():
     assert expected > 0.0
 
 
-def test_key_rate_clamps_at_zero():
-    assert key_rate(1e-9, 0.49, 0.5, 0.25, 1.16) == 0.0
-    raw = key_rate(1e-9, 0.49, 0.5, 0.25, 1.16, clamped=False)
-    assert raw < 0.0
+def test_key_rate_is_unclamped():
+    """The formula's value is returned as is; the pipelines clamp it."""
+    q11, e11, q, ez, f = 1e-9, 0.49, 0.5, 0.25, 1.16
+    expected = q11 * (1.0 - binary_entropy(e11)) - q * f * binary_entropy(ez)
+    assert key_rate(q11, e11, q, ez, f) == expected < 0.0
 
 
 def test_key_rate_saturates_phase_error_at_half():

@@ -75,7 +75,7 @@ def _memo_key(scenario, distance_km):
     system = replace(scenario.system, distance_km=distance_km)
     return (
         scenario.signal_spec(scenario.signal_mu), scenario.signal_spec(scenario.decoy_mu),
-        scenario.scheme(), system.detector_params(), scenario.cutoff,
+        system.detector_params(), scenario.cutoff,
         scenario.tail_tolerance, system.misalignment,
     )
 
@@ -93,7 +93,7 @@ def test_per_point_memo_is_keyed_by_every_input():
     assert _observed(*_memo_key(base, 60.0)) is entry
     again = evaluate_point(base, 60.0)
     assert _observed.cache_info().hits == 3
-    assert again == first and again.gains_signal is entry[0]
+    assert again == first and again.gains_signal is entry.gains["ss"]
     # and it equals a fresh computation
     _observed.cache_clear()
     _cached_gains.cache_clear()
@@ -245,7 +245,7 @@ def test_csv_handles_infinite_error_bound(tmp_path):
         grid=DistanceGrid(400.0, 400.0, 1.0),
     )
     points = run_sweep(scenario)
-    assert points[0].rate == 0.0
+    assert points[0].rate == 0.0 > points[0].rate_unclamped
     path = tmp_path / "out.csv"
     write_csv(points, str(path))
     text = path.read_text()

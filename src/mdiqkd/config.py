@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
 
+from .decoy import CHANNELS
 from .errors import ConfigError, DomainError
 from .finite_key import FiniteKeyConfig, FluctuationMethod
 from .rates import SystemParams
@@ -33,12 +34,8 @@ MAX_GRID_POINTS = 100_000
 
 _METHODS = {m.value: m for m in FluctuationMethod}
 
-_SIGNAL_KINDS = {
-    "css": SourceKind.CSS,
-    "nonideal_css": SourceKind.NONIDEAL_CSS,
-    "wcs": SourceKind.WCS,
-    "sps": SourceKind.SPS,
-}
+# A signal source is any kind with an estimator.
+_SIGNAL_KINDS = {kind.value: kind for kind in CHANNELS}
 
 
 @dataclass(frozen=True)

@@ -6,22 +6,24 @@ The estimator follows from the signal source's photon statistics, so
 * ``sps``: the (1, 1) channel is observed directly; y11 is the signal
   gain and e11 its error rate.
 
-* ``css``: odd-only statistics, P(0) = P(2) = 0, let a single decoy
-  intensity pin down the (1, 1) contribution,
+* ``wcs``, ``nonideal_css`` and ``css``: the vacuum-plus-decoy
+  two-point bound (Ma & Razavi, PRA 86, 062319 (2012)).
+  Vacuum-substituted gains remove the 0-photon rows and columns,
+
+    g(mu) = Q(mu,mu) - P0 Q(mu,0) - P0 Q(0,mu) + P0^2 Q(0,0),
+
+  after which a two-point estimate in (P1, Pm) bounds y11 and the decoy
+  intensity alone bounds e11; m is the lowest multi-photon number the
+  source emits (``MULTI_PHOTON``).  The odd cat is its (P1, P3), P0 = 0
+  case: it reads no vacuum channels, and with P1 = mu / sinh(mu) and
+  P3 = mu^3 / (6 sinh(mu)) the bound is the paper's one-decoy formula
 
     y11 >= [mu1^4 sinh^2(mu2) Q(mu2) - mu2^4 sinh^2(mu1) Q(mu1)]
            / [mu1^2 mu2^2 (mu1^2 - mu2^2)],
     e11 <= sinh^2(mu2) E(mu2) Q(mu2) / (mu2^2 y11).
 
-* ``wcs`` and ``nonideal_css``: any source with nonvanishing one- and
-  two-photon probabilities takes the vacuum-plus-decoy bound (Ma &
-  Razavi, PRA 86, 062319 (2012)).  Vacuum-substituted gains remove the
-  0-photon rows and columns,
-
-    g(mu) = Q(mu,mu) - P0 Q(mu,0) - P0 Q(0,mu) + P0^2 Q(0,0),
-
-  after which a two-point estimate in (P1, P2) bounds y11 and the decoy
-  intensity alone bounds e11.
+  P0, P1 and Pm come from the closed-form series, not from the
+  truncated distribution, which drops Pm of a faint source.
 
 ``CHANNELS`` lists the gains each estimator reads; ``DecoyInputs``
 holds them keyed by channel and rejects inputs that lack one.  Each
@@ -37,24 +39,19 @@ formulas.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, Mapping, Tuple
 
 from .errors import DomainError
 from .rates import GainSet
-from .sources import PhotonDistribution, SourceKind
+from .sources import PhotonDistribution, SourceKind, transmitted
 
 FLAG_CLAMPED = "clamped_to_zero"
 FLAG_ERROR_ABOVE_HALF = "error_bound_above_half"
 
-# Relative size below which the two-decoy denominator is treated as
-# vanishing; P(1)P(2) ratios closer than this give garbage bounds.
+# Relative size below which the two-point denominator is treated as
+# vanishing; P(1)P(m) ratios closer than this give garbage bounds.
 DEGENERACY_TOLERANCE = 1e-12
-
-# Maximum even-photon probability mass tolerated by the one-decoy
-# estimator, whose algebra assumes odd-only statistics.
-CSS_PURITY_TOLERANCE = 1e-12
 
 
 # A (lower, upper) interval and a map from an observed gain to one.
@@ -78,6 +75,19 @@ CHANNELS = {
     SourceKind.NONIDEAL_CSS: _VACUUM_PLUS_DECOY,
     SourceKind.WCS: _VACUUM_PLUS_DECOY,
 }
+
+# The lowest multi-photon number each decoy family emits: the m of the
+# two-point bound's (P0, P1, Pm).
+MULTI_PHOTON = {
+    SourceKind.CSS: 3,
+    SourceKind.NONIDEAL_CSS: 2,
+    SourceKind.WCS: 2,
+}
+
+# A channel the estimator does not read: its gains are zero.  It stands
+# in for the vacuum channels of a source with P0 = 0, where each enters
+# as P0 times it and so drops out exactly.
+_UNREAD: ChannelIntervals = ((0.0, 0.0),) * 3
 
 
 def exact(gain: float) -> Interval:
@@ -154,33 +164,6 @@ def _finalize(y11_z: float, y11_x: float, e11_raw: Callable[[float], float]) -> 
     return DecoyEstimate(y11_lower=y11_z, e11_upper=e11, flags=frozenset(flags))
 
 
-def css_y11_bound(mu1: float, mu2: float, q_signal: float, q_decoy: float) -> float:
-    """One-decoy yield bound; may be negative before clamping.  Raises
-    when the denominator underflows (mu below about 1e-54)."""
-    s1, s2 = math.sinh(mu1), math.sinh(mu2)
-    numerator = mu1**4 * s2 * s2 * q_decoy - mu2**4 * s1 * s1 * q_signal
-    denominator = mu1 * mu1 * mu2 * mu2 * (mu1 * mu1 - mu2 * mu2)
-    if denominator < sys.float_info.min:
-        raise DomainError(
-            f"one-decoy denominator mu1^2 mu2^2 (mu1^2 - mu2^2) underflows for "
-            f"intensities ({mu1}, {mu2})"
-        )
-    return numerator / denominator
-
-
-def css_e11_bound(mu2: float, eq_decoy: float, y11: float) -> float:
-    s2 = math.sinh(mu2)
-    return s2 * s2 * eq_decoy / (mu2 * mu2 * y11)
-
-
-def _assemble_css(mu1: float, mu2: float, table: Dict[str, ChannelIntervals]) -> DecoyEstimate:
-    ss, dd = table["ss"], table["dd"]
-    y11_z = css_y11_bound(mu1, mu2, ss[Q_Z][HIGH], dd[Q_Z][LOW])
-    y11_x = css_y11_bound(mu1, mu2, ss[Q_X][HIGH], dd[Q_X][LOW])
-    eq_x = dd[EQ_X][HIGH]
-    return _finalize(y11_z, y11_x, lambda y: css_e11_bound(mu2, eq_x, y))
-
-
 def vacuum_substituted_gain(q_mm: float, q_m0: float, q_0m: float, q_00: float, p0: float) -> float:
     """Gain with the 0-photon rows and columns projected out."""
     return q_mm - p0 * q_m0 - p0 * q_0m + p0 * p0 * q_00
@@ -189,30 +172,30 @@ def vacuum_substituted_gain(q_mm: float, q_m0: float, q_0m: float, q_00: float, 
 def generic_y11_bound(
     p_signal: tuple, p_decoy: tuple, g_signal: float, g_decoy: float
 ) -> float:
-    """Two-decoy yield bound from vacuum-substituted gains.
+    """Two-point yield bound from vacuum-substituted gains.
 
-    ``p_*`` are the (P0, P1, P2) photon probabilities of each intensity.
-    Raises when the two intensities give proportional (P1, P2) pairs, in
-    which case the linear system is singular.  The determinant must be
-    positive (true for every supported source family once the signal
-    intensity exceeds the decoy intensity); the sign conventions of the
-    bound rely on it.
+    ``p_*`` are the (P0, P1, Pm) photon probabilities of each intensity,
+    m the lowest multi-photon number the source emits.  Raises when the
+    two intensities give proportional (P1, Pm) pairs, in which case the
+    linear system is singular.  The determinant must be positive (true
+    for every supported source family once the signal intensity exceeds
+    the decoy intensity); the sign conventions of the bound rely on it.
     """
-    _, p1s, p2s = p_signal
-    _, p1d, p2d = p_decoy
-    det = p1d * p2s - p1s * p2d
-    scale = abs(p1d * p2s) + abs(p1s * p2d)
+    _, p1s, pms = p_signal
+    _, p1d, pmd = p_decoy
+    det = p1d * pms - p1s * pmd
+    scale = abs(p1d * pms) + abs(p1s * pmd)
     if scale == 0.0 or abs(det) <= DEGENERACY_TOLERANCE * scale:
         raise DomainError(
             "denominator_ill_conditioned: the two intensities give "
-            "proportional (P1, P2) photon probabilities"
+            "proportional (P1, Pm) photon probabilities"
         )
     if det < 0.0:
         raise DomainError(
-            "two-decoy estimator requires P1(decoy) P2(signal) > "
-            "P1(signal) P2(decoy); check the intensity ordering"
+            "two-point estimator requires P1(decoy) Pm(signal) > "
+            "P1(signal) Pm(decoy); check the intensity ordering"
         )
-    numerator = p1s * p2s * g_decoy - p1d * p2d * g_signal
+    numerator = p1s * pms * g_decoy - p1d * pmd * g_signal
     return numerator / (p1s * p1d * det)
 
 
@@ -227,7 +210,7 @@ def generic_e11_bound(
 def _assemble_generic(
     p_signal: tuple, p_decoy: tuple, table: Dict[str, ChannelIntervals]
 ) -> DecoyEstimate:
-    vac = table["00"]
+    vac = table.get("00", _UNREAD)
 
     def g(p0: float, diag: ChannelIntervals, row: ChannelIntervals,
           col: ChannelIntervals, field: int, favorable: int) -> float:
@@ -245,8 +228,8 @@ def _assemble_generic(
 
     p0s = p_signal[0]
     p0d = p_decoy[0]
-    ss, s0, zs = table["ss"], table["s0"], table["0s"]
-    dd, d0, zd = table["dd"], table["d0"], table["0d"]
+    ss, s0, zs = table["ss"], table.get("s0", _UNREAD), table.get("0s", _UNREAD)
+    dd, d0, zd = table["dd"], table.get("d0", _UNREAD), table.get("0d", _UNREAD)
     y11_z = generic_y11_bound(
         p_signal, p_decoy, g(p0s, ss, s0, zs, Q_Z, HIGH), g(p0d, dd, d0, zd, Q_Z, LOW)
     )
@@ -264,17 +247,12 @@ def _assemble_generic(
     )
 
 
-def _first_probs(dist: PhotonDistribution) -> tuple:
-    return (dist.prob(0), dist.prob(1), dist.prob(2))
-
-
-def _require_odd_only(dist: PhotonDistribution, label: str) -> None:
-    even_mass = sum(dist.probabilities[0::2])
-    if even_mass > CSS_PURITY_TOLERANCE:
-        raise DomainError(
-            f"one-decoy estimator requires odd-only photon statistics, but the "
-            f"{label} source has even-photon mass {even_mass:.3g}"
-        )
+def _head(dist: PhotonDistribution, m: int) -> tuple:
+    """(P0, P1, Pm) of the emitted statistics in closed form; the series
+    stops early only where its tail underflows, so the rest is zero."""
+    probs, _ = transmitted(dist.spec, 1.0, dist.tail_tolerance, m)
+    probs += (0.0,) * (m + 1 - len(probs))
+    return probs[0], probs[1], probs[m]
 
 
 def estimate(inputs: DecoyInputs, bounds: Bounds = exact) -> DecoyEstimate:
@@ -286,10 +264,7 @@ def estimate(inputs: DecoyInputs, bounds: Bounds = exact) -> DecoyEstimate:
     if kind is SourceKind.SPS:
         q_z, q_x, eq_x = table["ss"]
         return _finalize(q_z[LOW], q_x[LOW], lambda y: eq_x[HIGH] / y)
-    if kind is SourceKind.CSS:
-        _require_odd_only(inputs.dist_signal, "signal")
-        _require_odd_only(inputs.dist_decoy, "decoy")
-        return _assemble_css(inputs.mu_signal, inputs.mu_decoy, table)
+    m = MULTI_PHOTON[kind]
     return _assemble_generic(
-        _first_probs(inputs.dist_signal), _first_probs(inputs.dist_decoy), table
+        _head(inputs.dist_signal, m), _head(inputs.dist_decoy, m), table
     )

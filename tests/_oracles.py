@@ -17,6 +17,9 @@ exact arithmetic where possible:
   (1 - eta)^(n - k).
 * ``oracle_wcs_gains`` gives the four channel gains of two weak coherent
   sources in closed form (modified Bessel function I0), in 50 digits.
+* ``oracle_css_y11`` is the paper's one-decoy bound for odd cat sources,
+  written in the intensities, against which the library's two-point
+  bound in (P1, P3) is checked.
 """
 
 from __future__ import annotations
@@ -249,3 +252,15 @@ def oracle_wcs_gains(mu_a: float, mu_b: float, eta: float, dark: float) -> Tuple
             channel(2 * binomial_halves, 4 * binomial_quarters),
             channel(2 * halves, 4 * binomial_quarters),
         )
+
+
+def oracle_css_y11(mu1: float, mu2: float, q_signal: float, q_decoy: float) -> float:
+    """One-decoy yield bound of odd cat sources at intensities mu1 > mu2
+    from their signal and decoy gains; negative where the bound is void.
+
+        y11 >= [mu1^4 sinh^2(mu2) Q(mu2) - mu2^4 sinh^2(mu1) Q(mu1)]
+               / [mu1^2 mu2^2 (mu1^2 - mu2^2)]
+    """
+    s1, s2 = math.sinh(mu1), math.sinh(mu2)
+    numerator = mu1**4 * s2 * s2 * q_decoy - mu2**4 * s1 * s1 * q_signal
+    return numerator / (mu1 * mu1 * mu2 * mu2 * (mu1 * mu1 - mu2 * mu2))

@@ -184,7 +184,7 @@ def test_decoy_bounds_bracket_exact_single_pair_values(capsys):
     start = time.perf_counter()
     slack = 1e-12
     settings = (
-        ("css one-decoy", SourceKind.CSS, 0.1, 0.01),
+        ("css two-point (P1, P3)", SourceKind.CSS, 0.1, 0.01),
         ("nonideal-css two-decoy", SourceKind.NONIDEAL_CSS, 0.1, 0.01),
         ("wcs two-decoy", SourceKind.WCS, 0.4, 0.07),
     )

@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line interface."""
 
+import csv
 import math
 import os
 import subprocess
@@ -264,18 +265,29 @@ def test_cli_exit_code_on_non_convergent_cat_source(tmp_path, capsys):
     assert "series for mu=800.0 does not converge within 512 photons" in err
 
 
-@pytest.mark.parametrize(
-    "signal,decoy", [("2e-55", "1e-55"), ("1e-320", "5e-324"), ("2e-54", "1e-54")]
-)
-def test_cli_exit_code_on_underflowing_one_decoy_denominator(tmp_path, capsys, signal, decoy):
-    # mu1^2 mu2^2 (mu1^2 - mu2^2) is 0 in float64 in the first two cases
-    # and subnormal, with two significant bits, in the last
-    cfg = _write_cfg(
+def _cat_cfg(tmp_path, signal, decoy):
+    return _write_cfg(
         tmp_path, f"source.kind = css\nsource.signal_mu = {signal}\nsource.decoy_mu = {decoy}\n"
     )
-    assert main(["sweep", "--config", cfg]) == 3
-    err = capsys.readouterr().err
-    assert "one-decoy denominator mu1^2 mu2^2 (mu1^2 - mu2^2) underflows" in err
+
+
+@pytest.mark.parametrize("signal,decoy", [("1e-320", "5e-324"), ("0.010000000000001", "0.01")])
+def test_cli_exit_code_on_degenerate_cat_intensities(tmp_path, capsys, signal, decoy):
+    # P3 = mu^3 / 6 underflows to 0 for both intensities in the first
+    # case; in the second (P1, P3) differ by 1e-13 relative
+    assert main(["sweep", "--config", _cat_cfg(tmp_path, signal, decoy)]) == 3
+    assert "denominator_ill_conditioned" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("signal,decoy", [("2e-55", "1e-55"), ("2e-54", "1e-54")])
+def test_cli_faint_cat_intensities_give_finite_rates(tmp_path, signal, decoy):
+    # mu1^2 mu2^2 (mu1^2 - mu2^2) underflows here, but the two-point
+    # bound in (P1, P3) keeps its digits
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", _cat_cfg(tmp_path, signal, decoy), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    numbers = [v for row in rows for k, v in row.items() if k not in ("source", "method")]
+    assert rows and all(math.isfinite(float(v)) for v in numbers)
 
 
 def test_cli_exit_code_on_odd_only_imperfect_cat(tmp_path, capsys):

@@ -6,13 +6,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import oracle_css_y11
 from mdiqkd import (
     DecoyInputs,
     DomainError,
     FLAG_CLAMPED,
     FLAG_ERROR_ABOVE_HALF,
     GainSet,
-    PhotonDistribution,
     Scenario,
     SourceKind,
     SourceSpec,
@@ -25,7 +25,6 @@ from mdiqkd import (
 )
 from mdiqkd.decoy import (
     CHANNELS,
-    css_y11_bound,
     estimate,
     generic_y11_bound,
     vacuum_substituted_gain,
@@ -37,9 +36,10 @@ def _table(distance_km: float, cutoff: int = 15):
     return yield_tables(system.detector_params(), cutoff), system.misalignment
 
 
-def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_weight=0.7):
+def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_weight=0.7,
+            cutoff: int = 15):
     """Estimator inputs with the gains of every channel the kind reads."""
-    table, e_d = _table(distance_km)
+    table, e_d = _table(distance_km, cutoff)
     spec = Scenario(source_kind=kind, odd_weight=odd_weight).signal_spec
     dists = {
         "s": build_distribution(spec(mu1)),
@@ -76,6 +76,22 @@ def test_two_decoy_brackets_truth(kind, mu1, mu2, distance_km):
     assert bounds.y11_lower <= truth.y11_z + 1e-12
     assert bounds.e11_upper >= truth.e11_x - 1e-12
     assert bounds.y11_lower > 0.0
+
+
+@pytest.mark.parametrize("distance_km", [0.0, 50.0, 100.0])
+@pytest.mark.parametrize("mu2", [1e-8, 3e-8])
+def test_faint_decoy_bound_reads_the_multi_photon_term(mu2, distance_km):
+    """A decoy this faint has P2 below the emitted tail tolerance, so the
+    truncated distribution drops it; without P2 the bound collapses to
+    g_d / P1d^2, above the true yield."""
+    system = SystemParams(dark_count=0.0, misalignment=0.0)
+    scenario = Scenario(
+        source_kind=SourceKind.WCS, signal_mu=0.4, decoy_mu=mu2, system=system, cutoff=20
+    )
+    assert build_distribution(scenario.signal_spec(mu2)).prob(2) == 0.0
+    point = evaluate_point(scenario, distance_km)
+    table = yield_tables(replace(system, distance_km=distance_km).detector_params(), 1)
+    assert point.y11_lower <= true_single_photon_quantities(table, 0.0).y11_z
 
 
 def test_single_photon_bounds_are_the_observed_gains():
@@ -138,6 +154,19 @@ def test_decoy_bounds_bracket_truth_property(
         assert point.e11_upper >= truth.e11_x
 
 
+@settings(max_examples=200, deadline=None)
+@given(intensities=_intensities(), distance_km=st.floats(0.0, 400.0))
+def test_css_bound_is_the_one_decoy_formula_property(intensities, distance_km):
+    """The two-point bound in (P1, P3) with P0 = 0 is the paper's one-decoy
+    formula for odd cat sources."""
+    mu1, mu2 = intensities
+    inputs, _, _ = _inputs(SourceKind.CSS, mu1, mu2, distance_km, cutoff=20)
+    expected = oracle_css_y11(
+        mu1, mu2, inputs.gains["ss"].total_z, inputs.gains["dd"].total_z
+    )
+    assert estimate(inputs).y11_lower == pytest.approx(max(0.0, expected), rel=1e-13)
+
+
 # Outside the property's intensity range rounding breaks the bracket.
 # Both bounds cancel two terms: near-equal intensities amplify the
 # rounding of the gains by about mu2 / (mu1 - mu2), and at mu2 ~ 5e-4 the
@@ -161,18 +190,6 @@ def test_decoy_bounds_bracket_truth_fails_when_rounding_dominates(
         kind, intensities, 0.7, efficiency, dark_count, misalignment, distance_km
     )
     assert point.y11_lower <= truth.y11_z
-
-
-def test_one_decoy_rejects_even_photon_mass():
-    """The one-decoy algebra assumes odd-only statistics; a cat-kind
-    distribution that carries even mass is refused."""
-    inputs, _, _ = _inputs(SourceKind.CSS, 0.1, 0.01, 0.0)
-    poisson = build_distribution(SourceSpec.wcs(0.1))
-    even = PhotonDistribution(
-        SourceSpec.css(0.1), poisson.probabilities, poisson.tail_mass, poisson.tail_tolerance
-    )
-    with pytest.raises(DomainError, match="odd-only photon statistics"):
-        estimate(replace(inputs, dist_signal=even))
 
 
 def test_two_decoy_requires_vacuum_channels():
@@ -253,13 +270,14 @@ def test_error_bound_above_half_is_flagged():
 
 
 def test_css_bound_scalar_identity():
-    """The bound is exact when gains contain only the (1,1) term."""
+    """The bound is exact for cat inputs (P0, P1, P3) when gains contain
+    only the (1,1) term."""
     mu1, mu2 = 0.1, 0.01
     y11 = 0.08
-    p1 = lambda mu: mu / math.sinh(mu)
-    q1 = p1(mu1) ** 2 * y11
-    q2 = p1(mu2) ** 2 * y11
-    got = css_y11_bound(mu1, mu2, q1, q2)
+    cat = lambda mu: (0.0, mu / math.sinh(mu), mu**3 / (6.0 * math.sinh(mu)))
+    q1 = cat(mu1)[1] ** 2 * y11
+    q2 = cat(mu2)[1] ** 2 * y11
+    got = generic_y11_bound(cat(mu1), cat(mu2), q1, q2)
     assert got == pytest.approx(y11, rel=1e-12)
 
 
@@ -278,7 +296,7 @@ def test_generic_bound_scalar_identity():
 def test_generic_bound_degeneracy_detection():
     with pytest.raises(DomainError):
         generic_y11_bound((0.9, 0.1, 0.0), (0.99, 0.01, 0.0), 1e-3, 1e-4)
-    # proportional (P1, P2) rows are singular even when nonzero
+    # proportional (P1, Pm) rows are singular even when nonzero
     with pytest.raises(DomainError):
         generic_y11_bound((0.8, 0.1, 0.05), (0.9, 0.05, 0.025), 1e-3, 1e-4)
 

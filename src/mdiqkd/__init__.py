@@ -24,7 +24,7 @@ from .rates import (
     key_rate,
     true_single_photon_quantities,
 )
-from .sources import PhotonDistribution, SourceKind, SourceSpec, build_distribution
+from .sources import SourceKind, SourceSpec
 from .sweep import (
     CalibrationResult,
     calibrate_pulse_pairs,
@@ -56,7 +56,6 @@ __all__ = [
     "GainSet",
     "KeyRatePoint",
     "MAX_CUTOFF",
-    "PhotonDistribution",
     "Scenario",
     "SinglePhotonQuantities",
     "SourceKind",
@@ -64,7 +63,6 @@ __all__ = [
     "SystemParams",
     "YieldTable",
     "binary_entropy",
-    "build_distribution",
     "calibrate_pulse_pairs",
     "compare_sources",
     "comparison_scenarios",

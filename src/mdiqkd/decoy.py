@@ -1,7 +1,7 @@
 """Decoy-state bounds on the single-photon-pair yield and error rate.
 
 The estimator follows from the signal source's photon statistics, so
-``estimate`` picks it by the signal distribution's ``spec.kind``:
+``estimate`` picks it by the signal spec's ``kind``:
 
 * ``sps``: the (1, 1) channel is observed directly; y11 is the signal
   gain and e11 its error rate.
@@ -22,8 +22,8 @@ The estimator follows from the signal source's photon statistics, so
            / [mu1^2 mu2^2 (mu1^2 - mu2^2)],
     e11 <= sinh^2(mu2) E(mu2) Q(mu2) / (mu2^2 y11).
 
-  P0, P1 and Pm come from the closed-form series, not from the
-  truncated distribution, which drops Pm of a faint source.
+  P0, P1 and Pm are read off the emitted closed-form series
+  (``sources.transmitted`` at eta = 1), which keeps Pm of a faint source.
 
 ``CHANNELS`` lists the gains each estimator reads; ``DecoyInputs``
 holds them keyed by channel and rejects inputs that lack one.  Each
@@ -44,7 +44,7 @@ from typing import Callable, Dict, Mapping, Tuple
 
 from .errors import DomainError
 from .rates import GainSet
-from .sources import PhotonDistribution, SourceKind, transmitted
+from .sources import SourceKind, SourceSpec, transmitted
 
 FLAG_CLAMPED = "clamped_to_zero"
 FLAG_ERROR_ABOVE_HALF = "error_bound_above_half"
@@ -102,26 +102,26 @@ def observe(g: GainSet, bounds: Bounds = exact) -> ChannelIntervals:
 
 @dataclass(frozen=True)
 class DecoyInputs:
-    """Everything a decoy estimator consumes: both photon-number
-    distributions and the gains of every channel in
-    ``CHANNELS[dist_signal.spec.kind]``.  The two intensities are those
-    of the distributions' specs."""
+    """Everything a decoy estimator consumes: both sources, the gains of
+    every channel in ``CHANNELS[spec_signal.kind]`` and the tail
+    tolerance the photon statistics are truncated with."""
 
-    dist_signal: PhotonDistribution
-    dist_decoy: PhotonDistribution
+    spec_signal: SourceSpec
+    spec_decoy: SourceSpec
     gains: Mapping[str, GainSet]
+    tail_tolerance: float
 
     @property
     def kind(self) -> SourceKind:
-        return self.dist_signal.spec.kind
+        return self.spec_signal.kind
 
     @property
     def mu_signal(self) -> float:
-        return self.dist_signal.spec.mu
+        return self.spec_signal.mu
 
     @property
     def mu_decoy(self) -> float:
-        return self.dist_decoy.spec.mu
+        return self.spec_decoy.mu
 
     def __post_init__(self) -> None:
         channels = CHANNELS.get(self.kind)
@@ -195,8 +195,14 @@ def generic_y11_bound(
             "two-point estimator requires P1(decoy) Pm(signal) > "
             "P1(signal) Pm(decoy); check the intensity ordering"
         )
+    denominator = p1s * p1d * det
+    if denominator == 0.0:
+        raise DomainError(
+            "denominator_underflow: P1(signal) P1(decoy) times the two-point "
+            "determinant is below the smallest double"
+        )
     numerator = p1s * pms * g_decoy - p1d * pmd * g_signal
-    return numerator / (p1s * p1d * det)
+    return numerator / denominator
 
 
 def generic_e11_bound(
@@ -247,10 +253,10 @@ def _assemble_generic(
     )
 
 
-def _head(dist: PhotonDistribution, m: int) -> tuple:
+def _head(spec: SourceSpec, tail_tolerance: float, m: int) -> tuple:
     """(P0, P1, Pm) of the emitted statistics in closed form; the series
     stops early only where its tail underflows, so the rest is zero."""
-    probs, _ = transmitted(dist.spec, 1.0, dist.tail_tolerance, m)
+    probs, _ = transmitted(spec, 1.0, tail_tolerance, m)
     probs += (0.0,) * (m + 1 - len(probs))
     return probs[0], probs[1], probs[m]
 
@@ -265,6 +271,7 @@ def estimate(inputs: DecoyInputs, bounds: Bounds = exact) -> DecoyEstimate:
         q_z, q_x, eq_x = table["ss"]
         return _finalize(q_z[LOW], q_x[LOW], lambda y: eq_x[HIGH] / y)
     m = MULTI_PHOTON[kind]
+    tol = inputs.tail_tolerance
     return _assemble_generic(
-        _head(inputs.dist_signal, m), _head(inputs.dist_decoy, m), table
+        _head(inputs.spec_signal, tol, m), _head(inputs.spec_decoy, tol, m), table
     )

@@ -2,7 +2,10 @@
 
 Gains are obtained by weighting the per-photon-pair yield tables with
 the two sources' photon-number distributions after loss
-(``sources.transmitted`` and ``YieldTable.contract``).
+(``sources.transmitted`` and ``YieldTable.contract``).  A table's cutoff
+is judged against the light that arrives, not the light emitted: loss
+moves mass only downwards, so a source too bright for the table at short
+distance can fit it further out.
 Misalignment enters only here: a fraction e_d of intrinsically correct
 coincidences is recorded as an error and vice versa, so the
 error-weighted gain of a channel is
@@ -25,7 +28,7 @@ from typing import Optional
 
 from .bsm import DetectorParams, YieldTable
 from .errors import CutoffError, DomainError
-from .sources import PhotonDistribution, transmitted
+from .sources import SourceSpec, mass_above, transmitted
 
 
 @dataclass(frozen=True)
@@ -122,30 +125,37 @@ class GainSet:
 
 
 def gains(
-    dist_a: PhotonDistribution,
-    dist_b: PhotonDistribution,
+    spec_a: SourceSpec,
+    spec_b: SourceSpec,
     table: YieldTable,
     misalignment: float,
+    tail_tolerance: float,
 ) -> GainSet:
-    """Contract two emitted photon-number distributions, after the
-    table's loss, against a yield table.  Raises ``CutoffError`` when an
-    emitted distribution runs past the table's cutoff.
+    """Contract two sources' photon-number statistics, after the table's
+    loss, against a yield table.
 
-    Only ``spec``, ``cutoff`` and ``tail_tolerance`` of each distribution
-    are read: the statistics after loss come from ``transmitted`` in
-    closed form, not from ``probabilities``.
+    Each source's statistics come from ``transmitted`` at the table's
+    efficiency and cutoff.  Raises ``CutoffError`` when one runs into the
+    cutoff with at least ``tail_tolerance`` of its mass above it.
     """
     if not 0.0 <= misalignment <= 1.0:
         raise DomainError(f"misalignment must lie in [0, 1], got {misalignment}")
-    cutoff = table.cutoff
-    if dist_a.cutoff > cutoff or dist_b.cutoff > cutoff:
-        raise CutoffError(
-            f"distribution cutoffs ({dist_a.cutoff}, {dist_b.cutoff}) exceed "
-            f"the yield-table cutoff {cutoff}"
+    if not 0.0 < tail_tolerance <= 1e-6:
+        raise DomainError(
+            f"tail tolerance must lie in (0, 1e-6], got {tail_tolerance}"
         )
+    cutoff = table.cutoff
     eta = table.params.efficiency
-    a, _ = transmitted(dist_a.spec, eta, dist_a.tail_tolerance, cutoff)
-    b, _ = transmitted(dist_b.spec, eta, dist_b.tail_tolerance, cutoff)
+    a, _ = transmitted(spec_a, eta, tail_tolerance, cutoff)
+    b, _ = transmitted(spec_b, eta, tail_tolerance, cutoff)
+    for spec, probs in ((spec_a, a), (spec_b, b)):
+        if len(probs) > cutoff:
+            mass = mass_above(spec, eta, tail_tolerance, cutoff)
+            if mass >= tail_tolerance:
+                raise CutoffError(
+                    f"{spec.kind.value} source (mu={spec.mu}) keeps mass {mass:.3g} "
+                    f"above the yield-table cutoff {cutoff} at efficiency {eta:.6g}"
+                )
     correct_z, error_z, correct_x, error_x = table.contract(a, b)
     e_d = misalignment
     return GainSet(

@@ -20,19 +20,16 @@ odd cat p'(k) = x^k c_k / (k! sinh(mu)) with c_k = cosh(r) for odd k
 and sinh(r) for even k, the even part the same over cosh(mu) with cosh
 and sinh swapped, and a single photon arrives with probability eta.
 
-``build_distribution`` truncates the emitted series at the smallest N
-whose tail mass falls below a tolerance; the tail is reported, never
-folded back into the retained probabilities.  ``transmitted`` truncates
-the series after loss relative to the multi-photon mass it keeps.  A
-distribution is a tuple of floats built with ``math``, so this module
-needs no numpy.
+``transmitted`` truncates the series after loss relative to the
+multi-photon mass it keeps, or at a yield table's cutoff; ``mass_above``
+sums what such a cutoff leaves out.  A distribution is a tuple of floats
+built with ``math``, so this module needs no numpy.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -48,7 +45,7 @@ _HARD_CAP = 512
 _TAIL_SLACK = 1.0 + 1e-12
 
 # Unit roundoff of a double: mass below this fraction of the tail
-# tolerance is below its rounding and cannot move an emitted cutoff.
+# tolerance is below its rounding and cannot move a cutoff decision.
 _ROUNDING = 2.0**-53
 
 
@@ -110,40 +107,6 @@ class SourceSpec:
         return cls(SourceKind.VACUUM)
 
 
-@dataclass(frozen=True)
-class PhotonDistribution:
-    """Truncated photon-number distribution of one source.
-
-    ``probabilities[n]`` is the analytic p(n); entries are not
-    renormalized after truncation.  ``tail_mass`` is the analytic mass
-    above the cutoff, so sum(probabilities) + tail_mass == 1 up to
-    floating-point error.  ``tail_tolerance`` is the bound the cutoff
-    was chosen for; ``transmitted`` truncates with it too.
-    """
-
-    spec: SourceSpec
-    probabilities: tuple[float, ...]
-    tail_mass: float
-    tail_tolerance: float
-
-    @property
-    def cutoff(self) -> int:
-        """Largest photon number retained (N_max)."""
-        return len(self.probabilities) - 1
-
-    def prob(self, n: int) -> float:
-        """p(n), zero above the cutoff."""
-        if n < 0:
-            raise DomainError(f"photon number must be >= 0, got {n}")
-        if n > self.cutoff:
-            return 0.0
-        return self.probabilities[n]
-
-    def mean(self) -> float:
-        """Mean photon number of the retained part."""
-        return sum(n * p for n, p in enumerate(self.probabilities))
-
-
 def _sinhc(z: float) -> float:
     """sinh(z) / z, 1 at z = 0."""
     return math.sinh(z) / z if z else 1.0
@@ -197,34 +160,6 @@ def _no_convergence(spec: SourceSpec) -> DomainError:
     )
 
 
-def build_distribution(
-    spec: SourceSpec, tail_tolerance: float = 1e-15
-) -> PhotonDistribution:
-    """Truncate the photon-number series of ``spec``.
-
-    The cutoff N_max is the smallest N whose tail mass (sum of the
-    terms above N) is strictly below ``tail_tolerance``.  Terms are
-    summed until the bound on the mass beyond them is below the rounding
-    of the tolerance, so every term that could move the cutoff counts.
-    """
-    if not 0.0 < tail_tolerance <= 1e-6:
-        raise DomainError(
-            f"tail tolerance must lie in (0, 1e-6], got {tail_tolerance}"
-        )
-    terms = []
-    for p, bound in _series(spec, 1.0):
-        terms.append(p)
-        if bound < tail_tolerance * _ROUNDING:
-            break
-    # Suffix sums accumulate small terms first, so the reported tail
-    # is the analytic remainder rather than a cancellation residue.
-    tails = list(itertools.accumulate(reversed(terms[1:]), initial=0.0))[::-1]
-    n_max = next(n for n, mass in enumerate(tails) if mass < tail_tolerance)
-    return PhotonDistribution(
-        spec, tuple(terms[: n_max + 1]), tails[n_max], tail_tolerance
-    )
-
-
 # Each gain reads two of these, and a distance's decoy channels share
 # a handful of sources, so most calls repeat one.
 @functools.lru_cache(maxsize=1024)
@@ -240,10 +175,9 @@ def transmitted(
     ``cutoff``.  A gain can be as small as x^2 (long distance) or mu^2
     (two-photon interference cancels the (1, 1) term) while a dropped
     three-photon term enters some yields at order one, so neither a tail
-    relative to the arriving mass x nor the emitted cutoff's absolute
-    one would be small against it.  Loss moves mass only downwards, so
-    at a cap at least the emitted cutoff the tail is at most the emitted
-    tail.
+    relative to the arriving mass x nor an absolute one would be small
+    against it.  Where the series runs into ``cutoff``, ``mass_above``
+    gives the mass it leaves out.
     """
     probs = []
     multi = 0.0
@@ -254,3 +188,21 @@ def transmitted(
         if tail <= tail_tolerance * multi:
             break
     return tuple(probs), tail
+
+
+def mass_above(
+    spec: SourceSpec, eta: float, tail_tolerance: float, cutoff: int
+) -> float:
+    """Mass of ``spec`` after loss ``eta`` above ``cutoff`` photons.
+
+    Terms are summed smallest first until the bound on the mass beyond
+    them is below the rounding of ``tail_tolerance``, so every term that
+    could carry the sum across the tolerance counts.
+    """
+    above = []
+    for k, (p, bound) in enumerate(_series(spec, eta)):
+        if k > cutoff:
+            above.append(p)
+        if bound < tail_tolerance * _ROUNDING:
+            break
+    return sum(reversed(above))

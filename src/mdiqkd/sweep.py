@@ -1,9 +1,9 @@
 """Rate-versus-distance pipelines and the CSV result format.
 
-``evaluate_point`` wires the full chain for one distance: emitted photon
-statistics -> the same statistics after loss, in closed form -> observed
-gains, contracted against the lossless relay yield tables -> decoy
-bounds with finite-size worst-casing -> key rate.  One path serves
+``evaluate_point`` wires the full chain for one distance: each source's
+photon statistics after loss, in closed form -> observed gains,
+contracted against the lossless relay yield tables -> decoy bounds with
+finite-size worst-casing -> key rate.  One path serves
 every source family: ``decoy.estimate`` picks the estimator by the
 signal source's kind, and ``decoy.CHANNELS`` says which gains it reads
 (the signal pair alone for a single-photon source).  Both middle steps
@@ -11,9 +11,8 @@ are cached: the lossless tables depend only on the dark-count
 probability and cutoff and serve every source and distance, and the
 statistics after loss (``sources.transmitted``) serve every channel and
 intensity partner of a source at one distance.  One memo per
-evaluation (``_observed``) holds both emitted photon-number
-distributions and every gain the estimator needs, keyed by (signal
-spec, decoy spec, detector params, cutoff, tail tolerance,
+evaluation (``_observed``) holds every gain the estimator needs, keyed
+by (signal spec, decoy spec, detector params, cutoff, tail tolerance,
 misalignment), so a search that returns to a point costs one lookup.
 Its misses read gains per source pair (``_cached_gains``), which
 evaluations with other intensity partners share.  The finite-size
@@ -37,12 +36,7 @@ from .decoy import CHANNELS, DecoyInputs
 from .errors import DomainError
 from .finite_key import worst_case_decoy
 from .rates import GainSet, KeyRatePoint, gains, key_rate
-from .sources import PhotonDistribution, SourceKind, SourceSpec, build_distribution
-
-
-@lru_cache(maxsize=256)
-def _cached_distribution(spec: SourceSpec, tail_tolerance: float) -> PhotonDistribution:
-    return build_distribution(spec, tail_tolerance)
+from .sources import SourceKind, SourceSpec, transmitted
 
 
 @lru_cache(maxsize=4096)
@@ -53,10 +47,7 @@ def _cached_gains(
     """Gains of one source pair at one distance, shared by every point
     (and every search step) that needs them."""
     return gains(
-        _cached_distribution(spec_a, tail_tolerance),
-        _cached_distribution(spec_b, tail_tolerance),
-        yield_tables(params, cutoff),
-        misalignment,
+        spec_a, spec_b, yield_tables(params, cutoff), misalignment, tail_tolerance
     )
 
 
@@ -68,20 +59,21 @@ def _observed(
     spec_signal: SourceSpec, spec_decoy: SourceSpec,
     params: DetectorParams, cutoff: int, tail_tolerance: float, misalignment: float,
 ) -> DecoyInputs:
-    """The estimator's inputs at one distance: both distributions and
-    the gains of every channel the signal kind's estimator reads.
+    """The estimator's inputs at one distance: both sources and the
+    gains of every channel the signal kind's estimator reads.
     Searches revisit few points, so a small memo holds them; points that
     never repeat only pass through it."""
     specs = {"s": spec_signal, "d": spec_decoy, "0": _VACUUM}
     return DecoyInputs(
-        dist_signal=_cached_distribution(spec_signal, tail_tolerance),
-        dist_decoy=_cached_distribution(spec_decoy, tail_tolerance),
+        spec_signal=spec_signal,
+        spec_decoy=spec_decoy,
         gains={
             c: _cached_gains(
                 specs[c[0]], specs[c[1]], params, cutoff, tail_tolerance, misalignment
             )
             for c in CHANNELS[spec_signal.kind]
         },
+        tail_tolerance=tail_tolerance,
     )
 
 
@@ -95,7 +87,8 @@ def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     )
     estimate = worst_case_decoy(inputs, scenario.finite_key)
     gains_signal = inputs.gains["ss"]
-    p1 = inputs.dist_signal.prob(1)
+    emitted, _ = transmitted(inputs.spec_signal, 1.0, inputs.tail_tolerance, 1)
+    p1 = emitted[1] if len(emitted) > 1 else 0.0
     q11_z = p1 * p1 * estimate.y11_lower
     raw = key_rate(
         q11_z,

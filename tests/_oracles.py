@@ -20,6 +20,9 @@ exact arithmetic where possible:
 * ``oracle_css_y11`` is the paper's one-decoy bound for odd cat sources,
   written in the intensities, against which the library's two-point
   bound in (P1, P3) is checked.
+* ``oracle_emitted_cutoff`` is the cutoff rule on the emitted light that
+  the library's table-cutoff check once applied at every distance; the
+  check on the arriving light must admit everything it admits.
 """
 
 from __future__ import annotations
@@ -31,6 +34,8 @@ from functools import lru_cache
 from typing import Dict, List, Tuple
 
 import mpmath
+
+from mdiqkd.sources import _series
 
 Config = Tuple[int, int, int, int]
 
@@ -264,3 +269,17 @@ def oracle_css_y11(mu1: float, mu2: float, q_signal: float, q_decoy: float) -> f
     s1, s2 = math.sinh(mu1), math.sinh(mu2)
     numerator = mu1**4 * s2 * s2 * q_decoy - mu2**4 * s1 * s1 * q_signal
     return numerator / (mu1 * mu1 * mu2 * mu2 * (mu1 * mu1 - mu2 * mu2))
+
+
+def oracle_emitted_cutoff(spec, tail_tolerance: float) -> int:
+    """The smallest N whose emitted mass above N is below ``tail_tolerance``,
+    with the float terms of the closed-form series at eta = 1 summed
+    smallest first.  Terms are taken until the bound on the rest is below
+    the rounding of the tolerance."""
+    terms = []
+    for p, bound in _series(spec, 1.0):
+        terms.append(p)
+        if bound < tail_tolerance * 2.0**-53:
+            break
+    tails = list(itertools.accumulate(reversed(terms[1:]), initial=0.0))[::-1]
+    return next(n for n, mass in enumerate(tails) if mass < tail_tolerance)

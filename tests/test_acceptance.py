@@ -22,7 +22,7 @@ from mdiqkd.config import DistanceGrid, Scenario
 from mdiqkd.decoy import CHANNELS, DecoyInputs, estimate
 from mdiqkd.finite_key import FiniteKeyConfig, FluctuationMethod
 from mdiqkd.rates import SystemParams, gains, true_single_photon_quantities
-from mdiqkd.sources import SourceKind, SourceSpec, build_distribution
+from mdiqkd.sources import SourceKind, SourceSpec, transmitted
 from mdiqkd.sweep import (
     calibrate_pulse_pairs,
     comparison_scenarios,
@@ -61,8 +61,8 @@ def test_distributions_and_interference_outputs_are_normalized(capsys):
     start = time.perf_counter()
     worst = 0.0
     for spec in SOURCE_SPECS:
-        dist = build_distribution(spec)
-        worst = max(worst, abs(float(np.asarray(dist.probabilities).sum()) - 1.0))
+        probs, _ = transmitted(spec, 1.0, 1e-15, 60)
+        worst = max(worst, abs(float(np.asarray(probs).sum()) - 1.0))
     outputs = 0
     for pol_a, pol_b in CANONICAL_PAIRS:
         for i in range(MAX_TOTAL_PHOTONS + 1):
@@ -168,15 +168,15 @@ def test_announcement_yields_match_loss_enumeration_oracle(capsys):
 
 def _decoy_inputs(kind, mu1, mu2, table, misalignment):
     spec = Scenario(source_kind=kind, odd_weight=0.7).signal_spec
-    dists = {
-        "s": build_distribution(spec(mu1)),
-        "d": build_distribution(spec(mu2)),
-        "0": build_distribution(SourceSpec.vacuum()),
-    }
+    specs = {"s": spec(mu1), "d": spec(mu2), "0": SourceSpec.vacuum()}
     return DecoyInputs(
-        dists["s"],
-        dists["d"],
-        {c: gains(dists[c[0]], dists[c[1]], table, misalignment) for c in CHANNELS[kind]},
+        specs["s"],
+        specs["d"],
+        {
+            c: gains(specs[c[0]], specs[c[1]], table, misalignment, 1e-15)
+            for c in CHANNELS[kind]
+        },
+        1e-15,
     )
 
 

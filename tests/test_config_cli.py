@@ -290,6 +290,30 @@ def test_cli_faint_cat_intensities_give_finite_rates(tmp_path, signal, decoy):
     assert rows and all(math.isfinite(float(v)) for v in numbers)
 
 
+def test_cli_bright_source_fits_the_table_after_loss(tmp_path):
+    # emitted, mu = 1 needs 17 photon numbers to drop less than 1e-15;
+    # the arriving light at 0 km (efficiency 0.4) needs 13
+    cfg = _write_cfg(
+        tmp_path, "source.kind = wcs\nsource.signal_mu = 1.0\nbsm.cutoff = 15\n"
+    )
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 17 and all(float(row["q_z"]) > 0.0 for row in rows)
+
+
+def test_cli_exit_code_on_bright_source_at_long_distance(tmp_path, capsys):
+    # at 400 km the arriving light fits the table, but P1 = mu e^-mu of the
+    # signal is 1e-197 and the two-point bound's denominator underflows
+    cfg = _write_cfg(
+        tmp_path,
+        "source.kind = wcs\nsource.signal_mu = 460\nsource.decoy_mu = 0.07\n"
+        "grid.start_km = 400\ngrid.stop_km = 400\n",
+    )
+    assert main(["sweep", "--config", cfg]) == 3
+    assert "denominator_underflow" in capsys.readouterr().err
+
+
 def test_cli_exit_code_on_odd_only_imperfect_cat(tmp_path, capsys):
     """An imperfect cat with odd weight 1 has no two-photon component, so
     the two-decoy estimator its kind selects has a singular system."""

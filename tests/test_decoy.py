@@ -17,7 +17,6 @@ from mdiqkd import (
     SourceKind,
     SourceSpec,
     SystemParams,
-    build_distribution,
     evaluate_point,
     gains,
     true_single_photon_quantities,
@@ -31,6 +30,10 @@ from mdiqkd.decoy import (
 )
 
 
+TOL = 1e-15
+CSS_SIGNAL, CSS_DECOY = SourceSpec.css(0.1), SourceSpec.css(0.01)
+
+
 def _table(distance_km: float, cutoff: int = 15):
     system = SystemParams(distance_km=distance_km)
     return yield_tables(system.detector_params(), cutoff), system.misalignment
@@ -41,15 +44,11 @@ def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_we
     """Estimator inputs with the gains of every channel the kind reads."""
     table, e_d = _table(distance_km, cutoff)
     spec = Scenario(source_kind=kind, odd_weight=odd_weight).signal_spec
-    dists = {
-        "s": build_distribution(spec(mu1)),
-        "d": build_distribution(spec(mu2)),
-        "0": build_distribution(SourceSpec.vacuum()),
-    }
+    specs = {"s": spec(mu1), "d": spec(mu2), "0": SourceSpec.vacuum()}
     channel_gains = {
-        c: gains(dists[c[0]], dists[c[1]], table, e_d) for c in CHANNELS[kind]
+        c: gains(specs[c[0]], specs[c[1]], table, e_d, TOL) for c in CHANNELS[kind]
     }
-    return DecoyInputs(dists["s"], dists["d"], channel_gains), table, e_d
+    return DecoyInputs(specs["s"], specs["d"], channel_gains, TOL), table, e_d
 
 
 @pytest.mark.parametrize("distance_km", [0.0, 100.0, 300.0])
@@ -81,14 +80,12 @@ def test_two_decoy_brackets_truth(kind, mu1, mu2, distance_km):
 @pytest.mark.parametrize("distance_km", [0.0, 50.0, 100.0])
 @pytest.mark.parametrize("mu2", [1e-8, 3e-8])
 def test_faint_decoy_bound_reads_the_multi_photon_term(mu2, distance_km):
-    """A decoy this faint has P2 below the emitted tail tolerance, so the
-    truncated distribution drops it; without P2 the bound collapses to
-    g_d / P1d^2, above the true yield."""
+    """A decoy this faint has P2 below the emitted tail tolerance; without
+    P2 the bound collapses to g_d / P1d^2, above the true yield."""
     system = SystemParams(dark_count=0.0, misalignment=0.0)
     scenario = Scenario(
         source_kind=SourceKind.WCS, signal_mu=0.4, decoy_mu=mu2, system=system, cutoff=20
     )
-    assert build_distribution(scenario.signal_spec(mu2)).prob(2) == 0.0
     point = evaluate_point(scenario, distance_km)
     table = yield_tables(replace(system, distance_km=distance_km).detector_params(), 1)
     assert point.y11_lower <= true_single_photon_quantities(table, 0.0).y11_z
@@ -200,9 +197,9 @@ def test_two_decoy_requires_vacuum_channels():
 
 
 def test_vacuum_signal_has_no_estimator():
-    dv = build_distribution(SourceSpec.vacuum())
+    dv = SourceSpec.vacuum()
     with pytest.raises(DomainError, match="no decoy estimator for a vacuum signal source"):
-        DecoyInputs(dv, dv, {})
+        DecoyInputs(dv, dv, {}, TOL)
 
 
 def test_two_decoy_degenerate_for_odd_only_sources():
@@ -214,15 +211,12 @@ def test_two_decoy_degenerate_for_odd_only_sources():
 
 
 def test_intensity_ordering_is_validated():
-    ds = build_distribution(SourceSpec.css(0.1))
-    dd = build_distribution(SourceSpec.css(0.01))
-    d0 = build_distribution(SourceSpec.css(0.0))
     table, e_d = _table(0.0)
-    g = gains(ds, ds, table, e_d)
+    g = gains(CSS_SIGNAL, CSS_SIGNAL, table, e_d, TOL)
     with pytest.raises(DomainError):
-        DecoyInputs(dd, ds, {"ss": g, "dd": g})
+        DecoyInputs(CSS_DECOY, CSS_SIGNAL, {"ss": g, "dd": g}, TOL)
     with pytest.raises(DomainError):
-        DecoyInputs(ds, d0, {"ss": g, "dd": g})
+        DecoyInputs(CSS_SIGNAL, SourceSpec.css(0.0), {"ss": g, "dd": g}, TOL)
 
 
 def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x):
@@ -238,15 +232,14 @@ def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x)
             error_weighted_x=eq_x,
         )
 
-    ds = build_distribution(SourceSpec.css(0.1))
-    dd = build_distribution(SourceSpec.css(0.01))
     return DecoyInputs(
-        dist_signal=ds,
-        dist_decoy=dd,
+        spec_signal=CSS_SIGNAL,
+        spec_decoy=CSS_DECOY,
         gains={
             "ss": gain_set(q_signal_z, q_signal_x, 0.015 * q_signal_x),
             "dd": gain_set(q_decoy_z, q_decoy_x, eq_decoy_x),
         },
+        tail_tolerance=TOL,
     )
 
 
@@ -299,6 +292,10 @@ def test_generic_bound_degeneracy_detection():
     # proportional (P1, Pm) rows are singular even when nonzero
     with pytest.raises(DomainError):
         generic_y11_bound((0.8, 0.1, 0.05), (0.9, 0.05, 0.025), 1e-3, 1e-4)
+    # a determinant that is sound but too small to divide by once scaled
+    # by P1(signal) P1(decoy), as for wcs (460, 0.07)
+    with pytest.raises(DomainError, match="denominator_underflow"):
+        generic_y11_bound((0.0, 1e-197, 1e-195), (0.93, 0.065, 2.3e-3), 1e-3, 1e-4)
 
 
 def test_vacuum_substitution_removes_zero_photon_rows():

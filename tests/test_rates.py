@@ -14,16 +14,25 @@ from mdiqkd import (
     SourceSpec,
     SystemParams,
     binary_entropy,
-    build_distribution,
     gains,
     key_rate,
     true_single_photon_quantities,
     yield_tables,
 )
+from mdiqkd.sources import transmitted
 
-from _oracles import dense_tables, oracle_distribution, oracle_gain, oracle_wcs_gains
+from _oracles import (
+    dense_tables,
+    oracle_distribution,
+    oracle_emitted_cutoff,
+    oracle_gain,
+    oracle_wcs_gains,
+)
 from test_bsm import _SMALLEST_NONZERO, _bell_yield_tables
 from test_sources import _SUBNORMAL_SLACK
+
+TOL = 1e-15
+WCS, VACUUM = SourceSpec.wcs(0.4), SourceSpec.vacuum()
 
 
 def test_overall_efficiency_combines_detector_and_fiber():
@@ -79,9 +88,8 @@ def test_binary_entropy_reference_values():
 
 def test_gains_match_double_sum():
     table = yield_tables(DetectorParams(0.4, 1e-7), 12)
-    dist = build_distribution(SourceSpec.wcs(0.4))
-    g = gains(dist, dist, table, misalignment=0.015)
-    pa = dist.probabilities
+    g = gains(WCS, WCS, table, 0.015, TOL)
+    pa, _ = transmitted(WCS, 1.0, TOL, table.cutoff)
     dense = dense_tables(table)
     want_correct = oracle_gain(pa, pa, dense["correct_z"])
     want_error = oracle_gain(pa, pa, dense["error_z"])
@@ -96,10 +104,9 @@ def test_gains_match_double_sum():
 
 def test_gains_asymmetric_sources():
     table = yield_tables(DetectorParams(0.4, 1e-7), 12)
-    da = build_distribution(SourceSpec.wcs(0.4))
-    db = build_distribution(SourceSpec.vacuum())
-    g = gains(da, db, table, misalignment=0.0)
-    want = oracle_gain(da.probabilities, db.probabilities, dense_tables(table)["correct_z"])
+    g = gains(WCS, VACUUM, table, 0.0, TOL)
+    pa, _ = transmitted(WCS, 1.0, TOL, table.cutoff)
+    want = oracle_gain(pa, (1.0,), dense_tables(table)["correct_z"])
     assert g.correct_z == pytest.approx(want, rel=1e-13)
 
 
@@ -131,8 +138,7 @@ def test_gains_match_per_pair_detection_property(eta, dark, e_d, spec_a, spec_b)
     # mu <= 0.3 keeps the oracle within 17 photons
     deep_a, deep_b = (oracle_distribution(s, 1e-22) for s in (spec_a, spec_b))
     cutoff = max(len(deep_a), len(deep_b), 2) - 1
-    da, db = (build_distribution(s) for s in (spec_a, spec_b))
-    g = gains(da, db, yield_tables(params, cutoff), e_d)
+    g = gains(spec_a, spec_b, yield_tables(params, cutoff), e_d, TOL)
     # the contraction in 50 digits, rounded once
     with mpmath.workdps(50):
         want = {
@@ -157,23 +163,81 @@ def test_wcs_gains_match_bessel_closed_form(mu_a, mu_b):
     """Weak coherent gains equal the 50-digit I0 closed form to 1e-12
     relative over 0-600 km; mu = 0 is the vacuum source."""
 
-    def emitted(mu):
-        return build_distribution(SourceSpec.wcs(mu) if mu else SourceSpec.vacuum())
-
-    da, db = emitted(mu_a), emitted(mu_b)
+    spec_a, spec_b = (SourceSpec.wcs(mu) if mu else VACUUM for mu in (mu_a, mu_b))
     for distance_km in range(0, 601, 10):
         params = SystemParams(distance_km=distance_km).detector_params()
-        g = gains(da, db, yield_tables(params, 15), 0.0)
+        g = gains(spec_a, spec_b, yield_tables(params, 15), 0.0, TOL)
         want = oracle_wcs_gains(mu_a, mu_b, params.efficiency, params.dark_count)
         for name, value in zip(("correct_z", "error_z", "correct_x", "error_x"), want):
             assert abs(getattr(g, name) - value) <= 1e-12 * value, (distance_km, name)
 
 
 def test_gains_reject_undersized_table():
+    # at the 0 km efficiency the arriving light needs about 12 photon numbers
     table = yield_tables(DetectorParams(0.4, 1e-7), 4)
-    dist = build_distribution(SourceSpec.wcs(0.4))  # needs ~12 photon numbers
-    with pytest.raises(CutoffError):
-        gains(dist, dist, table, misalignment=0.015)
+    with pytest.raises(CutoffError, match="above the yield-table cutoff 4 "):
+        gains(WCS, WCS, table, 0.015, TOL)
+
+
+_GATE_MU = st.floats(-8.0, 2.0).map(lambda e: 10.0**e)
+# every intensity the series accepts, from subnormal to the photon cap
+_ANY_MU = st.one_of(st.just(0.0), st.floats(-320.0, math.log10(511.99)).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.one_of(
+        st.builds(SourceSpec.wcs, _GATE_MU),
+        st.builds(SourceSpec.css, _GATE_MU),
+        st.builds(SourceSpec.nonideal_css, _GATE_MU, st.floats(0.0, 1.0, exclude_min=True)),
+        st.just(SourceSpec.sps()),
+        st.just(VACUUM),
+    ),
+    tail_tolerance=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15]),
+    cutoff=st.integers(1, 20),
+    eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+def test_cutoff_check_admits_what_the_emitted_rule_admitted(spec, tail_tolerance, cutoff, eta):
+    """The table-cutoff check on the arriving light admits every source
+    the rule on the emitted light admitted, and decides as it did
+    without loss."""
+    table = yield_tables(DetectorParams(eta, 0.0), cutoff)
+    try:
+        gains(spec, VACUUM, table, 0.0, tail_tolerance)
+        admitted = True
+    except CutoffError:
+        admitted = False
+    emitted_fits = oracle_emitted_cutoff(spec, tail_tolerance) <= cutoff
+    assert admitted or not emitted_fits
+    if eta == 1.0:
+        assert admitted == emitted_fits
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.one_of(
+        st.builds(SourceSpec.wcs, _ANY_MU),
+        st.builds(SourceSpec.css, _ANY_MU),
+        st.builds(SourceSpec.nonideal_css, _ANY_MU, st.floats(0.0, 1.0, exclude_min=True)),
+        st.just(SourceSpec.sps()),
+        st.just(VACUUM),
+    ),
+    partner=st.builds(SourceSpec.wcs, _ANY_MU),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+    dark=st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    cutoff=st.integers(1, 20),
+)
+def test_gains_are_finite_or_rejected(spec, partner, eta, dark, cutoff):
+    """Every validated source below the photon cap gives finite gains or
+    a cutoff or convergence error that names the problem."""
+    try:
+        g = gains(spec, partner, yield_tables(DetectorParams(eta, dark), cutoff), 0.015, TOL)
+    except CutoffError as exc:
+        assert f"yield-table cutoff {cutoff} " in str(exc)
+    except DomainError as exc:
+        assert "does not converge within 512 photons" in str(exc)
+    else:
+        assert all(math.isfinite(getattr(g, name)) for name in GainSet.__dataclass_fields__)
 
 
 @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
@@ -187,9 +251,9 @@ def test_gain_set_rejects_gains_outside_unit_interval(value):
 
 def test_misalignment_flips_correct_and_error():
     table = yield_tables(DetectorParams(0.4, 1e-7), 9)
-    dist = build_distribution(SourceSpec.css(0.1))
-    g0 = gains(dist, dist, table, misalignment=0.0)
-    g1 = gains(dist, dist, table, misalignment=1.0)
+    css = SourceSpec.css(0.1)
+    g0 = gains(css, css, table, 0.0, TOL)
+    g1 = gains(css, css, table, 1.0, TOL)
     assert g0.error_weighted_z == pytest.approx(g1.total_z - g1.error_weighted_z, rel=1e-12)
     assert g0.total_z == g1.total_z
 
@@ -199,10 +263,8 @@ def test_vacuum_channel_error_rate_is_one_half():
     equally likely, so the observed error rate is 1/2 regardless of
     misalignment."""
     table = yield_tables(DetectorParams(0.4, 1e-7), 12)
-    dist = build_distribution(SourceSpec.wcs(0.4))
-    vac = build_distribution(SourceSpec.vacuum())
     for e_d in (0.0, 0.015, 0.3):
-        g = gains(dist, vac, table, misalignment=e_d)
+        g = gains(WCS, VACUUM, table, e_d, TOL)
         assert g.qber_z == pytest.approx(0.5, rel=1e-10)
         assert g.qber_x == pytest.approx(0.5, rel=1e-10)
 

@@ -14,7 +14,6 @@ from mdiqkd import (
     Scenario,
     SourceKind,
     SourceSpec,
-    build_distribution,
     calibrate_pulse_pairs,
     compare_sources,
     comparison_scenarios,
@@ -62,12 +61,7 @@ def test_memoised_gains_equal_a_fresh_contraction():
     first = _cached_gains(*key)
     assert _cached_gains(*key) is first
     spec_a, spec_b, params, cutoff, tail_tolerance, e_d = key
-    fresh = gains(
-        build_distribution(spec_a, tail_tolerance),
-        build_distribution(spec_b, tail_tolerance),
-        yield_tables(params, cutoff),
-        e_d,
-    )
+    fresh = gains(spec_a, spec_b, yield_tables(params, cutoff), e_d, tail_tolerance)
     assert first == fresh
 
 

@@ -23,7 +23,7 @@ The estimator follows from the signal source's photon statistics, so
     e11 <= sinh^2(mu2) E(mu2) Q(mu2) / (mu2^2 y11).
 
   P0, P1 and Pm are read off the emitted closed-form series
-  (``sources.transmitted`` at eta = 1), which keeps Pm of a faint source.
+  (``emitted_head``, ``transmitted`` at eta = 1), keeping Pm of a faint source.
 
 ``CHANNELS`` lists the gains each estimator reads; ``DecoyInputs``
 holds them keyed by channel and rejects inputs that lack one.  Each
@@ -102,14 +102,12 @@ def observe(g: GainSet, bounds: Bounds = exact) -> ChannelIntervals:
 
 @dataclass(frozen=True)
 class DecoyInputs:
-    """Everything a decoy estimator consumes: both sources, the gains of
-    every channel in ``CHANNELS[spec_signal.kind]`` and the tail
-    tolerance the photon statistics are truncated with."""
+    """Everything a decoy estimator consumes: both sources and the gains
+    of every channel in ``CHANNELS[spec_signal.kind]``."""
 
     spec_signal: SourceSpec
     spec_decoy: SourceSpec
     gains: Mapping[str, GainSet]
-    tail_tolerance: float
 
     @property
     def kind(self) -> SourceKind:
@@ -253,10 +251,16 @@ def _assemble_generic(
     )
 
 
-def _head(spec: SourceSpec, tail_tolerance: float, m: int) -> tuple:
+# Below m the multi-photon mass ``transmitted`` weighs its tail against
+# is zero (P2 of the odd cat is exactly zero too), so the series stops
+# before m only where its tail is exactly zero, whatever the tolerance.
+_HEAD_TOLERANCE = 1e-15
+
+
+def emitted_head(spec: SourceSpec, m: int) -> tuple:
     """(P0, P1, Pm) of the emitted statistics in closed form; the series
     stops early only where its tail underflows, so the rest is zero."""
-    probs, _ = transmitted(spec, 1.0, tail_tolerance, m)
+    probs, _ = transmitted(spec, 1.0, _HEAD_TOLERANCE, m)
     probs += (0.0,) * (m + 1 - len(probs))
     return probs[0], probs[1], probs[m]
 
@@ -271,7 +275,6 @@ def estimate(inputs: DecoyInputs, bounds: Bounds = exact) -> DecoyEstimate:
         q_z, q_x, eq_x = table["ss"]
         return _finalize(q_z[LOW], q_x[LOW], lambda y: eq_x[HIGH] / y)
     m = MULTI_PHOTON[kind]
-    tol = inputs.tail_tolerance
     return _assemble_generic(
-        _head(inputs.spec_signal, tol, m), _head(inputs.spec_decoy, tol, m), table
+        emitted_head(inputs.spec_signal, m), emitted_head(inputs.spec_decoy, m), table
     )

@@ -32,11 +32,11 @@ from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bsm import DetectorParams, yield_tables
 from .config import Scenario
-from .decoy import CHANNELS, DecoyInputs
+from .decoy import CHANNELS, DecoyInputs, emitted_head
 from .errors import DomainError
 from .finite_key import worst_case_decoy
 from .rates import GainSet, KeyRatePoint, gains, key_rate
-from .sources import SourceKind, SourceSpec, transmitted
+from .sources import SourceKind, SourceSpec
 
 
 @lru_cache(maxsize=4096)
@@ -73,7 +73,6 @@ def _observed(
             )
             for c in CHANNELS[spec_signal.kind]
         },
-        tail_tolerance=tail_tolerance,
     )
 
 
@@ -87,8 +86,7 @@ def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     )
     estimate = worst_case_decoy(inputs, scenario.finite_key)
     gains_signal = inputs.gains["ss"]
-    emitted, _ = transmitted(inputs.spec_signal, 1.0, inputs.tail_tolerance, 1)
-    p1 = emitted[1] if len(emitted) > 1 else 0.0
+    p1 = emitted_head(inputs.spec_signal, 1)[1]
     q11_z = p1 * p1 * estimate.y11_lower
     raw = key_rate(
         q11_z,

@@ -176,7 +176,6 @@ def _decoy_inputs(kind, mu1, mu2, table, misalignment):
             c: gains(specs[c[0]], specs[c[1]], table, misalignment, 1e-15)
             for c in CHANNELS[kind]
         },
-        1e-15,
     )
 
 

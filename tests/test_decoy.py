@@ -24,10 +24,13 @@ from mdiqkd import (
 )
 from mdiqkd.decoy import (
     CHANNELS,
+    MULTI_PHOTON,
+    emitted_head,
     estimate,
     generic_y11_bound,
     vacuum_substituted_gain,
 )
+from mdiqkd.sources import transmitted
 
 
 TOL = 1e-15
@@ -48,7 +51,7 @@ def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_we
     channel_gains = {
         c: gains(specs[c[0]], specs[c[1]], table, e_d, TOL) for c in CHANNELS[kind]
     }
-    return DecoyInputs(specs["s"], specs["d"], channel_gains, TOL), table, e_d
+    return DecoyInputs(specs["s"], specs["d"], channel_gains), table, e_d
 
 
 @pytest.mark.parametrize("distance_km", [0.0, 100.0, 300.0])
@@ -89,6 +92,25 @@ def test_faint_decoy_bound_reads_the_multi_photon_term(mu2, distance_km):
     point = evaluate_point(scenario, distance_km)
     table = yield_tables(replace(system, distance_km=distance_km).detector_params(), 1)
     assert point.y11_lower <= true_single_photon_quantities(table, 0.0).y11_z
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(MULTI_PHOTON)),
+    mu=st.floats(-12.0, 2.0).map(lambda e: 10.0**e),
+    odd_weight=st.floats(0.01, 1.0),
+    multi=st.booleans(),
+    tol=st.floats(-16.0, -6.0).map(lambda e: 10.0**e),
+)
+def test_emitted_head_does_not_depend_on_the_tail_tolerance(kind, mu, odd_weight, multi, tol):
+    """Below m the series weighs its tail against no multi-photon mass,
+    so every tolerance reads the same (P0, P1, Pm), as the estimator (m
+    from ``MULTI_PHOTON``) and the key rate (m = 1) read it."""
+    m = MULTI_PHOTON[kind] if multi else 1
+    spec = Scenario(source_kind=kind, odd_weight=odd_weight).signal_spec(mu)
+    probs, _ = transmitted(spec, 1.0, tol, m)
+    probs += (0.0,) * (m + 1 - len(probs))
+    assert emitted_head(spec, m) == (probs[0], probs[1], probs[m])
 
 
 def test_single_photon_bounds_are_the_observed_gains():
@@ -199,7 +221,7 @@ def test_two_decoy_requires_vacuum_channels():
 def test_vacuum_signal_has_no_estimator():
     dv = SourceSpec.vacuum()
     with pytest.raises(DomainError, match="no decoy estimator for a vacuum signal source"):
-        DecoyInputs(dv, dv, {}, TOL)
+        DecoyInputs(dv, dv, {})
 
 
 def test_two_decoy_degenerate_for_odd_only_sources():
@@ -214,9 +236,9 @@ def test_intensity_ordering_is_validated():
     table, e_d = _table(0.0)
     g = gains(CSS_SIGNAL, CSS_SIGNAL, table, e_d, TOL)
     with pytest.raises(DomainError):
-        DecoyInputs(CSS_DECOY, CSS_SIGNAL, {"ss": g, "dd": g}, TOL)
+        DecoyInputs(CSS_DECOY, CSS_SIGNAL, {"ss": g, "dd": g})
     with pytest.raises(DomainError):
-        DecoyInputs(CSS_SIGNAL, SourceSpec.css(0.0), {"ss": g, "dd": g}, TOL)
+        DecoyInputs(CSS_SIGNAL, SourceSpec.css(0.0), {"ss": g, "dd": g})
 
 
 def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x):
@@ -239,7 +261,6 @@ def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x)
             "ss": gain_set(q_signal_z, q_signal_x, 0.015 * q_signal_x),
             "dd": gain_set(q_decoy_z, q_decoy_x, eq_decoy_x),
         },
-        tail_tolerance=TOL,
     )
 
 

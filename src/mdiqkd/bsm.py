@@ -107,9 +107,10 @@ class YieldTable:
     The factor-4 multiplicity of equivalent input/outcome combinations
     cancels against the 1/4 probability of each basis-state pair, so
     these single-pair yields multiply photon-number probabilities
-    directly in gain formulas.  Every yield and gain is a contraction
-    (``contract``) against the four unit-efficiency tables Y1 of the
-    dark count.
+    directly in gain formulas.  Every gain is a contraction (``contract``)
+    against the four unit-efficiency tables Y1 of the dark count; the
+    loss ``params.efficiency`` acts on the photon statistics before it
+    (``sources.transmitted``), never on the table.
     """
 
     params: DetectorParams
@@ -123,34 +124,6 @@ class YieldTable:
         products = [x * y for x in a for y in b]
         flat = _flat_lossless(self.params.dark_count, self.cutoff, len(a), len(b))
         return tuple(sum(map(mul, products, table)) for table in flat)
-
-    def pair(self, i: int, j: int) -> tuple:
-        """(correct_z, error_z, correct_x, error_x) yields of the (i, j)
-        photon pair: the contraction of the two Fock states after loss,
-        binomial rows C(n, k) eta^k (1 - eta)^(n - k)."""
-        if i < 0 or j < 0:
-            raise DomainError(f"photon numbers must be >= 0, got ({i}, {j})")
-        if i > self.cutoff or j > self.cutoff:
-            raise CutoffError(
-                f"photon numbers ({i}, {j}) exceed the yield-table cutoff {self.cutoff}"
-            )
-        eta = self.params.efficiency
-
-        def row(n: int) -> tuple:
-            return tuple(
-                math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k) for k in range(n + 1)
-            )
-
-        return self.contract(row(i), row(j))
-
-    def single_pair(self, basis: str) -> tuple[float, float]:
-        """(correct, error) yields of the (1, 1) photon pair."""
-        correct_z, error_z, correct_x, error_x = self.pair(1, 1)
-        if basis == "Z":
-            return correct_z, error_z
-        if basis == "X":
-            return correct_x, error_x
-        raise DomainError(f"basis must be 'Z' or 'X', got {basis!r}")
 
 
 def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:

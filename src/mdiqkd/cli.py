@@ -9,7 +9,8 @@ Subcommands:
 
 Results are written as CSV (or key=value lines for ``yields``) to
 ``--out`` or stdout.  Exit codes: 0 on success, 2 for configuration
-problems, 3 when a computation leaves the supported domain.
+problems (including an unreadable ``--config`` or unwritable ``--out``),
+3 when a computation leaves the supported domain.
 """
 
 from __future__ import annotations
@@ -22,8 +23,17 @@ from typing import List, Optional
 from .bsm import yield_tables
 from .config import Scenario, load_scenario
 from .errors import ConfigError, CutoffError, DomainError
-from .rates import true_single_photon_quantities
-from .sweep import compare_sources, optimize_intensities, run_sweep, write_csv
+from .rates import gains, true_single_photon_quantities
+from .sources import SourceSpec
+from .sweep import (
+    compare_sources,
+    optimize_intensities,
+    run_sweep,
+    write_csv,
+    write_lines,
+)
+
+_RUNS = {"sweep": run_sweep, "compare": compare_sources, "optimize": optimize_intensities}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,20 +81,12 @@ def _load(args: argparse.Namespace) -> Scenario:
     return load_scenario(text, method=args.method, pulse_pairs=args.pulses)
 
 
-def _write_lines(lines: List[str], out: Optional[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
-
-
 def _yields_report(scenario: Scenario, distance_km: float) -> List[str]:
     system = replace(scenario.system, distance_km=distance_km)
     table = yield_tables(system.detector_params(), scenario.cutoff)
     truth = true_single_photon_quantities(table, system.misalignment)
-    vacuum_yield = table.pair(0, 0)[0]
+    vacuum = SourceSpec.vacuum()
+    vacuum_yield = gains(vacuum, vacuum, table, system.misalignment).correct_z
 
     def fmt(value: Optional[float]) -> str:
         return format(float("nan") if value is None else value, ".17g")
@@ -106,19 +108,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = _load(args)
-        if args.command == "sweep":
-            points = run_sweep(scenario)
-        elif args.command == "compare":
-            points = compare_sources(scenario)
-        elif args.command == "optimize":
-            points = optimize_intensities(scenario)
+        if args.command == "yields":
+            report, write = _yields_report(scenario, args.distance_km), write_lines
         else:
-            _write_lines(_yields_report(scenario, args.distance_km), args.out)
-            return 0
-        if args.out is None:
-            write_csv(points, sys.stdout)
-        else:
-            write_csv(points, args.out)
+            report, write = _RUNS[args.command](scenario), write_csv
+        out = sys.stdout if args.out is None else args.out
+        try:
+            write(report, out)
+        except OSError as exc:
+            name = getattr(out, "name", out)
+            raise ConfigError(f"cannot write output {name!r}: {exc}") from None
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -81,7 +81,6 @@ class Scenario:
     signal_mu: float = 0.1
     decoy_mu: float = 0.01
     odd_weight: float = 0.7
-    tail_tolerance: float = 1e-15
     system: SystemParams = SystemParams()
     grid: DistanceGrid = DistanceGrid()
     finite_key: FiniteKeyConfig = FiniteKeyConfig()
@@ -100,10 +99,6 @@ class Scenario:
                 )
         if not 0.0 < self.odd_weight <= 1.0:
             raise ConfigError(f"odd_weight must lie in (0, 1], got {self.odd_weight}")
-        if not 0.0 < self.tail_tolerance <= 1e-6:
-            raise ConfigError(
-                f"tail_tolerance must lie in (0, 1e-6], got {self.tail_tolerance}"
-            )
         if self.cutoff < 1:
             raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
         if not self.mu1_candidates or not self.mu2_candidates:
@@ -191,7 +186,6 @@ _KEYS = {
     "source.signal_mu": (Scenario, "signal_mu", _parse_float),
     "source.decoy_mu": (Scenario, "decoy_mu", _parse_float),
     "source.odd_weight": (Scenario, "odd_weight", _parse_float),
-    "source.tail_tolerance": (Scenario, "tail_tolerance", _parse_float),
     "system.detector_efficiency": (SystemParams, "detector_efficiency", _parse_float),
     "system.dark_count": (SystemParams, "dark_count", _parse_float),
     "system.fiber_loss_db_km": (SystemParams, "fiber_loss_db_km", _parse_float),

@@ -251,16 +251,12 @@ def _assemble_generic(
     )
 
 
-# Below m the multi-photon mass ``transmitted`` weighs its tail against
-# is zero (P2 of the odd cat is exactly zero too), so the series stops
-# before m only where its tail is exactly zero, whatever the tolerance.
-_HEAD_TOLERANCE = 1e-15
-
-
 def emitted_head(spec: SourceSpec, m: int) -> tuple:
-    """(P0, P1, Pm) of the emitted statistics in closed form; the series
-    stops early only where its tail underflows, so the rest is zero."""
-    probs, _ = transmitted(spec, 1.0, _HEAD_TOLERANCE, m)
+    """(P0, P1, Pm) of the emitted statistics in closed form.  Below m
+    the multi-photon mass ``transmitted`` weighs its tail against is zero
+    (P2 of the odd cat is exactly zero too), so the series stops early
+    only where its tail is exactly zero, and the rest is zero."""
+    probs, _ = transmitted(spec, 1.0, m)
     probs += (0.0,) * (m + 1 - len(probs))
     return probs[0], probs[1], probs[m]
 

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .bsm import DetectorParams, YieldTable
 from .errors import CutoffError, DomainError
-from .sources import SourceSpec, mass_above, transmitted
+from .sources import TAIL_TOLERANCE, SourceSpec, mass_above, transmitted
 
 
 @dataclass(frozen=True)
@@ -129,29 +129,24 @@ def gains(
     spec_b: SourceSpec,
     table: YieldTable,
     misalignment: float,
-    tail_tolerance: float,
 ) -> GainSet:
     """Contract two sources' photon-number statistics, after the table's
     loss, against a yield table.
 
     Each source's statistics come from ``transmitted`` at the table's
     efficiency and cutoff.  Raises ``CutoffError`` when one runs into the
-    cutoff with at least ``tail_tolerance`` of its mass above it.
+    cutoff with at least ``TAIL_TOLERANCE`` of its mass above it.
     """
     if not 0.0 <= misalignment <= 1.0:
         raise DomainError(f"misalignment must lie in [0, 1], got {misalignment}")
-    if not 0.0 < tail_tolerance <= 1e-6:
-        raise DomainError(
-            f"tail tolerance must lie in (0, 1e-6], got {tail_tolerance}"
-        )
     cutoff = table.cutoff
     eta = table.params.efficiency
-    a, _ = transmitted(spec_a, eta, tail_tolerance, cutoff)
-    b, _ = transmitted(spec_b, eta, tail_tolerance, cutoff)
+    a, _ = transmitted(spec_a, eta, cutoff)
+    b, _ = transmitted(spec_b, eta, cutoff)
     for spec, probs in ((spec_a, a), (spec_b, b)):
         if len(probs) > cutoff:
-            mass = mass_above(spec, eta, tail_tolerance, cutoff)
-            if mass >= tail_tolerance:
+            mass = mass_above(spec, eta, cutoff)
+            if mass >= TAIL_TOLERANCE:
                 raise CutoffError(
                     f"{spec.kind.value} source (mu={spec.mu}) keeps mass {mass:.3g} "
                     f"above the yield-table cutoff {cutoff} at efficiency {eta:.6g}"
@@ -227,18 +222,16 @@ class SinglePhotonQuantities:
 def true_single_photon_quantities(
     table: YieldTable, misalignment: float
 ) -> SinglePhotonQuantities:
-    """Ground-truth single-photon quantities for bound validation."""
-    if not 0.0 <= misalignment <= 1.0:
-        raise DomainError(f"misalignment must lie in [0, 1], got {misalignment}")
-    e_d = misalignment
-    out = {}
-    for basis in ("z", "x"):
-        correct, error = table.single_pair(basis.upper())
-        y11 = correct + error
-        e11 = (e_d * correct + (1.0 - e_d) * error) / y11 if y11 > 0.0 else None
-        out[f"y11_{basis}"] = y11
-        out[f"e11_{basis}"] = e11
-    return SinglePhotonQuantities(**out)
+    """Ground-truth single-photon quantities for bound validation: the
+    gains of two single-photon sources."""
+    sps = SourceSpec.sps()
+    g = gains(sps, sps, table, misalignment)
+    return SinglePhotonQuantities(
+        y11_z=g.total_z,
+        y11_x=g.total_x,
+        e11_z=g.qber_z if g.total_z > 0.0 else None,
+        e11_x=g.qber_x if g.total_x > 0.0 else None,
+    )
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,11 @@ and sinh(r) for even k, the even part the same over cosh(mu) with cosh
 and sinh swapped, and a single photon arrives with probability eta.
 
 ``transmitted`` truncates the series after loss relative to the
-multi-photon mass it keeps, or at a yield table's cutoff; ``mass_above``
-sums what such a cutoff leaves out.  A distribution is a tuple of floats
-built with ``math``, so this module needs no numpy.
+multi-photon mass it keeps (``TAIL_TOLERANCE``), or at a yield table's
+cutoff; ``mass_above`` sums what such a cutoff leaves out.  No other
+module applies loss to photon numbers or truncates them.  A
+distribution is a tuple of floats built with ``math``, so this module
+needs no numpy.
 """
 
 from __future__ import annotations
@@ -40,12 +42,16 @@ from .errors import DomainError
 # need more are outside the regime this engine is built for.
 _HARD_CAP = 512
 
+# Mass a truncation may leave out: relative to the multi-photon mass
+# kept in ``transmitted``, absolute at a table cutoff (``mass_above``).
+TAIL_TOLERANCE = 1e-15
+
 # Relative widening of the transmitted tail bound, above its roundings
 # (about two per photon number) for any cutoff up to _HARD_CAP.
 _TAIL_SLACK = 1.0 + 1e-12
 
-# Unit roundoff of a double: mass below this fraction of the tail
-# tolerance is below its rounding and cannot move a cutoff decision.
+# Unit roundoff of a double: mass below this fraction of TAIL_TOLERANCE
+# is below its rounding and cannot move a cutoff decision.
 _ROUNDING = 2.0**-53
 
 
@@ -164,14 +170,14 @@ def _no_convergence(spec: SourceSpec) -> DomainError:
 # a handful of sources, so most calls repeat one.
 @functools.lru_cache(maxsize=1024)
 def transmitted(
-    spec: SourceSpec, eta: float, tail_tolerance: float, cutoff: int
+    spec: SourceSpec, eta: float, cutoff: int
 ) -> tuple[tuple[float, ...], float]:
     """Photon-number statistics of ``spec`` after loss ``eta``, up to at
     most ``cutoff`` photons, and an upper bound on the mass above the
     last entry kept (sound wherever that mass is a normal float).
 
     The series stops at the smallest N whose tail bound is at most
-    ``tail_tolerance`` times the multi-photon mass kept (k >= 2), or at
+    ``TAIL_TOLERANCE`` times the multi-photon mass kept (k >= 2), or at
     ``cutoff``.  A gain can be as small as x^2 (long distance) or mu^2
     (two-photon interference cancels the (1, 1) term) while a dropped
     three-photon term enters some yields at order one, so neither a tail
@@ -185,24 +191,22 @@ def transmitted(
         probs.append(p)
         if k > 1:
             multi += p
-        if tail <= tail_tolerance * multi:
+        if tail <= TAIL_TOLERANCE * multi:
             break
     return tuple(probs), tail
 
 
-def mass_above(
-    spec: SourceSpec, eta: float, tail_tolerance: float, cutoff: int
-) -> float:
+def mass_above(spec: SourceSpec, eta: float, cutoff: int) -> float:
     """Mass of ``spec`` after loss ``eta`` above ``cutoff`` photons.
 
     Terms are summed smallest first until the bound on the mass beyond
-    them is below the rounding of ``tail_tolerance``, so every term that
+    them is below the rounding of ``TAIL_TOLERANCE``, so every term that
     could carry the sum across the tolerance counts.
     """
     above = []
     for k, (p, bound) in enumerate(_series(spec, eta)):
         if k > cutoff:
             above.append(p)
-        if bound < tail_tolerance * _ROUNDING:
+        if bound < TAIL_TOLERANCE * _ROUNDING:
             break
     return sum(reversed(above))

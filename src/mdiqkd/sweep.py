@@ -12,12 +12,12 @@ probability and cutoff and serve every source and distance, and the
 statistics after loss (``sources.transmitted``) serve every channel and
 intensity partner of a source at one distance.  One memo per
 evaluation (``_observed``) holds every gain the estimator needs, keyed
-by (signal spec, decoy spec, detector params, cutoff, tail tolerance,
-misalignment), so a search that returns to a point costs one lookup.
-Its misses read gains per source pair (``_cached_gains``), which
-evaluations with other intensity partners share.  The finite-size
-interval pass is not memoised: each evaluation applies its method's
-kernel once to every observed gain (``finite_key.interval_kernel``).
+by (signal spec, decoy spec, detector params, cutoff, misalignment),
+so a search that returns to a point costs one lookup.  Its misses read
+gains per source pair (``_cached_gains``), which evaluations with other
+intensity partners share.  The finite-size interval pass is not
+memoised: each evaluation applies its method's kernel once to every
+observed gain (``finite_key.interval_kernel``).
 
 All pipelines are serial and deterministic: identical inputs give
 bit-identical results in grid order.
@@ -42,13 +42,11 @@ from .sources import SourceKind, SourceSpec
 @lru_cache(maxsize=4096)
 def _cached_gains(
     spec_a: SourceSpec, spec_b: SourceSpec, params: DetectorParams,
-    cutoff: int, tail_tolerance: float, misalignment: float,
+    cutoff: int, misalignment: float,
 ) -> GainSet:
     """Gains of one source pair at one distance, shared by every point
     (and every search step) that needs them."""
-    return gains(
-        spec_a, spec_b, yield_tables(params, cutoff), misalignment, tail_tolerance
-    )
+    return gains(spec_a, spec_b, yield_tables(params, cutoff), misalignment)
 
 
 _VACUUM = SourceSpec.vacuum()
@@ -57,7 +55,7 @@ _VACUUM = SourceSpec.vacuum()
 @lru_cache(maxsize=256)
 def _observed(
     spec_signal: SourceSpec, spec_decoy: SourceSpec,
-    params: DetectorParams, cutoff: int, tail_tolerance: float, misalignment: float,
+    params: DetectorParams, cutoff: int, misalignment: float,
 ) -> DecoyInputs:
     """The estimator's inputs at one distance: both sources and the
     gains of every channel the signal kind's estimator reads.
@@ -68,9 +66,7 @@ def _observed(
         spec_signal=spec_signal,
         spec_decoy=spec_decoy,
         gains={
-            c: _cached_gains(
-                specs[c[0]], specs[c[1]], params, cutoff, tail_tolerance, misalignment
-            )
+            c: _cached_gains(specs[c[0]], specs[c[1]], params, cutoff, misalignment)
             for c in CHANNELS[spec_signal.kind]
         },
     )
@@ -81,8 +77,7 @@ def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     system = replace(scenario.system, distance_km=distance_km)
     inputs = _observed(
         scenario.signal_spec(scenario.signal_mu), scenario.signal_spec(scenario.decoy_mu),
-        system.detector_params(), scenario.cutoff, scenario.tail_tolerance,
-        system.misalignment,
+        system.detector_params(), scenario.cutoff, system.misalignment,
     )
     estimate = worst_case_decoy(inputs, scenario.finite_key)
     gains_signal = inputs.gains["ss"]
@@ -325,11 +320,17 @@ def csv_rows(points: Iterable[KeyRatePoint]) -> List[str]:
     return rows
 
 
-def write_csv(points: Iterable[KeyRatePoint], out: Union[str, IO[str]]) -> None:
-    """Write results with full float precision and a fixed column order."""
-    text = "\n".join(csv_rows(points)) + "\n"
+def write_lines(lines: Iterable[str], out: Union[str, IO[str]]) -> None:
+    """Write ASCII lines, each ended by a bare newline, to a path or an
+    open text stream."""
+    text = "\n".join(lines) + "\n"
     if isinstance(out, str):
         with open(out, "w", encoding="ascii", newline="") as handle:
             handle.write(text)
     else:
         out.write(text)
+
+
+def write_csv(points: Iterable[KeyRatePoint], out: Union[str, IO[str]]) -> None:
+    """Write results with full float precision and a fixed column order."""
+    write_lines(csv_rows(points), out)

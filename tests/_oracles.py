@@ -9,8 +9,10 @@ exact arithmetic where possible:
 * ``oracle_bell_yield`` enumerates every photon-survival and dark-count
   pattern explicitly instead of using closed-form click probabilities.
 * ``oracle_gain`` is a plain double loop over photon numbers.
-* ``dense_tables`` lays a yield table out as one matrix per channel, so
-  the double loop and elementwise checks can read it.
+* ``dense_tables`` lays a yield table out at its efficiency as one
+  matrix per channel, contracting the binomial rows of single Fock
+  states after loss (``binomial_row``), so the double loop and
+  elementwise checks can read it.
 * ``oracle_distribution`` gives a source's photon-number statistics in
   50-digit arithmetic, and ``binomial_fold`` applies loss to them the
   long way, photon by photon: p'(k) = sum_n p(n) C(n, k) eta^k
@@ -163,11 +165,24 @@ def oracle_gain(probs_a, probs_b, yields) -> float:
     return total
 
 
+def binomial_row(n: int, eta: float) -> tuple:
+    """Photon-number statistics of n photons after loss eta:
+    C(n, k) eta^k (1 - eta)^(n - k) for k = 0, ..., n."""
+    return tuple(
+        math.comb(n, k) * eta**k * (1.0 - eta) ** (n - k) for k in range(n + 1)
+    )
+
+
 def dense_tables(table) -> Dict[str, list]:
-    """The four channel matrices of a ``YieldTable`` as nested lists;
-    entry [i][j] contracts the unit photon-number vectors e_i and e_j."""
+    """The four channel matrices of a ``YieldTable`` at its efficiency as
+    nested lists: entry [i][j] contracts the binomial rows of i and j
+    photons after the table's loss."""
     size = table.cutoff + 1
-    pairs = [[table.pair(i, j) for j in range(size)] for i in range(size)]
+    eta = table.params.efficiency
+    pairs = [
+        [table.contract(binomial_row(i, eta), binomial_row(j, eta)) for j in range(size)]
+        for i in range(size)
+    ]
     names = ("correct_z", "error_z", "correct_x", "error_x")
     return {
         name: [[yields[k] for yields in row] for row in pairs]

@@ -61,7 +61,7 @@ def test_distributions_and_interference_outputs_are_normalized(capsys):
     start = time.perf_counter()
     worst = 0.0
     for spec in SOURCE_SPECS:
-        probs, _ = transmitted(spec, 1.0, 1e-15, 60)
+        probs, _ = transmitted(spec, 1.0, 60)
         worst = max(worst, abs(float(np.asarray(probs).sum()) - 1.0))
     outputs = 0
     for pol_a, pol_b in CANONICAL_PAIRS:
@@ -173,7 +173,7 @@ def _decoy_inputs(kind, mu1, mu2, table, misalignment):
         specs["s"],
         specs["d"],
         {
-            c: gains(specs[c[0]], specs[c[1]], table, misalignment, 1e-15)
+            c: gains(specs[c[0]], specs[c[1]], table, misalignment)
             for c in CHANNELS[kind]
         },
     )

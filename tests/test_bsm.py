@@ -27,7 +27,7 @@ CHANNELS = {
 
 
 def _dense(table):
-    """The four channel tables as arrays, from unit-vector contractions."""
+    """The four channel tables as arrays, from binomial-row contractions."""
     return {name: np.asarray(t) for name, t in dense_tables(table).items()}
 
 
@@ -229,15 +229,6 @@ def test_yield_tables_cutoff_validation():
         yield_tables(params, 0)
     with pytest.raises(CutoffError):
         yield_tables(params, 21)
-
-
-def test_pair_rejects_photon_numbers_outside_the_table():
-    table = yield_tables(DetectorParams(0.4, 1e-7), 4)
-    assert table.pair(4, 4)[0] >= 0.0
-    with pytest.raises(CutoffError):
-        table.pair(5, 0)
-    with pytest.raises(DomainError):
-        table.pair(0, -1)
 
 
 def test_detector_params_validation():

@@ -11,6 +11,7 @@ import pytest
 import mdiqkd
 from mdiqkd import (
     ConfigError,
+    DetectorParams,
     DistanceGrid,
     FiniteKeyConfig,
     FluctuationMethod,
@@ -20,9 +21,12 @@ from mdiqkd import (
     load_scenario,
     parse_kv_text,
     scenario_from_mapping,
+    yield_tables,
 )
 from mdiqkd.cli import main
 from mdiqkd.config import MAX_GRID_POINTS
+
+from _oracles import dense_tables
 
 
 def test_parse_kv_basic():
@@ -78,7 +82,6 @@ def test_full_mapping_round_trip():
             "source.signal_mu": "0.2",
             "source.decoy_mu": "0.02",
             "source.odd_weight": "0.8",
-            "source.tail_tolerance": "1e-12",
             "system.detector_efficiency": "0.5",
             "system.dark_count": "1e-6",
             "system.fiber_loss_db_km": "0.21",
@@ -101,7 +104,6 @@ def test_full_mapping_round_trip():
         signal_mu=0.2,
         decoy_mu=0.02,
         odd_weight=0.8,
-        tail_tolerance=1e-12,
         system=SystemParams(0.0, 0.5, 1e-6, 0.21, 0.02, 1.2),
         grid=DistanceGrid(10.0, 50.0, 20.0),
         finite_key=FiniteKeyConfig(FluctuationMethod.CHERNOFF, 1e13, 6.0, 1e-8),
@@ -127,7 +129,7 @@ def test_public_names_resolve():
         {"finite_key.method": "bootstrap"},
         {"source.signal_mu": "0.01", "source.decoy_mu": "0.1"},
         {"source.odd_weight": "0"},
-        {"source.tail_tolerance": "1"},
+        {"source.tail_tolerance": "1e-15"},  # removed key
         {"grid.step_km": "0"},
         {"grid.start_km": "100", "grid.stop_km": "50"},
         {"decoy.wcs_estimator": "two_decoy_generic"},  # removed key
@@ -244,6 +246,39 @@ def test_cli_optimize_and_yields(tmp_path, capsys):
     assert float(values["vacuum_yield"]) == pytest.approx(2e-14, rel=1e-6)
 
 
+@pytest.mark.parametrize("eta,distance_km,config", [
+    (1.0, 0.0, "system.detector_efficiency = 1\n"),
+    (1e-300, 0.0, "system.detector_efficiency = 1e-300\nsystem.fiber_loss_db_km = 0\n"),
+    (0.4, 0.0, "system.detector_efficiency = 0.4\nsystem.fiber_loss_db_km = 0\n"),
+    (0.0, 100000.0, "system.detector_efficiency = 1\n"),  # 10^-1000 underflows
+], ids=["eta=1", "eta=1e-300", "eta=0.4", "eta=0"])
+def test_cli_yields_report_matches_the_table_oracle(tmp_path, capsys, eta, distance_km, config):
+    """The (1, 1) and (0, 0) entries of the binomial-row tables, bit for
+    bit; dark counts keep every yield above zero."""
+    cfg = _write_cfg(tmp_path, config + "system.misalignment = 0.015\n")
+    assert main(["yields", "--config", cfg, "--distance-km", str(distance_km)]) == 0
+    report = capsys.readouterr().out.strip().splitlines()
+    values = {k: float(v) for k, v in (line.split(" = ") for line in report)}
+    assert values["overall_efficiency"] == eta
+    dense = dense_tables(yield_tables(DetectorParams(eta, 1e-7), int(values["cutoff"])))
+    for basis in ("z", "x"):
+        correct, error = dense[f"correct_{basis}"][1][1], dense[f"error_{basis}"][1][1]
+        y11 = correct + error
+        assert values[f"y11_{basis}"] == y11
+        assert values[f"e11_{basis}"] == (0.015 * correct + (1.0 - 0.015) * error) / y11
+    assert values["vacuum_yield"] == dense["correct_z"][0][0]
+
+
+@pytest.mark.parametrize("command", ["compare", "yields"])
+@pytest.mark.parametrize("out", ["", "missing-dir/x.csv", "."])
+def test_cli_unwritable_output_is_a_config_error(tmp_path, monkeypatch, capsys, command, out):
+    """An empty path, a missing directory and a directory exit 2."""
+    monkeypatch.chdir(tmp_path)
+    cfg = _write_cfg(tmp_path, "grid.stop_km = 0\n")
+    assert main([command, "--config", cfg, "--out", out]) == 2
+    assert f"cannot write output {out!r}" in capsys.readouterr().err
+
+
 def test_cli_exit_code_on_bad_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "source.kind = thermal\n")
     assert main(["sweep", "--config", cfg]) == 2
@@ -328,6 +363,13 @@ def test_removed_wcs_estimator_key_is_unknown(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "source.kind = wcs\ndecoy.wcs_estimator = two_decoy_generic\n")
     assert main(["sweep", "--config", cfg]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+def test_removed_tail_tolerance_key_is_unknown(tmp_path, capsys):
+    """The truncation tolerance is the constant ``sources.TAIL_TOLERANCE``."""
+    cfg = _write_cfg(tmp_path, "source.tail_tolerance = 1e-15\n")
+    assert main(["sweep", "--config", cfg]) == 2
+    assert "unknown config key 'source.tail_tolerance'" in capsys.readouterr().err
 
 
 def test_cli_rejects_workers_flag(capsys):

@@ -24,16 +24,12 @@ from mdiqkd import (
 )
 from mdiqkd.decoy import (
     CHANNELS,
-    MULTI_PHOTON,
-    emitted_head,
     estimate,
     generic_y11_bound,
     vacuum_substituted_gain,
 )
-from mdiqkd.sources import transmitted
 
 
-TOL = 1e-15
 CSS_SIGNAL, CSS_DECOY = SourceSpec.css(0.1), SourceSpec.css(0.01)
 
 
@@ -49,7 +45,7 @@ def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_we
     spec = Scenario(source_kind=kind, odd_weight=odd_weight).signal_spec
     specs = {"s": spec(mu1), "d": spec(mu2), "0": SourceSpec.vacuum()}
     channel_gains = {
-        c: gains(specs[c[0]], specs[c[1]], table, e_d, TOL) for c in CHANNELS[kind]
+        c: gains(specs[c[0]], specs[c[1]], table, e_d) for c in CHANNELS[kind]
     }
     return DecoyInputs(specs["s"], specs["d"], channel_gains), table, e_d
 
@@ -92,25 +88,6 @@ def test_faint_decoy_bound_reads_the_multi_photon_term(mu2, distance_km):
     point = evaluate_point(scenario, distance_km)
     table = yield_tables(replace(system, distance_km=distance_km).detector_params(), 1)
     assert point.y11_lower <= true_single_photon_quantities(table, 0.0).y11_z
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    kind=st.sampled_from(list(MULTI_PHOTON)),
-    mu=st.floats(-12.0, 2.0).map(lambda e: 10.0**e),
-    odd_weight=st.floats(0.01, 1.0),
-    multi=st.booleans(),
-    tol=st.floats(-16.0, -6.0).map(lambda e: 10.0**e),
-)
-def test_emitted_head_does_not_depend_on_the_tail_tolerance(kind, mu, odd_weight, multi, tol):
-    """Below m the series weighs its tail against no multi-photon mass,
-    so every tolerance reads the same (P0, P1, Pm), as the estimator (m
-    from ``MULTI_PHOTON``) and the key rate (m = 1) read it."""
-    m = MULTI_PHOTON[kind] if multi else 1
-    spec = Scenario(source_kind=kind, odd_weight=odd_weight).signal_spec(mu)
-    probs, _ = transmitted(spec, 1.0, tol, m)
-    probs += (0.0,) * (m + 1 - len(probs))
-    assert emitted_head(spec, m) == (probs[0], probs[1], probs[m])
 
 
 def test_single_photon_bounds_are_the_observed_gains():
@@ -234,7 +211,7 @@ def test_two_decoy_degenerate_for_odd_only_sources():
 
 def test_intensity_ordering_is_validated():
     table, e_d = _table(0.0)
-    g = gains(CSS_SIGNAL, CSS_SIGNAL, table, e_d, TOL)
+    g = gains(CSS_SIGNAL, CSS_SIGNAL, table, e_d)
     with pytest.raises(DomainError):
         DecoyInputs(CSS_DECOY, CSS_SIGNAL, {"ss": g, "dd": g})
     with pytest.raises(DomainError):

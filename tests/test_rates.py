@@ -19,7 +19,7 @@ from mdiqkd import (
     true_single_photon_quantities,
     yield_tables,
 )
-from mdiqkd.sources import transmitted
+from mdiqkd.sources import TAIL_TOLERANCE, transmitted
 
 from _oracles import (
     dense_tables,
@@ -31,7 +31,6 @@ from _oracles import (
 from test_bsm import _SMALLEST_NONZERO, _bell_yield_tables
 from test_sources import _SUBNORMAL_SLACK
 
-TOL = 1e-15
 WCS, VACUUM = SourceSpec.wcs(0.4), SourceSpec.vacuum()
 
 
@@ -88,8 +87,8 @@ def test_binary_entropy_reference_values():
 
 def test_gains_match_double_sum():
     table = yield_tables(DetectorParams(0.4, 1e-7), 12)
-    g = gains(WCS, WCS, table, 0.015, TOL)
-    pa, _ = transmitted(WCS, 1.0, TOL, table.cutoff)
+    g = gains(WCS, WCS, table, 0.015)
+    pa, _ = transmitted(WCS, 1.0, table.cutoff)
     dense = dense_tables(table)
     want_correct = oracle_gain(pa, pa, dense["correct_z"])
     want_error = oracle_gain(pa, pa, dense["error_z"])
@@ -104,8 +103,8 @@ def test_gains_match_double_sum():
 
 def test_gains_asymmetric_sources():
     table = yield_tables(DetectorParams(0.4, 1e-7), 12)
-    g = gains(WCS, VACUUM, table, 0.0, TOL)
-    pa, _ = transmitted(WCS, 1.0, TOL, table.cutoff)
+    g = gains(WCS, VACUUM, table, 0.0)
+    pa, _ = transmitted(WCS, 1.0, table.cutoff)
     want = oracle_gain(pa, (1.0,), dense_tables(table)["correct_z"])
     assert g.correct_z == pytest.approx(want, rel=1e-13)
 
@@ -138,7 +137,7 @@ def test_gains_match_per_pair_detection_property(eta, dark, e_d, spec_a, spec_b)
     # mu <= 0.3 keeps the oracle within 17 photons
     deep_a, deep_b = (oracle_distribution(s, 1e-22) for s in (spec_a, spec_b))
     cutoff = max(len(deep_a), len(deep_b), 2) - 1
-    g = gains(spec_a, spec_b, yield_tables(params, cutoff), e_d, TOL)
+    g = gains(spec_a, spec_b, yield_tables(params, cutoff), e_d)
     # the contraction in 50 digits, rounded once
     with mpmath.workdps(50):
         want = {
@@ -166,7 +165,7 @@ def test_wcs_gains_match_bessel_closed_form(mu_a, mu_b):
     spec_a, spec_b = (SourceSpec.wcs(mu) if mu else VACUUM for mu in (mu_a, mu_b))
     for distance_km in range(0, 601, 10):
         params = SystemParams(distance_km=distance_km).detector_params()
-        g = gains(spec_a, spec_b, yield_tables(params, 15), 0.0, TOL)
+        g = gains(spec_a, spec_b, yield_tables(params, 15), 0.0)
         want = oracle_wcs_gains(mu_a, mu_b, params.efficiency, params.dark_count)
         for name, value in zip(("correct_z", "error_z", "correct_x", "error_x"), want):
             assert abs(getattr(g, name) - value) <= 1e-12 * value, (distance_km, name)
@@ -176,7 +175,7 @@ def test_gains_reject_undersized_table():
     # at the 0 km efficiency the arriving light needs about 12 photon numbers
     table = yield_tables(DetectorParams(0.4, 1e-7), 4)
     with pytest.raises(CutoffError, match="above the yield-table cutoff 4 "):
-        gains(WCS, WCS, table, 0.015, TOL)
+        gains(WCS, WCS, table, 0.015)
 
 
 _GATE_MU = st.floats(-8.0, 2.0).map(lambda e: 10.0**e)
@@ -193,21 +192,20 @@ _ANY_MU = st.one_of(st.just(0.0), st.floats(-320.0, math.log10(511.99)).map(lamb
         st.just(SourceSpec.sps()),
         st.just(VACUUM),
     ),
-    tail_tolerance=st.sampled_from([1e-6, 1e-9, 1e-12, 1e-15]),
     cutoff=st.integers(1, 20),
     eta=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
 )
-def test_cutoff_check_admits_what_the_emitted_rule_admitted(spec, tail_tolerance, cutoff, eta):
+def test_cutoff_check_admits_what_the_emitted_rule_admitted(spec, cutoff, eta):
     """The table-cutoff check on the arriving light admits every source
     the rule on the emitted light admitted, and decides as it did
     without loss."""
     table = yield_tables(DetectorParams(eta, 0.0), cutoff)
     try:
-        gains(spec, VACUUM, table, 0.0, tail_tolerance)
+        gains(spec, VACUUM, table, 0.0)
         admitted = True
     except CutoffError:
         admitted = False
-    emitted_fits = oracle_emitted_cutoff(spec, tail_tolerance) <= cutoff
+    emitted_fits = oracle_emitted_cutoff(spec, TAIL_TOLERANCE) <= cutoff
     assert admitted or not emitted_fits
     if eta == 1.0:
         assert admitted == emitted_fits
@@ -231,7 +229,7 @@ def test_gains_are_finite_or_rejected(spec, partner, eta, dark, cutoff):
     """Every validated source below the photon cap gives finite gains or
     a cutoff or convergence error that names the problem."""
     try:
-        g = gains(spec, partner, yield_tables(DetectorParams(eta, dark), cutoff), 0.015, TOL)
+        g = gains(spec, partner, yield_tables(DetectorParams(eta, dark), cutoff), 0.015)
     except CutoffError as exc:
         assert f"yield-table cutoff {cutoff} " in str(exc)
     except DomainError as exc:
@@ -252,8 +250,8 @@ def test_gain_set_rejects_gains_outside_unit_interval(value):
 def test_misalignment_flips_correct_and_error():
     table = yield_tables(DetectorParams(0.4, 1e-7), 9)
     css = SourceSpec.css(0.1)
-    g0 = gains(css, css, table, 0.0, TOL)
-    g1 = gains(css, css, table, 1.0, TOL)
+    g0 = gains(css, css, table, 0.0)
+    g1 = gains(css, css, table, 1.0)
     assert g0.error_weighted_z == pytest.approx(g1.total_z - g1.error_weighted_z, rel=1e-12)
     assert g0.total_z == g1.total_z
 
@@ -264,7 +262,7 @@ def test_vacuum_channel_error_rate_is_one_half():
     misalignment."""
     table = yield_tables(DetectorParams(0.4, 1e-7), 12)
     for e_d in (0.0, 0.015, 0.3):
-        g = gains(WCS, VACUUM, table, e_d, TOL)
+        g = gains(WCS, VACUUM, table, e_d)
         assert g.qber_z == pytest.approx(0.5, rel=1e-10)
         assert g.qber_x == pytest.approx(0.5, rel=1e-10)
 

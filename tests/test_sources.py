@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdiqkd import DetectorParams, DomainError, SourceSpec, gains, yield_tables
-from mdiqkd.sources import mass_above, transmitted
+from mdiqkd.sources import TAIL_TOLERANCE, mass_above, transmitted
 
 from _oracles import binomial_fold, oracle_distribution
 
@@ -32,9 +32,9 @@ ALL_SPECS = [
 _DEEP = 60
 
 
-def emitted(spec, tail_tolerance=1e-15):
+def emitted(spec):
     """The emitted statistics: the series at no loss, and its tail."""
-    return transmitted(spec, 1.0, tail_tolerance, _DEEP)
+    return transmitted(spec, 1.0, _DEEP)
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
@@ -95,29 +95,6 @@ def test_css_mean_matches_closed_form():
     assert _mean(probs) == pytest.approx(mu / math.tanh(mu), rel=1e-12)
 
 
-def test_tail_shrinks_with_tolerance():
-    loose, loose_tail = emitted(SourceSpec.wcs(0.4), tail_tolerance=1e-6)
-    tight, tight_tail = emitted(SourceSpec.wcs(0.4), tail_tolerance=1e-15)
-    assert len(tight) >= len(loose)
-    assert loose_tail < 1e-6
-    assert tight_tail < 1e-15
-
-
-def _wcs_gains(tail_tolerance):
-    spec = SourceSpec.wcs(0.4)
-    return gains(spec, spec, yield_tables(DetectorParams(0.4, 1e-7), 15), 0.015, tail_tolerance)
-
-
-@pytest.mark.parametrize("bad", [0.0, -1e-9, 2e-6, 1.0, float("nan")])
-def test_tail_tolerance_range_is_enforced(bad):
-    with pytest.raises(DomainError, match="tail tolerance must lie in"):
-        _wcs_gains(bad)
-
-
-def test_tail_tolerance_upper_edge_is_allowed():
-    assert _wcs_gains(1e-6).total_z > 0.0
-
-
 @pytest.mark.parametrize(
     "factory",
     [
@@ -168,7 +145,7 @@ def test_intensity_beyond_the_photon_cap_is_a_domain_error(spec):
     # to tell what a table cutoff drops.
     table = yield_tables(DetectorParams(1.0, 0.0), 20)
     with pytest.raises(DomainError, match="does not converge within 512 photons"):
-        gains(spec, spec, table, 0.0, 1e-15)
+        gains(spec, spec, table, 0.0)
 
 
 _MU = st.floats(0.0, 1.0)
@@ -192,27 +169,25 @@ _LOG_MU = st.floats(-300.0, math.log10(5.0)).map(lambda e: 10.0**e)
         st.builds(SourceSpec.css, _LOG_MU),
         st.builds(SourceSpec.nonideal_css, _LOG_MU, st.floats(0.0, 1.0, exclude_min=True)),
     ),
-    tail_tolerance=st.floats(-16.0, -6.0).map(lambda e: 10.0**e),
 )
 # p(1) = a mu / sinh(mu) rounds to 0.5 here; exp of a log-series, which
 # loses |log p(n)| units in the last place, gave 0.5000000000000275.
-@example(SourceSpec.nonideal_css(6.4e-232, 0.5), 1e-15)
-def test_emitted_statistics_match_the_oracle(spec, tail_tolerance):
+@example(SourceSpec.nonideal_css(6.4e-232, 0.5))
+def test_emitted_statistics_match_the_oracle(spec):
     """Every kept p(n) is within a few roundings per photon of the
     50-digit statistics, and the mass above N is below the tolerance
     exactly where the 50-digit tail is."""
-    probs, _ = emitted(spec, tail_tolerance)
+    tol = TAIL_TOLERANCE
+    probs, _ = emitted(spec)
     want = oracle_distribution(spec, 1e-40)
     with mpmath.workdps(50):
         for n, got in enumerate(probs):
             assert abs(got - want[n]) <= 4 * (n + 1) * 2**-53 * want[n] + _SUBNORMAL_SLACK, n
         tails = [mpmath.fsum(want[n + 1 :]) for n in range(len(want))]
         # a tail within its own rounding of the tolerance may fall either way
-        assume(all(abs(t - tail_tolerance) > 1e-12 * tail_tolerance for t in tails))
+        assume(all(abs(t - tol) > 1e-12 * tol for t in tails))
         for n, t in enumerate(tails):
-            assert (mass_above(spec, 1.0, tail_tolerance, n) < tail_tolerance) == (
-                t < tail_tolerance
-            ), n
+            assert (mass_above(spec, 1.0, n) < tol) == (t < tol), n
 
 
 @settings(max_examples=150, deadline=None)
@@ -228,7 +203,7 @@ def test_transmitted_matches_binomial_fold(spec, eta, cutoff):
     """The closed form after loss equals the photon-by-photon fold of a
     deeply truncated source at k <= 2, its tail bounds the mass it drops,
     and it never runs past the cutoff."""
-    probs, tail = transmitted(spec, eta, 1e-15, cutoff)
+    probs, tail = transmitted(spec, eta, cutoff)
     assert len(probs) <= cutoff + 1
     fold = binomial_fold(oracle_distribution(spec, 1e-40), eta)
     fold += [mpmath.mpf(0)] * (len(probs) - len(fold))
@@ -246,7 +221,7 @@ def test_transmitted_weak_coherent_state_shortens_with_loss(eta, length):
     loss the series stops once its tail is below the tolerance times the
     multi-photon mass.  The efficiencies are those of 0, 200 and 400 km
     of 0.2 dB/km fiber at detector efficiency 0.4, and no light."""
-    probs, tail = transmitted(SourceSpec.wcs(0.4), eta, 1e-15, 15)
+    probs, tail = transmitted(SourceSpec.wcs(0.4), eta, 15)
     assert len(probs) == length
     assert probs[0] == pytest.approx(math.exp(-0.4 * eta), rel=1e-15)
     assert 0.0 <= tail <= 1e-15 * sum(probs[2:])

@@ -55,13 +55,11 @@ def test_rate_decreases_with_distance():
 
 
 def test_memoised_gains_equal_a_fresh_contraction():
-    key = (
-        SourceSpec.wcs(0.4), SourceSpec.vacuum(), DetectorParams(0.037, 1e-7), 15, 1e-15, 0.015
-    )
+    key = (SourceSpec.wcs(0.4), SourceSpec.vacuum(), DetectorParams(0.037, 1e-7), 15, 0.015)
     first = _cached_gains(*key)
     assert _cached_gains(*key) is first
-    spec_a, spec_b, params, cutoff, tail_tolerance, e_d = key
-    fresh = gains(spec_a, spec_b, yield_tables(params, cutoff), e_d, tail_tolerance)
+    spec_a, spec_b, params, cutoff, e_d = key
+    fresh = gains(spec_a, spec_b, yield_tables(params, cutoff), e_d)
     assert first == fresh
 
 
@@ -69,8 +67,7 @@ def _memo_key(scenario, distance_km):
     system = replace(scenario.system, distance_km=distance_km)
     return (
         scenario.signal_spec(scenario.signal_mu), scenario.signal_spec(scenario.decoy_mu),
-        system.detector_params(), scenario.cutoff,
-        scenario.tail_tolerance, system.misalignment,
+        system.detector_params(), scenario.cutoff, system.misalignment,
     )
 
 
@@ -96,7 +93,6 @@ def test_per_point_memo_is_keyed_by_every_input():
 
     variants = {
         "misalignment": (replace(base, system=replace(base.system, misalignment=0.02)), 60.0),
-        "tail tolerance": (replace(base, tail_tolerance=1e-12), 60.0),
         "cutoff": (replace(base, cutoff=12), 60.0),
         "odd weight": (replace(base, odd_weight=0.8), 60.0),
         "decoy mu": (replace(base, decoy_mu=0.02), 60.0),
@@ -198,6 +194,19 @@ def test_cutoff_distance_monotone_in_pulse_count():
         step_km=25.0,
     )
     assert short <= longer <= asym
+
+
+@pytest.mark.parametrize("method", list(FluctuationMethod))
+def test_cutoff_distance_bisection_equals_a_linear_scan(method):
+    """The bisection assumes the rate falls with distance; on every
+    comparison source it finds what a scan of the whole grid finds."""
+    base = Scenario(finite_key=FiniteKeyConfig(method))
+    for scenario in comparison_scenarios(base):
+        positive = [
+            d for d in (5.0 * k for k in range(121)) if evaluate_point(scenario, d).rate > 0.0
+        ]
+        want = max(positive) if positive else None
+        assert cutoff_distance(scenario, max_km=600.0, step_km=5.0) == want, scenario.source_kind
 
 
 def test_calibration_returns_start_when_already_inside_window():

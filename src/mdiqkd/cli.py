@@ -9,13 +9,15 @@ Subcommands:
 
 Results are written as CSV (or key=value lines for ``yields``) to
 ``--out`` or stdout.  Exit codes: 0 on success, 2 for configuration
-problems (including an unreadable ``--config`` or unwritable ``--out``),
-3 when a computation leaves the supported domain.
+problems (including an unreadable ``--config`` or unwritable ``--out``,
+both found before the run), 3 when a computation leaves the supported
+domain.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from typing import List, Optional
@@ -81,6 +83,19 @@ def _load(args: argparse.Namespace) -> Scenario:
     return load_scenario(text, method=args.method, pulse_pairs=args.pulses)
 
 
+def _check_out(path: str) -> None:
+    """Fail before the run when ``path`` cannot be opened for writing.
+    The check truncates nothing, and removes a file it had to create, so
+    a run that fails later leaves no file behind that was not there."""
+    existed = os.path.lexists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path!r}: {exc}") from None
+    if not existed:
+        os.remove(path)
+
+
 def _yields_report(scenario: Scenario, distance_km: float) -> List[str]:
     system = replace(scenario.system, distance_km=distance_km)
     table = yield_tables(system.detector_params(), scenario.cutoff)
@@ -108,6 +123,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = _load(args)
+        if args.out is not None:
+            _check_out(args.out)
         if args.command == "yields":
             report, write = _yields_report(scenario, args.distance_km), write_lines
         else:

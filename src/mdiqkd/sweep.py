@@ -13,7 +13,9 @@ statistics after loss (``sources.transmitted``) serve every channel and
 intensity partner of a source at one distance.  One memo per
 evaluation (``_observed``) holds every gain the estimator needs, keyed
 by (signal spec, decoy spec, detector params, cutoff, misalignment),
-so a search that returns to a point costs one lookup.  Its misses read
+so a point that differs from an earlier one only in the pulse count (a
+calibration's search at a distance another count reached) costs one
+lookup.  Its misses read
 gains per source pair (``_cached_gains``), which evaluations with other
 intensity partners share.  The finite-size interval pass is not
 memoised: each evaluation applies its method's kernel once to every
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bsm import DetectorParams, yield_tables
 from .config import Scenario
@@ -170,6 +172,50 @@ def optimize_intensities(scenario: Scenario) -> List[KeyRatePoint]:
     return [_best_point(scenario, pairs, d) for d in scenario.grid.distances()]
 
 
+def _grid_steps(max_km: float, step_km: float) -> int:
+    """Index of the last point of the search grid {0, step, 2 step, ...}
+    up to ``max_km``."""
+    if not (math.isfinite(step_km) and step_km > 0.0):
+        raise DomainError(f"step_km must be finite and > 0, got {step_km}")
+    steps = max_km / step_km
+    if not (math.isfinite(steps) and steps >= 0.0):
+        raise DomainError(
+            f"max_km must be >= 0 with max_km / step_km finite, got {max_km}"
+        )
+    return int(math.floor(steps + 1e-9))
+
+
+def _last_positive(
+    positive: Callable[[int], bool], steps: int, lo: int, hi: int
+) -> int:
+    """Last index in 0..steps at which ``positive`` holds, or -1.
+
+    ``positive`` must hold up to some index and fail beyond it (the rate
+    does not rise with distance).  (lo, hi), with -1 <= lo <= steps and
+    0 <= hi <= steps + 1, is only a guess at the bracket: positive(lo)
+    and not positive(hi).  Both ends are checked, and a failed check
+    widens the bracket to the grid end beyond it.  -1 and steps + 1 are
+    the grid's sentinels, never evaluated.  The full-grid guess
+    (0, steps) evaluates 0, steps, then the midpoints: a plain bisection.
+    """
+    hi = max(hi, lo + 1)
+    if lo >= 0 and not positive(lo):
+        lo, hi = -1, lo
+    elif hi <= steps and positive(hi):
+        lo, hi = hi, steps + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _rate_positive(scenario: Scenario, step_km: float) -> Callable[[int], bool]:
+    return lambda index: evaluate_point(scenario, index * step_km).rate > 0.0
+
+
 def cutoff_distance(
     scenario: Scenario, max_km: float = 800.0, step_km: float = 5.0
 ) -> Optional[float]:
@@ -179,23 +225,9 @@ def cutoff_distance(
     by bisection, relying on the rate being nonincreasing in distance.
     Returns None when the rate already vanishes at zero distance.
     """
-    steps = int(math.floor(max_km / step_km + 1e-9))
-
-    def positive(index: int) -> bool:
-        return evaluate_point(scenario, index * step_km).rate > 0.0
-
-    if not positive(0):
-        return None
-    lo, hi = 0, steps
-    if positive(hi):
-        return hi * step_km
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if positive(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo * step_km
+    steps = _grid_steps(max_km, step_km)
+    index = _last_positive(_rate_positive(scenario, step_km), steps, 0, steps)
+    return None if index < 0 else index * step_km
 
 
 @dataclass(frozen=True)
@@ -226,15 +258,44 @@ def calibrate_pulse_pairs(
     The cutoff distance grows monotonically with the number of pulse
     pairs, so a bisection in log(N) converges quickly.  When no count
     inside ``bounds`` reaches the window, the nearest bound and its
-    cutoff are reported with ``in_window=False``.
+    cutoff are reported with ``in_window=False``.  When the window holds
+    no grid distance, the result is a count within 2 % of where the
+    cutoff crosses the window, with its cutoff below the window, and
+    ``in_window=False``.  ``start`` is clamped into ``bounds``.
+
+    Each pulse count's cutoff is searched once (``cutoff_distance``'s
+    grid and bisection) and kept for the rest of the call.  A new count's
+    search starts from the bracket the counts already searched give: the
+    cutoff of the nearest count below and one step past that of the
+    nearest count above.  Both ends are checked at the new count, and a
+    wrong guess widens the search, so the answer rests only on the rate
+    not rising with distance; the cutoff growing with N only makes the
+    guess good.
     """
     lo_w, hi_w = window
+    if not lo_w <= hi_w:
+        raise DomainError(f"window must satisfy lower <= upper, got {window}")
+    if not 1.0 <= bounds[0] <= bounds[1] < math.inf:
+        raise DomainError(
+            f"bounds must be finite with 1 <= lower <= upper, got {bounds}"
+        )
+    if not math.isfinite(start):
+        raise DomainError(f"start must be finite, got {start}")
+    steps = _grid_steps(max_km, step_km)
+    found: Dict[float, int] = {}
 
     def cut(pulse_pairs: float) -> float:
-        result = cutoff_distance(
-            _with_pulse_pairs(scenario, pulse_pairs), max_km=max_km, step_km=step_km
-        )
-        return -1.0 if result is None else result
+        if pulse_pairs not in found:
+            below = [n for n in found if n < pulse_pairs]
+            above = [n for n in found if n > pulse_pairs]
+            found[pulse_pairs] = _last_positive(
+                _rate_positive(_with_pulse_pairs(scenario, pulse_pairs), step_km),
+                steps,
+                found[max(below)] if below else 0,
+                found[min(above)] + 1 if above else steps,
+            )
+        index = found[pulse_pairs]
+        return -1.0 if index < 0 else index * step_km
 
     def result(pulse_pairs: float) -> CalibrationResult:
         c = cut(pulse_pairs)

@@ -25,12 +25,17 @@ exact arithmetic where possible:
 * ``oracle_emitted_cutoff`` is the cutoff rule on the emitted light that
   the library's table-cutoff check once applied at every distance; the
   check on the arriving light must admit everything it admits.
+* ``oracle_calibrate_pulse_pairs`` is the pulse-count calibration with
+  an independent ``cutoff_distance`` search over the whole grid at every
+  count it visits, repeated counts included; the library reuses the
+  cutoffs it has found and must reach the same result.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Tuple
@@ -38,6 +43,7 @@ from typing import Dict, List, Tuple
 import mpmath
 
 from mdiqkd.sources import _series
+from mdiqkd.sweep import CalibrationResult, cutoff_distance
 
 Config = Tuple[int, int, int, int]
 
@@ -298,3 +304,54 @@ def oracle_emitted_cutoff(spec, tail_tolerance: float) -> int:
             break
     tails = list(itertools.accumulate(reversed(terms[1:]), initial=0.0))[::-1]
     return next(n for n, mass in enumerate(tails) if mass < tail_tolerance)
+
+
+def oracle_calibrate_pulse_pairs(
+    scenario, window, bounds, start, step_km, max_km
+) -> CalibrationResult:
+    lo_w, hi_w = window
+
+    def cut(pulse_pairs: float) -> float:
+        finite_key = replace(scenario.finite_key, pulse_pairs=pulse_pairs)
+        result = cutoff_distance(
+            replace(scenario, finite_key=finite_key), max_km=max_km, step_km=step_km
+        )
+        return -1.0 if result is None else result
+
+    def result(pulse_pairs: float) -> CalibrationResult:
+        c = cut(pulse_pairs)
+        return CalibrationResult(
+            pulse_pairs, None if c < 0.0 else c, lo_w <= c <= hi_w
+        )
+
+    start = min(max(start, bounds[0]), bounds[1])
+    c0 = cut(start)
+    if lo_w <= c0 <= hi_w:
+        return result(start)
+
+    if c0 < lo_w:
+        lo_n, hi_n = start, start
+        while cut(hi_n) < lo_w:
+            if hi_n >= bounds[1]:
+                return result(bounds[1])
+            lo_n, hi_n = hi_n, min(hi_n * 10.0, bounds[1])
+        predicate = lambda n: cut(n) >= lo_w
+    else:
+        lo_n, hi_n = start, start
+        while cut(lo_n) > hi_w:
+            if lo_n <= bounds[0]:
+                return result(bounds[0])
+            lo_n, hi_n = max(lo_n / 10.0, bounds[0]), lo_n
+        predicate = lambda n: cut(n) > hi_w
+
+    while hi_n / lo_n > 1.02:
+        mid = math.sqrt(lo_n * hi_n)
+        if predicate(mid):
+            hi_n = mid
+        else:
+            lo_n = mid
+    for candidate in (hi_n, lo_n):
+        outcome = result(candidate)
+        if outcome.in_window:
+            return outcome
+    return outcome

@@ -269,14 +269,35 @@ def test_cli_yields_report_matches_the_table_oracle(tmp_path, capsys, eta, dista
     assert values["vacuum_yield"] == dense["correct_z"][0][0]
 
 
-@pytest.mark.parametrize("command", ["compare", "yields"])
+@pytest.mark.parametrize("command", ["sweep", "compare", "optimize", "yields"])
 @pytest.mark.parametrize("out", ["", "missing-dir/x.csv", "."])
 def test_cli_unwritable_output_is_a_config_error(tmp_path, monkeypatch, capsys, command, out):
-    """An empty path, a missing directory and a directory exit 2."""
+    """An empty path, a missing directory and a directory exit 2 before
+    the run computes anything."""
+    def forbidden(*args):
+        raise AssertionError("the run started before --out was checked")
+
+    monkeypatch.setattr(mdiqkd.sweep, "evaluate_point", forbidden)
+    monkeypatch.setattr(mdiqkd.cli, "_yields_report", forbidden)
     monkeypatch.chdir(tmp_path)
     cfg = _write_cfg(tmp_path, "grid.stop_km = 0\n")
     assert main([command, "--config", cfg, "--out", out]) == 2
     assert f"cannot write output {out!r}" in capsys.readouterr().err
+
+
+def test_cli_failed_run_leaves_the_output_as_it_was(tmp_path, capsys):
+    # an oversized cutoff exits 3 during the run, after --out was checked
+    cfg = _write_cfg(tmp_path, "bsm.cutoff = 21\n")
+    new = tmp_path / "new.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(new)]) == 3
+    assert not new.exists()
+    old = tmp_path / "old.csv"
+    old.write_text("kept\n" * 1000)
+    assert main(["sweep", "--config", cfg, "--out", str(old)]) == 3
+    assert old.read_text() == "kept\n" * 1000
+    # a run that succeeds replaces the whole file
+    assert main(["sweep", "--out", str(old)]) == 0
+    assert old.read_text().startswith("distance_km,") and "kept" not in old.read_text()
 
 
 def test_cli_exit_code_on_bad_config(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """End-to-end sweep pipelines, optimization and CSV output."""
 
 import io
+import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import mdiqkd.sweep
 from mdiqkd import (
     DetectorParams,
     DistanceGrid,
@@ -25,7 +28,15 @@ from mdiqkd import (
     write_csv,
     yield_tables,
 )
-from mdiqkd.sweep import CSV_COLUMNS, _cached_gains, _observed, csv_rows
+from mdiqkd.sweep import (
+    CSV_COLUMNS,
+    _cached_gains,
+    _last_positive,
+    _observed,
+    csv_rows,
+)
+
+from _oracles import oracle_calibrate_pulse_pairs
 
 
 SMALL_GRID = {"grid": DistanceGrid(0.0, 100.0, 50.0)}
@@ -207,6 +218,158 @@ def test_cutoff_distance_bisection_equals_a_linear_scan(method):
         ]
         want = max(positive) if positive else None
         assert cutoff_distance(scenario, max_km=600.0, step_km=5.0) == want, scenario.source_kind
+
+
+def _plain_bisection(positive, steps):
+    """``cutoff_distance``'s search as a standalone bisection from 0 and
+    ``steps``, the index sequence a full-grid guess must reproduce."""
+    if not positive(0):
+        return -1
+    lo, hi = 0, steps
+    if positive(hi):
+        return hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+@settings(max_examples=400, deadline=None)
+@given(steps=st.integers(0, 300), data=st.data())
+def test_bracketed_search_finds_the_flip_from_any_guess(steps, data):
+    flip = data.draw(st.integers(-1, steps), label="flip")
+    lo = data.draw(st.integers(-1, steps), label="lo")
+    hi = data.draw(st.integers(0, steps + 1), label="hi")
+    seen = []
+
+    def positive(index):
+        seen.append(index)
+        return index <= flip
+
+    assert _last_positive(positive, steps, lo, hi) == flip
+    assert all(0 <= index <= steps for index in seen)
+    assert len(seen) == len(set(seen))
+
+    full, plain = [], []
+    assert _last_positive(lambda k: full.append(k) or k <= flip, steps, 0, steps) == flip
+    assert _plain_bisection(lambda k: plain.append(k) or k <= flip, steps) == flip
+    # with one grid point the plain bisection checked index 0 twice
+    assert full == (plain if steps else [0])
+
+
+def test_cutoff_distance_evaluates_the_plain_bisection_distances(monkeypatch):
+    scenario = small(
+        source_kind=SourceKind.WCS, signal_mu=0.4, decoy_mu=0.07,
+        finite_key=FiniteKeyConfig(FluctuationMethod.STANDARD, 1e13),
+    )
+    want = []
+    index = _plain_bisection(
+        lambda k: want.append(5.0 * k) or evaluate_point(scenario, 5.0 * k).rate > 0.0, 120
+    )
+    seen = []
+
+    def recording(scenario, distance_km):
+        seen.append(distance_km)
+        return evaluate_point(scenario, distance_km)
+
+    monkeypatch.setattr(mdiqkd.sweep, "evaluate_point", recording)
+    assert cutoff_distance(scenario, max_km=600.0, step_km=5.0) == 5.0 * index
+    assert seen == want
+
+
+_CALIBRATE = {"window": (170.0, 230.0), "bounds": (1e12, 1e16), "start": 1e14, "step_km": 5.0, "max_km": 600.0}
+_WCS = replace(
+    Scenario(), source_kind=SourceKind.WCS, signal_mu=0.4, decoy_mu=0.07,
+    finite_key=FiniteKeyConfig(FluctuationMethod.STANDARD, 1e14),
+)
+_CATS = {"window": (450.0, 470.0)}
+_CALIBRATION_CASES = {
+    # the four benchmark intensity pairs
+    "wcs 0.4/0.07": (_WCS, {}),
+    "wcs 0.39/0.069": (replace(_WCS, signal_mu=0.39, decoy_mu=0.069), {}),
+    "wcs 0.395/0.071": (replace(_WCS, signal_mu=0.395, decoy_mu=0.071), {}),
+    "wcs 0.405/0.069": (replace(_WCS, signal_mu=0.405, decoy_mu=0.069), {}),
+    "css": (replace(_WCS, source_kind=SourceKind.CSS, signal_mu=0.1, decoy_mu=0.01), _CATS),
+    "nonideal css": (
+        replace(_WCS, source_kind=SourceKind.NONIDEAL_CSS, signal_mu=0.1, decoy_mu=0.01),
+        {"window": (420.0, 440.0)},
+    ),
+    "sps": (replace(_WCS, source_kind=SourceKind.SPS), _CATS),
+    "chernoff": (replace(_WCS, finite_key=FiniteKeyConfig(FluctuationMethod.CHERNOFF)), {}),
+    "window above the upper bound": (_WCS, {"window": (500.0, 550.0)}),
+    "window below the lower bound": (_WCS, {"window": (0.0, 20.0)}),
+    "no key at any bound": (_WCS, {"bounds": (1.0, 1e3)}),
+    "from one pulse pair": (_WCS, {"bounds": (1.0, 1e16), "start": 1.0}),
+    "window between grid points": (_WCS, {"window": (231.0, 234.0)}),
+    "start inside the window": (_WCS, {"window": (100.0, 400.0)}),
+}
+
+
+@pytest.mark.parametrize("case", list(_CALIBRATION_CASES))
+def test_calibration_equals_independent_searches(case):
+    """Reusing found cutoffs changes the cost, not the result."""
+    scenario, updates = _CALIBRATION_CASES[case]
+    kwargs = {**_CALIBRATE, **updates}
+    got = calibrate_pulse_pairs(scenario, **kwargs)
+    assert repr(got) == repr(oracle_calibrate_pulse_pairs(scenario, **kwargs))
+
+
+def test_calibration_searches_each_point_once(monkeypatch):
+    seen = []
+
+    def recording(scenario, distance_km):
+        seen.append((scenario.finite_key.pulse_pairs, distance_km))
+        return evaluate_point(scenario, distance_km)
+
+    monkeypatch.setattr(mdiqkd.sweep, "evaluate_point", recording)
+    result = calibrate_pulse_pairs(_WCS, **_CALIBRATE)
+    assert result.in_window and result.cutoff_km == 230.0
+    # independent searches at every visited count made 116 evaluations
+    assert len(seen) <= 55
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"step_km": 0.0}, "step_km"),
+        ({"step_km": -5.0}, "step_km"),
+        ({"step_km": math.nan}, "step_km"),
+        ({"step_km": math.inf}, "step_km"),
+        ({"max_km": math.nan}, "max_km"),
+        ({"max_km": math.inf}, "max_km"),
+        ({"max_km": -5.0}, "max_km"),
+        ({"max_km": 1e300, "step_km": 1e-300}, "max_km"),
+    ],
+)
+def test_search_grid_arguments_are_validated(kwargs, name):
+    for search in (cutoff_distance, calibrate_pulse_pairs):
+        with pytest.raises(DomainError, match=name):
+            search(_WCS, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"bounds": (1e16, 1e12)}, "bounds"),
+        ({"bounds": (0.5, 1e16)}, "bounds"),
+        ({"bounds": (1e12, math.inf)}, "bounds"),
+        ({"bounds": (math.nan, 1e16)}, "bounds"),
+        ({"window": (230.0, 170.0)}, "window"),
+        ({"window": (math.nan, 230.0)}, "window"),
+        ({"start": math.nan}, "start"),
+    ],
+)
+def test_calibration_arguments_are_validated(monkeypatch, kwargs, name):
+    def forbidden(scenario, distance_km):
+        raise AssertionError("evaluated before the arguments were checked")
+
+    monkeypatch.setattr(mdiqkd.sweep, "evaluate_point", forbidden)
+    with pytest.raises(DomainError, match=name):
+        calibrate_pulse_pairs(_WCS, **kwargs)
 
 
 def test_calibration_returns_start_when_already_inside_window():

@@ -14,8 +14,8 @@ intensity partner of a source at one distance.  One memo per
 evaluation (``_observed``) holds every gain the estimator needs, keyed
 by (signal spec, decoy spec, detector params, cutoff, misalignment),
 so a point that differs from an earlier one only in the pulse count (a
-calibration's search at a distance another count reached) costs one
-lookup.  Its misses read
+calibration step at a window edge another count was tested at) costs
+one lookup.  Its misses read
 gains per source pair (``_cached_gains``), which evaluations with other
 intensity partners share.  The finite-size interval pass is not
 memoised: each evaluation applies its method's kernel once to every
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import IO, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bsm import DetectorParams, yield_tables
 from .config import Scenario
@@ -61,8 +61,9 @@ def _observed(
 ) -> DecoyInputs:
     """The estimator's inputs at one distance: both sources and the
     gains of every channel the signal kind's estimator reads.
-    Searches revisit few points, so a small memo holds them; points that
-    never repeat only pass through it."""
+    Calibration revisits its edge distance at every step, so a small
+    memo holds the repeats; points that never repeat only pass through
+    it."""
     specs = {"s": spec_signal, "d": spec_decoy, "0": _VACUUM}
     return DecoyInputs(
         spec_signal=spec_signal,
@@ -263,14 +264,18 @@ def calibrate_pulse_pairs(
     cutoff crosses the window, with its cutoff below the window, and
     ``in_window=False``.  ``start`` is clamped into ``bounds``.
 
-    Each pulse count's cutoff is searched once (``cutoff_distance``'s
-    grid and bisection) and kept for the rest of the call.  A new count's
-    search starts from the bracket the counts already searched give: the
-    cutoff of the nearest count below and one step past that of the
-    nearest count above.  Both ends are checked at the new count, and a
-    wrong guess widens the search, so the answer rests only on the rate
-    not rising with distance; the cutoff growing with N only makes the
-    guess good.
+    A step of the search in N asks only whether the cutoff (on
+    ``cutoff_distance``'s grid) reaches the window's lower edge or passes
+    its upper edge, and one evaluation answers it: the rate at the first
+    grid distance at or past the lower edge, or at the first past the
+    upper edge.  So every step evaluates the same one or two distances.
+    Only a count whose cutoff is reported gets a full search, bracketed
+    by those two distances: the start when it is already in the window,
+    a bound that is returned, and the final candidate.  No (count,
+    distance) point is evaluated twice.  This rests on the assumption
+    ``cutoff_distance`` makes, that the rate does not rise with
+    distance: then the cutoff is at or past a grid distance exactly
+    when the rate there is positive.
     """
     lo_w, hi_w = window
     if not lo_w <= hi_w:
@@ -282,48 +287,55 @@ def calibrate_pulse_pairs(
     if not math.isfinite(start):
         raise DomainError(f"start must be finite, got {start}")
     steps = _grid_steps(max_km, step_km)
-    found: Dict[float, int] = {}
+    # First grid index at or past each edge, by the product the search
+    # evaluates; steps + 1 when the grid ends before the edge.
+    k_lo = _last_positive(lambda k: k * step_km < lo_w, steps, 0, steps) + 1
+    k_hi = _last_positive(lambda k: k * step_km <= hi_w, steps, 0, steps) + 1
 
-    def cut(pulse_pairs: float) -> float:
-        if pulse_pairs not in found:
-            below = [n for n in found if n < pulse_pairs]
-            above = [n for n in found if n > pulse_pairs]
-            found[pulse_pairs] = _last_positive(
-                _rate_positive(_with_pulse_pairs(scenario, pulse_pairs), step_km),
-                steps,
-                found[max(below)] if below else 0,
-                found[min(above)] + 1 if above else steps,
-            )
-        index = found[pulse_pairs]
-        return -1.0 if index < 0 else index * step_km
+    @lru_cache(maxsize=None)
+    def positive(pulse_pairs: float, index: int) -> bool:
+        scenario_n = _with_pulse_pairs(scenario, pulse_pairs)
+        return evaluate_point(scenario_n, index * step_km).rate > 0.0
+
+    # "No key" is the cutoff -1.0, which reaches every lo <= -1 and
+    # passes every hi < -1.
+    def reaches(pulse_pairs: float) -> bool:
+        return lo_w <= -1.0 or (k_lo <= steps and positive(pulse_pairs, k_lo))
+
+    def passes(pulse_pairs: float) -> bool:
+        return hi_w < -1.0 or (k_hi <= steps and positive(pulse_pairs, k_hi))
+
+    def in_window(pulse_pairs: float) -> bool:
+        return not passes(pulse_pairs) and reaches(pulse_pairs)
 
     def result(pulse_pairs: float) -> CalibrationResult:
-        c = cut(pulse_pairs)
+        index = _last_positive(
+            lambda k: positive(pulse_pairs, k), steps, min(k_lo, steps), k_hi
+        )
+        cut = -1.0 if index < 0 else index * step_km
         return CalibrationResult(
-            pulse_pairs, None if c < 0.0 else c, lo_w <= c <= hi_w
+            pulse_pairs, None if cut < 0.0 else cut, lo_w <= cut <= hi_w
         )
 
     start = min(max(start, bounds[0]), bounds[1])
-    c0 = cut(start)
-    if lo_w <= c0 <= hi_w:
+    if in_window(start):
         return result(start)
 
-    if c0 < lo_w:
+    lo_n, hi_n = start, start
+    if not passes(start):
         # Too few pulses: grow until the window's lower edge is reached.
-        lo_n, hi_n = start, start
-        while cut(hi_n) < lo_w:
+        while not reaches(hi_n):
             if hi_n >= bounds[1]:
                 return result(bounds[1])
             lo_n, hi_n = hi_n, min(hi_n * 10.0, bounds[1])
-        predicate = lambda n: cut(n) >= lo_w
+        predicate = reaches
     else:
         # Too many pulses: shrink until the window's upper edge is met.
-        lo_n, hi_n = start, start
-        while cut(lo_n) > hi_w:
+        while passes(lo_n):
             if lo_n <= bounds[0]:
                 return result(bounds[0])
             lo_n, hi_n = max(lo_n / 10.0, bounds[0]), lo_n
-        predicate = lambda n: cut(n) > hi_w
+        predicate = passes
 
     # Invariant: predicate flips between lo_n and hi_n.  Tighten the
     # bracket until the endpoints nearly coincide, then report the
@@ -334,11 +346,7 @@ def calibrate_pulse_pairs(
             hi_n = mid
         else:
             lo_n = mid
-    for candidate in (hi_n, lo_n):
-        outcome = result(candidate)
-        if outcome.in_window:
-            return outcome
-    return outcome
+    return result(hi_n if in_window(hi_n) else lo_n)
 
 
 CSV_COLUMNS = (

@@ -27,8 +27,9 @@ exact arithmetic where possible:
   check on the arriving light must admit everything it admits.
 * ``oracle_calibrate_pulse_pairs`` is the pulse-count calibration with
   an independent ``cutoff_distance`` search over the whole grid at every
-  count it visits, repeated counts included; the library reuses the
-  cutoffs it has found and must reach the same result.
+  count it visits, repeated counts included; the library decides each
+  step with one evaluation at a window edge and must reach the same
+  result.
 """
 
 from __future__ import annotations

@@ -17,6 +17,7 @@ from mdiqkd import (
     Scenario,
     SourceKind,
     SourceSpec,
+    SystemParams,
     calibrate_pulse_pairs,
     compare_sources,
     comparison_scenarios,
@@ -28,6 +29,7 @@ from mdiqkd import (
     write_csv,
     yield_tables,
 )
+from mdiqkd.decoy import CHANNELS
 from mdiqkd.sweep import (
     CSV_COLUMNS,
     _cached_gains,
@@ -220,6 +222,45 @@ def test_cutoff_distance_bisection_equals_a_linear_scan(method):
         assert cutoff_distance(scenario, max_km=600.0, step_km=5.0) == want, scenario.source_kind
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(list(CHANNELS)),
+    mu2=st.floats(0.005, 0.2),
+    ratio=st.floats(1.2, 4.0),
+    # at odd_weight 1 the nonideal cat emits no two-photon term, and its
+    # estimator rejects the pair as degenerate
+    odd_weight=st.floats(0.5, 0.95),
+    method=st.sampled_from(list(FluctuationMethod)),
+    pulse_exponent=st.floats(8.0, 18.0),
+    detector_efficiency=st.floats(0.05, 1.0),
+    dark_count=st.floats(0.0, 1e-4),
+    misalignment=st.floats(0.0, 0.1),
+    ec_efficiency=st.floats(1.0, 1.5),
+)
+def test_positive_rates_form_a_prefix_of_the_distance_grid(
+    kind, mu2, ratio, odd_weight, method, pulse_exponent,
+    detector_efficiency, dark_count, misalignment, ec_efficiency,
+):
+    """The assumption ``cutoff_distance`` and calibration rest on: the
+    rate does not rise with distance, so past the first distance with no
+    key there is none."""
+    scenario = Scenario(
+        source_kind=kind,
+        signal_mu=min(ratio * mu2, 0.8),
+        decoy_mu=mu2,
+        odd_weight=odd_weight,
+        system=SystemParams(
+            detector_efficiency=detector_efficiency,
+            dark_count=dark_count,
+            misalignment=misalignment,
+            ec_efficiency=ec_efficiency,
+        ),
+        finite_key=FiniteKeyConfig(method, 10.0 ** pulse_exponent),
+    )
+    positive = [evaluate_point(scenario, 25.0 * k).rate > 0.0 for k in range(25)]
+    assert positive == sorted(positive, reverse=True)
+
+
 def _plain_bisection(positive, steps):
     """``cutoff_distance``'s search as a standalone bisection from 0 and
     ``steps``, the index sequence a full-grid guess must reproduce."""
@@ -305,14 +346,54 @@ _CALIBRATION_CASES = {
     "from one pulse pair": (_WCS, {"bounds": (1.0, 1e16), "start": 1.0}),
     "window between grid points": (_WCS, {"window": (231.0, 234.0)}),
     "start inside the window": (_WCS, {"window": (100.0, 400.0)}),
+    "more grid points than a C index holds": (_WCS, {"step_km": 1e-17}),
+    # edges that the step rules treat specially
+    "no lower edge": (_WCS, {"window": (-math.inf, 230.0)}),
+    "no upper edge": (_WCS, {"window": (170.0, math.inf)}),
+    "window of no key only": (_WCS, {"window": (-5.0, -1.0)}),
+    "window beyond max_km": (_WCS, {"window": (700.0, 800.0)}),
 }
 
 
 @pytest.mark.parametrize("case", list(_CALIBRATION_CASES))
 def test_calibration_equals_independent_searches(case):
-    """Reusing found cutoffs changes the cost, not the result."""
+    """Deciding each step at a window edge changes the cost, not the result."""
     scenario, updates = _CALIBRATION_CASES[case]
     kwargs = {**_CALIBRATE, **updates}
+    got = calibrate_pulse_pairs(scenario, **kwargs)
+    assert repr(got) == repr(oracle_calibrate_pulse_pairs(scenario, **kwargs))
+
+
+# Edges on and between grid points (of the 5, 10 and 25 km steps), the
+# sentinels of "no key" and unbounded sides.
+_EDGES = st.one_of(
+    st.sampled_from([-math.inf, -5.0, -1.0, -0.5, 0.0, math.inf]),
+    st.integers(-2, 140).map(lambda k: 5.0 * k),
+    st.floats(-10.0, 700.0),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    case=st.sampled_from(["wcs 0.4/0.07", "css", "sps", "chernoff"]),
+    edges=st.tuples(_EDGES, _EDGES).map(sorted),
+    low_exponent=st.floats(0.0, 17.0),
+    decades=st.floats(0.0, 6.0),
+    start_exponent=st.floats(-2.0, 19.0),
+    step_km=st.one_of(st.sampled_from([5.0, 10.0, 25.0]), st.floats(5.0, 25.0)),
+    max_km=st.floats(0.0, 601.0),
+)
+def test_calibration_matches_independent_searches_on_random_windows(
+    case, edges, low_exponent, decades, start_exponent, step_km, max_km
+):
+    kwargs = {
+        "window": tuple(edges),
+        "bounds": (10.0 ** low_exponent, 10.0 ** (low_exponent + decades)),
+        "start": 10.0 ** start_exponent,
+        "step_km": step_km,
+        "max_km": max_km,
+    }
+    scenario = _CALIBRATION_CASES[case][0]
     got = calibrate_pulse_pairs(scenario, **kwargs)
     assert repr(got) == repr(oracle_calibrate_pulse_pairs(scenario, **kwargs))
 
@@ -327,8 +408,11 @@ def test_calibration_searches_each_point_once(monkeypatch):
     monkeypatch.setattr(mdiqkd.sweep, "evaluate_point", recording)
     result = calibrate_pulse_pairs(_WCS, **_CALIBRATE)
     assert result.in_window and result.cutoff_km == 230.0
-    # independent searches at every visited count made 116 evaluations
-    assert len(seen) <= 55
+    # independent searches at every visited count made 116 evaluations,
+    # reusing the cutoffs found made 50; one evaluation per step at a
+    # window edge makes 15 at 6 distances
+    assert len(seen) <= 16
+    assert len({distance for _, distance in seen}) <= 7
     assert len(set(seen)) == len(seen)
 
 

@@ -12,7 +12,7 @@ photon-number distributions after loss (``sources.transmitted``, in
 closed form) and Y1 is the table at unit efficiency; the lossy table
 itself is never built.  Every term is a product of non-negative
 numbers, so float64 loses no digits to cancellation.  Y1 is built once
-per (p_d, cutoff).
+per (p_d, block shape), up to the lengths of the arriving distributions.
 
 Y1 has a closed form: at unit efficiency a detector fires on any photon
 and with probability p_d on vacuum, so psi_plus depends only on which
@@ -60,37 +60,29 @@ class DetectorParams:
             raise DomainError(f"dark count must lie in [0, 1), got {self.dark_count}")
 
 
-def _lossless_pair(dark_count: float, i: int, j: int) -> tuple:
-    """Y1 of the (i, j) pair in YieldTable's channel order, from the
-    module's A/B table.  A and B are exact, so (A - B) + p_d B replaces
-    A - (1 - p_d) B without cancellation at small p_d."""
-    silent = 1.0 - dark_count
-    if i == j == 0:
-        return (2.0 * dark_count * dark_count * silent * silent,) * 4
-    two_h = 2.0 * 0.5 ** (i + j)
-    two_ch = float(math.comb(i + j, i)) * two_h
-    a = (two_h, two_ch, two_ch, two_h)
-    b = (two_h if i == 0 or j == 0 else 0.0, two_ch, two_ch * two_h, two_h * two_ch)
-    weight = silent * silent
-    return tuple(weight * ((a_k - b_k) + dark_count * b_k) for a_k, b_k in zip(a, b))
-
-
-@functools.lru_cache(maxsize=None)
-def _lossless_tables(dark_count: float, cutoff: int) -> tuple:
-    """The four Y1 tables up to ``cutoff``, as tuples of rows."""
-    size = range(cutoff + 1)
-    pairs = [[_lossless_pair(dark_count, i, j) for j in size] for i in size]
-    return tuple(tuple(tuple(p[k] for p in row) for row in pairs) for k in range(4))
-
-
 @functools.lru_cache(maxsize=1024)
-def _flat_lossless(dark_count: float, cutoff: int, rows: int, cols: int) -> tuple:
-    """The [:rows, :cols] blocks of the four Y1 tables, flattened in the
-    order of ``[x * y for x in a for y in b]``."""
-    return tuple(
-        tuple(v for row in table[:rows] for v in row[:cols])
-        for table in _lossless_tables(dark_count, cutoff)
-    )
+def _y1_block(dark_count: float, rows: int, cols: int) -> tuple:
+    """The [:rows, :cols] blocks of the four Y1 tables, in YieldTable's
+    channel order and flattened in the order of ``[x * y for x in a for
+    y in b]``, from the module's A/B table.  A and B are exact, so
+    (A - B) + p_d B replaces A - (1 - p_d) B without cancellation."""
+    silent = 1.0 - dark_count
+    weight = silent * silent
+    blocks = ([], [], [], [])
+    cz, ez, cx, ex = (block.append for block in blocks)
+    for i in range(rows):
+        for j in range(cols):
+            two_h = 2.0 * 0.5 ** (i + j)
+            two_ch = float(math.comb(i + j, i)) * two_h
+            b_z = two_h if i == 0 or j == 0 else 0.0
+            b_x = two_ch * two_h
+            cz(weight * ((two_h - b_z) + dark_count * b_z))
+            ez(weight * ((two_ch - two_ch) + dark_count * two_ch))
+            cx(weight * ((two_ch - b_x) + dark_count * b_x))
+            ex(weight * ((two_h - b_x) + dark_count * b_x))
+    for block in blocks:  # the vacuum pair
+        block[0] = 2.0 * dark_count * dark_count * silent * silent
+    return tuple(map(tuple, blocks))
 
 
 @dataclass(frozen=True)
@@ -122,7 +114,7 @@ class YieldTable:
         (tuples of probabilities from zero photons up, after loss), each
         at most ``cutoff + 1`` long."""
         products = [x * y for x in a for y in b]
-        flat = _flat_lossless(self.params.dark_count, self.cutoff, len(a), len(b))
+        flat = _y1_block(self.params.dark_count, len(a), len(b))
         return tuple(sum(map(mul, products, table)) for table in flat)
 
 

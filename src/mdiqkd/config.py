@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .decoy import CHANNELS
@@ -105,16 +106,23 @@ class Scenario:
             raise ConfigError("optimization grids must be non-empty")
 
     def signal_spec(self, mu: Optional[float] = None) -> SourceSpec:
-        """Source specification at intensity ``mu`` (default: signal_mu)."""
-        mu = self.signal_mu if mu is None else mu
-        kind = self.source_kind
-        if kind is SourceKind.CSS:
-            return SourceSpec.css(mu)
-        if kind is SourceKind.NONIDEAL_CSS:
-            return SourceSpec.nonideal_css(mu, self.odd_weight)
-        if kind is SourceKind.WCS:
-            return SourceSpec.wcs(mu)
-        return SourceSpec.sps()
+        """Source specification at intensity ``mu`` (default: signal_mu).
+        Equal settings share one spec, so a pipeline builds none per point."""
+        return _source_spec(
+            self.source_kind, self.signal_mu if mu is None else mu, self.odd_weight
+        )
+
+
+# typed: an int setting keeps an int mu, as an unshared spec would.
+@lru_cache(maxsize=1024, typed=True)
+def _source_spec(kind: SourceKind, mu: float, odd_weight: float) -> SourceSpec:
+    if kind is SourceKind.CSS:
+        return SourceSpec.css(mu)
+    if kind is SourceKind.NONIDEAL_CSS:
+        return SourceSpec.nonideal_css(mu, odd_weight)
+    if kind is SourceKind.WCS:
+        return SourceSpec.wcs(mu)
+    return SourceSpec.sps()
 
 
 def parse_kv_text(text: str) -> Dict[str, str]:

@@ -266,7 +266,11 @@ def estimate(inputs: DecoyInputs, bounds: Bounds = exact) -> DecoyEstimate:
     ``bounds`` interval that weakens the bound, by the estimator of the
     signal source's kind."""
     kind = inputs.kind
-    table = {c: observe(inputs.gains[c], bounds) for c in CHANNELS[kind]}
+    channels = CHANNELS[kind]
+    # Mirrored channels share one GainSet, and so one interval.
+    by_gain = {id(inputs.gains[c]): inputs.gains[c] for c in channels}
+    intervals = {key: observe(g, bounds) for key, g in by_gain.items()}
+    table = {c: intervals[id(inputs.gains[c])] for c in channels}
     if kind is SourceKind.SPS:
         q_z, q_x, eq_x = table["ss"]
         return _finalize(q_z[LOW], q_x[LOW], lambda y: eq_x[HIGH] / y)

@@ -31,6 +31,11 @@ from .errors import CutoffError, DomainError
 from .sources import TAIL_TOLERANCE, SourceSpec, mass_above, transmitted
 
 
+def _check_distance(distance_km: float) -> None:
+    if not (math.isfinite(distance_km) and distance_km >= 0.0):
+        raise DomainError(f"distance must be finite and >= 0, got {distance_km}")
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Link and hardware parameters of one symmetric relay setup.
@@ -48,10 +53,7 @@ class SystemParams:
     ec_efficiency: float = 1.16
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.distance_km) and self.distance_km >= 0.0):
-            raise DomainError(
-                f"distance must be finite and >= 0, got {self.distance_km}"
-            )
+        _check_distance(self.distance_km)
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise DomainError(
                 f"detector efficiency must lie in (0, 1], got {self.detector_efficiency}"
@@ -70,11 +72,17 @@ class SystemParams:
                 f"got {self.ec_efficiency}"
             )
 
+    def efficiency_at(self, distance_km: float) -> float:
+        """Detector efficiency times one arm's fiber transmittance at
+        ``distance_km``, the one input a pipeline checks per point."""
+        _check_distance(distance_km)
+        return self.detector_efficiency * 10.0 ** (
+            -self.fiber_loss_db_km * distance_km / 20.0
+        )
+
     def overall_efficiency(self) -> float:
         """Detector efficiency times one arm's fiber transmittance."""
-        return self.detector_efficiency * 10.0 ** (
-            -self.fiber_loss_db_km * self.distance_km / 20.0
-        )
+        return self.efficiency_at(self.distance_km)
 
     def detector_params(self) -> DetectorParams:
         return DetectorParams(
@@ -100,17 +108,7 @@ class GainSet:
     error_weighted_x: float
 
     def __post_init__(self) -> None:
-        for name in (
-            "correct_z",
-            "error_z",
-            "total_z",
-            "error_weighted_z",
-            "correct_x",
-            "error_x",
-            "total_x",
-            "error_weighted_x",
-        ):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not 0.0 <= value <= 1.0:
                 raise DomainError(f"gain {name}={value} outside [0, 1]")
 

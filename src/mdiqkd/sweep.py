@@ -7,19 +7,20 @@ finite-size worst-casing -> key rate.  One path serves
 every source family: ``decoy.estimate`` picks the estimator by the
 signal source's kind, and ``decoy.CHANNELS`` says which gains it reads
 (the signal pair alone for a single-photon source).  Both middle steps
-are cached: the lossless tables depend only on the dark-count
-probability and cutoff and serve every source and distance, and the
-statistics after loss (``sources.transmitted``) serve every channel and
-intensity partner of a source at one distance.  One memo per
+are cached: the lossless table blocks depend only on the dark-count
+probability and the block shape and serve every source and distance,
+and the statistics after loss (``sources.transmitted``) serve every
+channel and intensity partner of a source at one distance.  One memo per
 evaluation (``_observed``) holds every gain the estimator needs, keyed
 by (signal spec, decoy spec, detector params, cutoff, misalignment),
 so a point that differs from an earlier one only in the pulse count (a
 calibration step at a window edge another count was tested at) costs
-one lookup.  Its misses read
-gains per source pair (``_cached_gains``), which evaluations with other
-intensity partners share.  The finite-size interval pass is not
-memoised: each evaluation applies its method's kernel once to every
-observed gain (``finite_key.interval_kernel``).
+one lookup.  Its misses read gains per source pair (``_cached_gains``),
+which evaluations with other intensity partners share.  Mirrored vacuum
+channels ("s0" and "0s", "d0" and "0d") share one gain, and so one
+interval.  The finite-size interval pass is not memoised: each
+evaluation applies its method's kernel once to every distinct gain
+(``finite_key.interval_kernel``).
 
 All pipelines are serial and deterministic: identical inputs give
 bit-identical results in grid order.
@@ -65,22 +66,28 @@ def _observed(
     memo holds the repeats; points that never repeat only pass through
     it."""
     specs = {"s": spec_signal, "d": spec_decoy, "0": _VACUUM}
+    # A vacuum channel and its mirror ("0s" and "s0") share one gain,
+    # taken with the vacuum second.  It is bitwise the same both ways
+    # because Y1 is symmetric, the vacuum arrives as (1.0,), and both
+    # arms share one efficiency; an asymmetric relay would need both.
+    mirrored = {c: c[::-1] if c[0] == "0" else c for c in CHANNELS[spec_signal.kind]}
     return DecoyInputs(
         spec_signal=spec_signal,
         spec_decoy=spec_decoy,
         gains={
-            c: _cached_gains(specs[c[0]], specs[c[1]], params, cutoff, misalignment)
-            for c in CHANNELS[spec_signal.kind]
+            c: _cached_gains(specs[a], specs[b], params, cutoff, misalignment)
+            for c, (a, b) in mirrored.items()
         },
     )
 
 
 def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     """Evaluate the key rate of one scenario at one distance."""
-    system = replace(scenario.system, distance_km=distance_km)
+    system = scenario.system
     inputs = _observed(
-        scenario.signal_spec(scenario.signal_mu), scenario.signal_spec(scenario.decoy_mu),
-        system.detector_params(), scenario.cutoff, system.misalignment,
+        scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu),
+        DetectorParams(system.efficiency_at(distance_km), system.dark_count),
+        scenario.cutoff, system.misalignment,
     )
     estimate = worst_case_decoy(inputs, scenario.finite_key)
     gains_signal = inputs.gains["ss"]

@@ -9,6 +9,9 @@ exact arithmetic where possible:
 * ``oracle_bell_yield`` enumerates every photon-survival and dark-count
   pattern explicitly instead of using closed-form click probabilities.
 * ``oracle_gain`` is a plain double loop over photon numbers.
+* ``oracle_lossless_pair`` is the unit-efficiency yield of one photon
+  pair from the closed form's A/B table, written pair by pair; the
+  library builds whole blocks of it with the same float operations.
 * ``dense_tables`` lays a yield table out at its efficiency as one
   matrix per channel, contracting the binomial rows of single Fock
   states after loss (``binomial_row``), so the double loop and
@@ -170,6 +173,21 @@ def oracle_gain(probs_a, probs_b, yields) -> float:
         for j, pb in enumerate(probs_b):
             total += pa * pb * yields[i][j]
     return total
+
+
+def oracle_lossless_pair(dark_count: float, i: int, j: int) -> tuple:
+    """Y1 of the (i, j) pair in YieldTable's channel order, from the
+    module's A/B table.  A and B are exact, so (A - B) + p_d B replaces
+    A - (1 - p_d) B without cancellation at small p_d."""
+    silent = 1.0 - dark_count
+    if i == j == 0:
+        return (2.0 * dark_count * dark_count * silent * silent,) * 4
+    two_h = 2.0 * 0.5 ** (i + j)
+    two_ch = float(math.comb(i + j, i)) * two_h
+    a = (two_h, two_ch, two_ch, two_h)
+    b = (two_h if i == 0 or j == 0 else 0.0, two_ch, two_ch * two_h, two_h * two_ch)
+    weight = silent * silent
+    return tuple(weight * ((a_k - b_k) + dark_count * b_k) for a_k, b_k in zip(a, b))
 
 
 def binomial_row(n: int, eta: float) -> tuple:

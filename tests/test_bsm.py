@@ -1,6 +1,7 @@
 """Beam-splitter propagation and relay detection model."""
 
 import math
+from array import array
 from fractions import Fraction
 
 import mpmath
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mdiqkd import CutoffError, DetectorParams, DomainError, yield_tables
-from mdiqkd.bsm import _lossless_tables
+from mdiqkd.bsm import MAX_CUTOFF, _y1_block
 
-from _oracles import dense_tables, oracle_bell_yield, oracle_propagate
+from _oracles import dense_tables, oracle_bell_yield, oracle_lossless_pair, oracle_propagate
 from fock import BellOutcome, Polarization, bell_yield, click_probability, propagate
 
 P = Polarization
@@ -259,7 +260,7 @@ def test_yield_tables_match_per_pair_detection(cutoff, eta, dark):
 def test_lossless_closed_form_matches_exact_oracle(dark):
     """At binary-exact dark counts the closed-form unit-efficiency tables
     equal the exact-rational enumeration, rounded once."""
-    for (name, (pa, pb)), got in zip(CHANNELS.items(), _lossless_tables(dark, 4)):
+    for (name, (pa, pb)), got in zip(CHANNELS.items(), _y1_block(dark, 5, 5)):
         exact = [
             [
                 oracle_bell_yield(
@@ -270,9 +271,35 @@ def test_lossless_closed_form_matches_exact_oracle(dark):
             for i in range(5)
         ]
         want = np.array(exact, dtype=float)
-        got = np.asarray(got)
+        got = np.asarray(got).reshape(5, 5)
         np.testing.assert_array_equal(got == 0.0, want == 0.0, err_msg=name)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0, err_msg=name)
+
+
+def _assert_blocks_equal_pairs_bitwise(dark):
+    size = MAX_CUTOFF + 1
+    pairs = [[oracle_lossless_pair(dark, i, j) for j in range(size)] for i in range(size)]
+    for rows in range(1, size + 1):
+        for cols in range(1, size + 1):
+            want = [
+                array("d", (pairs[i][j][k] for i in range(rows) for j in range(cols))).tobytes()
+                for k in range(4)
+            ]
+            got = [array("d", table).tobytes() for table in _y1_block(dark, rows, cols)]
+            assert got == want, (dark, rows, cols)
+
+
+@pytest.mark.parametrize("dark", [0.0, 1e-7, 0.125, 0.5])
+def test_y1_blocks_equal_the_per_pair_formula_bitwise(dark):
+    """Every block the tables can ask for, up to 21 x 21, holds exactly
+    the floats of the per-pair closed form."""
+    _assert_blocks_equal_pairs_bitwise(dark)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dark=st.floats(0.0, 1.0, exclude_max=True))
+def test_y1_blocks_equal_the_per_pair_formula_bitwise_property(dark):
+    _assert_blocks_equal_pairs_bitwise(dark)
 
 
 # Zero or at least 1e-100 keeps every yield a normal float; subnormal

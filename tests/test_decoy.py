@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from _oracles import oracle_css_y11
 from mdiqkd import (
     DecoyInputs,
+    DetectorParams,
     DomainError,
     FLAG_CLAMPED,
     FLAG_ERROR_ABOVE_HALF,
@@ -28,6 +29,7 @@ from mdiqkd.decoy import (
     generic_y11_bound,
     vacuum_substituted_gain,
 )
+from mdiqkd.sweep import _observed
 
 
 CSS_SIGNAL, CSS_DECOY = SourceSpec.css(0.1), SourceSpec.css(0.01)
@@ -88,6 +90,31 @@ def test_faint_decoy_bound_reads_the_multi_photon_term(mu2, distance_km):
     point = evaluate_point(scenario, distance_km)
     table = yield_tables(replace(system, distance_km=distance_km).detector_params(), 1)
     assert point.y11_lower <= true_single_photon_quantities(table, 0.0).y11_z
+
+
+@pytest.mark.parametrize(
+    "kind, calls",
+    [(SourceKind.WCS, 15), (SourceKind.NONIDEAL_CSS, 15), (SourceKind.CSS, 6), (SourceKind.SPS, 3)],
+)
+def test_estimate_applies_the_kernel_once_per_distinct_gain(kind, calls):
+    """The pipelines hand mirrored vacuum channels one shared GainSet,
+    which gets one interval: 5 distinct gains of 7 channels for the
+    vacuum-plus-decoy bound, 3 kernel calls per gain."""
+    scenario = Scenario(source_kind=kind, signal_mu=0.4, decoy_mu=0.07)
+    system = scenario.system
+    inputs = _observed(
+        scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu),
+        DetectorParams(system.efficiency_at(100.0), system.dark_count),
+        scenario.cutoff, system.misalignment,
+    )
+    seen = []
+
+    def counting(gain):
+        seen.append(gain)
+        return gain, gain
+
+    assert estimate(inputs, counting) == estimate(inputs)
+    assert len(seen) == calls
 
 
 def test_single_photon_bounds_are_the_observed_gains():

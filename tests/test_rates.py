@@ -238,6 +238,35 @@ def test_gains_are_finite_or_rejected(spec, partner, eta, dark, cutoff):
         assert all(math.isfinite(getattr(g, name)) for name in GainSet.__dataclass_fields__)
 
 
+def _gains_or_error(spec_a, spec_b, table, e_d):
+    try:
+        return [v.hex() for v in vars(gains(spec_a, spec_b, table, e_d)).values()]
+    except (CutoffError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    spec=st.one_of(
+        st.builds(SourceSpec.wcs, _ANY_MU),
+        st.builds(SourceSpec.css, _ANY_MU),
+        st.builds(SourceSpec.nonideal_css, _ANY_MU, st.floats(0.0, 1.0, exclude_min=True)),
+        st.just(SourceSpec.sps()),
+        st.just(VACUUM),
+    ),
+    eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    dark=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True)),
+    e_d=st.floats(0.0, 1.0),
+    cutoff=st.integers(1, 20),
+)
+def test_vacuum_channel_gains_are_mirror_symmetric(spec, eta, dark, e_d, cutoff):
+    """A source against the vacuum gives bitwise the same gains, or the
+    same error, in either order: the pipelines contract each vacuum
+    channel and its mirror once."""
+    table = yield_tables(DetectorParams(eta, dark), cutoff)
+    assert _gains_or_error(spec, VACUUM, table, e_d) == _gains_or_error(VACUUM, spec, table, e_d)
+
+
 @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
 def test_gain_set_rejects_gains_outside_unit_interval(value):
     """The interval kernels take gains unchecked; GainSet is their guard."""

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mdiqkd.bsm
 import mdiqkd.sweep
 from mdiqkd import (
     DetectorParams,
@@ -57,6 +58,12 @@ def test_evaluate_point_is_deterministic():
     assert a.rate > 0.0
     assert a.q11_z <= a.q_z
     assert a.source == "css" and a.method == "asymptotic"
+
+
+@pytest.mark.parametrize("distance_km", [-1.0, -math.inf, math.inf, math.nan])
+def test_evaluate_point_rejects_bad_distances(distance_km):
+    with pytest.raises(DomainError, match=f"distance must be finite and >= 0, got {distance_km}"):
+        evaluate_point(small(), distance_km)
 
 
 def test_rate_decreases_with_distance():
@@ -414,6 +421,26 @@ def test_calibration_searches_each_point_once(monkeypatch):
     assert len(seen) <= 16
     assert len({distance for _, distance in seen}) <= 7
     assert len(set(seen)) == len(seen)
+
+
+def test_calibration_builds_only_the_y1_blocks_the_light_reaches(monkeypatch):
+    """Light arriving at 170-235 km needs at most 7 photon numbers per
+    side, so calibration builds a few small Y1 blocks, not the
+    16 x 16 table of the cutoff."""
+    built = set()
+    blocks = mdiqkd.bsm._y1_block
+
+    def recording(dark_count, rows, cols):
+        built.add((dark_count, rows, cols))
+        return blocks(dark_count, rows, cols)
+
+    for cache in (blocks, _observed, _cached_gains):
+        cache.cache_clear()
+    monkeypatch.setattr(mdiqkd.bsm, "_y1_block", recording)
+    calibrate_pulse_pairs(_WCS, **_CALIBRATE)
+    assert blocks.cache_info().misses == len(built)
+    assert max(max(rows, cols) for _, rows, cols in built) <= 7
+    assert sum(rows * cols for _, rows, cols in built) <= 110
 
 
 @pytest.mark.parametrize(

@@ -265,16 +265,22 @@ def estimate(inputs: DecoyInputs, bounds: Bounds = exact) -> DecoyEstimate:
     """Decoy bounds with every observed gain at the endpoint of its
     ``bounds`` interval that weakens the bound, by the estimator of the
     signal source's kind."""
-    kind = inputs.kind
+    m = MULTI_PHOTON.get(inputs.kind, 1)
+    heads = emitted_head(inputs.spec_signal, m), emitted_head(inputs.spec_decoy, m)
+    return estimate_from(inputs.kind, *heads, inputs.gains, bounds)
+
+
+def estimate_from(kind: SourceKind, head_signal: tuple, head_decoy: tuple,
+                  gains: Mapping[str, GainSet], bounds: Bounds = exact) -> DecoyEstimate:
+    """``estimate`` on unchecked parts: the gains of ``CHANNELS[kind]``
+    and each intensity's ``emitted_head``, which a pipeline holds per
+    intensity and distance.  A single-photon source reads no head."""
     channels = CHANNELS[kind]
     # Mirrored channels share one GainSet, and so one interval.
-    by_gain = {id(inputs.gains[c]): inputs.gains[c] for c in channels}
+    by_gain = {id(gains[c]): gains[c] for c in channels}
     intervals = {key: observe(g, bounds) for key, g in by_gain.items()}
-    table = {c: intervals[id(inputs.gains[c])] for c in channels}
+    table = {c: intervals[id(gains[c])] for c in channels}
     if kind is SourceKind.SPS:
         q_z, q_x, eq_x = table["ss"]
         return _finalize(q_z[LOW], q_x[LOW], lambda y: eq_x[HIGH] / y)
-    m = MULTI_PHOTON[kind]
-    return _assemble_generic(
-        emitted_head(inputs.spec_signal, m), emitted_head(inputs.spec_decoy, m), table
-    )
+    return _assemble_generic(head_signal, head_decoy, table)

@@ -34,6 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import partial
 
 from . import decoy
 from .decoy import Bounds, DecoyEstimate, DecoyInputs, Interval, exact
@@ -73,7 +74,7 @@ class FiniteKeyConfig:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
-def _standard(gain: float, pulse_pairs: float, sigmas: float) -> Interval:
+def _standard(pulse_pairs: float, sigmas: float, gain: float) -> Interval:
     # A vanishing gain carries no relative-width information; its upper
     # limit falls back to the count level sigmas^2 at which a zero
     # observation is still compatible with the band.
@@ -83,7 +84,7 @@ def _standard(gain: float, pulse_pairs: float, sigmas: float) -> Interval:
     return max(0.0, gain * (1.0 - delta)), gain * (1.0 + delta)
 
 
-def _chernoff(gain: float, pulse_pairs: float, epsilon: float) -> Interval:
+def _chernoff(pulse_pairs: float, epsilon: float, gain: float) -> Interval:
     # The deviations as rates: each endpoint is a chain of roundings
     # monotone in N, so it moves towards Q as N grows and never passes it.
     log_inv = math.log(1.0 / epsilon)
@@ -95,14 +96,13 @@ def _chernoff(gain: float, pulse_pairs: float, epsilon: float) -> Interval:
 def interval_kernel(config: FiniteKeyConfig) -> Bounds:
     """``gain -> (lower, upper)`` under the configured method, with
     ``0 <= lower <= gain <= upper``.  Unchecked: ``FiniteKeyConfig``
-    validates N, sigma and epsilon, and ``GainSet`` every gain."""
-    pulse_pairs = config.pulse_pairs
+    validates N, sigma and epsilon, and ``GainSet`` every gain.  The
+    kernel's settings are bound in front of the gain, so a call runs one
+    Python frame."""
     if config.method is FluctuationMethod.STANDARD:
-        sigmas = config.sigmas
-        return lambda gain: _standard(gain, pulse_pairs, sigmas)
+        return partial(_standard, config.pulse_pairs, config.sigmas)
     if config.method is FluctuationMethod.CHERNOFF:
-        epsilon = config.epsilon
-        return lambda gain: _chernoff(gain, pulse_pairs, epsilon)
+        return partial(_chernoff, config.pulse_pairs, config.epsilon)
     return exact
 
 

@@ -4,22 +4,23 @@
 photon statistics after loss, in closed form -> observed gains,
 contracted against the lossless relay yield tables -> decoy bounds with
 finite-size worst-casing -> key rate.  One path serves
-every source family: ``decoy.estimate`` picks the estimator by the
+every source family: ``decoy.estimate_from`` picks the estimator by the
 signal source's kind, and ``decoy.CHANNELS`` says which gains it reads
 (the signal pair alone for a single-photon source).  Both middle steps
 are cached: the lossless table blocks depend only on the dark-count
 probability and the block shape and serve every source and distance,
 and the statistics after loss (``sources.transmitted``) serve every
-channel and intensity partner of a source at one distance.  One memo per
-evaluation (``_observed``) holds every gain the estimator needs, keyed
-by (signal spec, decoy spec, detector params, cutoff, misalignment),
-so a point that differs from an earlier one only in the pulse count (a
-calibration step at a window edge another count was tested at) costs
-one lookup.  Its misses read gains per source pair (``_cached_gains``),
-which evaluations with other intensity partners share.  Mirrored vacuum
-channels ("s0" and "0s", "d0" and "0d") share one gain, and so one
-interval.  The finite-size interval pass is not memoised: each
-evaluation applies its method's kernel once to every distinct gain
+channel and intensity partner of a source at one distance.  One memo
+(``_intensity``) holds each intensity's share of an evaluation at one
+distance: its diagonal gain, its gain with the vacuum where the
+estimator reads vacuum channels, and its emitted (P0, P1, Pm), keyed by
+(source spec, efficiency, dark count, cutoff, misalignment).  A point
+reads its signal, decoy and vacuum entries, so a point that differs from
+an earlier one only in the pulse count (a calibration step) or in one
+intensity (an ``optimize`` grid) pays lookups for what it shares.
+Mirrored vacuum channels ("s0" and "0s", "d0" and "0d") share one gain,
+and so one interval.  The finite-size interval pass is not memoised:
+each evaluation applies its method's kernel once to every distinct gain
 (``finite_key.interval_kernel``).
 
 All pipelines are serial and deterministic: identical inputs give
@@ -35,77 +36,63 @@ from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Unio
 
 from .bsm import DetectorParams, yield_tables
 from .config import Scenario
-from .decoy import CHANNELS, DecoyInputs, emitted_head
+from .decoy import CHANNELS, MULTI_PHOTON, emitted_head, estimate_from
 from .errors import DomainError
-from .finite_key import worst_case_decoy
-from .rates import GainSet, KeyRatePoint, gains, key_rate
+from .finite_key import FiniteKeyConfig, interval_kernel
+from .rates import KeyRatePoint, gains, key_rate
 from .sources import SourceKind, SourceSpec
-
-
-@lru_cache(maxsize=4096)
-def _cached_gains(
-    spec_a: SourceSpec, spec_b: SourceSpec, params: DetectorParams,
-    cutoff: int, misalignment: float,
-) -> GainSet:
-    """Gains of one source pair at one distance, shared by every point
-    (and every search step) that needs them."""
-    return gains(spec_a, spec_b, yield_tables(params, cutoff), misalignment)
-
 
 _VACUUM = SourceSpec.vacuum()
 
 
-@lru_cache(maxsize=256)
-def _observed(
-    spec_signal: SourceSpec, spec_decoy: SourceSpec,
-    params: DetectorParams, cutoff: int, misalignment: float,
-) -> DecoyInputs:
-    """The estimator's inputs at one distance: both sources and the
-    gains of every channel the signal kind's estimator reads.
-    Calibration revisits its edge distance at every step, so a small
-    memo holds the repeats; points that never repeat only pass through
-    it."""
-    specs = {"s": spec_signal, "d": spec_decoy, "0": _VACUUM}
-    # A vacuum channel and its mirror ("0s" and "s0") share one gain,
-    # taken with the vacuum second.  It is bitwise the same both ways
-    # because Y1 is symmetric, the vacuum arrives as (1.0,), and both
-    # arms share one efficiency; an asymmetric relay would need both.
-    mirrored = {c: c[::-1] if c[0] == "0" else c for c in CHANNELS[spec_signal.kind]}
-    return DecoyInputs(
-        spec_signal=spec_signal,
-        spec_decoy=spec_decoy,
-        gains={
-            c: _cached_gains(specs[a], specs[b], params, cutoff, misalignment)
-            for c, (a, b) in mirrored.items()
-        },
+@lru_cache(maxsize=1024)
+def _intensity(spec: SourceSpec, efficiency: float, dark_count: float,
+               cutoff: int, misalignment: float) -> tuple:
+    """One intensity's share of every evaluation at one distance: its
+    diagonal gain, its gain with the vacuum where its kind's estimator
+    reads vacuum channels (else None), and its ``emitted_head``.  Every
+    intensity pair, pulse count and method at that distance shares it;
+    the vacuum's diagonal is the "00" channel."""
+    table = yield_tables(DetectorParams(efficiency, dark_count), cutoff)
+    reads_vacuum = "00" in CHANNELS.get(spec.kind, ())
+    return (
+        gains(spec, spec, table, misalignment),
+        gains(spec, _VACUUM, table, misalignment) if reads_vacuum else None,
+        emitted_head(spec, MULTI_PHOTON.get(spec.kind, 1)),
     )
 
 
-def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
-    """Evaluate the key rate of one scenario at one distance."""
+def _evaluate(scenario: Scenario, spec_signal: SourceSpec, spec_decoy: SourceSpec,
+              finite_key: FiniteKeyConfig, distance_km: float) -> KeyRatePoint:
+    """``evaluate_point`` with these sources and statistics in place of
+    the scenario's, so a search or grid builds no scenario per point."""
     system = scenario.system
-    inputs = _observed(
-        scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu),
-        DetectorParams(system.efficiency_at(distance_km), system.dark_count),
-        scenario.cutoff, system.misalignment,
-    )
-    estimate = worst_case_decoy(inputs, scenario.finite_key)
-    gains_signal = inputs.gains["ss"]
-    p1 = emitted_head(inputs.spec_signal, 1)[1]
-    q11_z = p1 * p1 * estimate.y11_lower
-    raw = key_rate(
-        q11_z,
-        estimate.e11_upper,
-        gains_signal.total_z,
-        gains_signal.qber_z,
-        system.ec_efficiency,
-    )
+    kind = scenario.source_kind
+    eta = system.efficiency_at(distance_km)
+    at = (eta, system.dark_count, scenario.cutoff, system.misalignment)
+    gains_signal, signal_vacuum, head = _intensity(spec_signal, *at)
+    gains_decoy, decoy_vacuum, head_decoy = _intensity(spec_decoy, *at)
+    channels = {"ss": gains_signal, "dd": gains_decoy}
+    # A vacuum channel and its mirror ("s0" and "0s") share the gain with
+    # the vacuum second.  It is bitwise the same both ways because Y1 is
+    # symmetric, the vacuum arrives as (1.0,), and both arms share one
+    # efficiency; an asymmetric relay would need both.
+    if signal_vacuum is not None:
+        channels.update({
+            "s0": signal_vacuum, "0s": signal_vacuum,
+            "d0": decoy_vacuum, "0d": decoy_vacuum,
+            "00": _intensity(_VACUUM, *at)[0],
+        })
+    estimate = estimate_from(kind, head, head_decoy, channels, interval_kernel(finite_key))
+    q11_z = head[1] * head[1] * estimate.y11_lower
+    raw = key_rate(q11_z, estimate.e11_upper, gains_signal.total_z, gains_signal.qber_z,
+                   system.ec_efficiency)
     return KeyRatePoint(
         distance_km=distance_km,
-        source=scenario.source_kind.value,
-        method=scenario.finite_key.method.value,
-        mu_signal=inputs.mu_signal,
-        mu_decoy=inputs.mu_decoy,
+        source=kind.value,
+        method=finite_key.method.value,
+        mu_signal=spec_signal.mu,
+        mu_decoy=spec_decoy.mu,
         gains_signal=gains_signal,
         y11_lower=estimate.y11_lower,
         e11_upper=estimate.e11_upper,
@@ -114,6 +101,12 @@ def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
         rate_unclamped=raw,
         flags=estimate.flags,
     )
+
+
+def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
+    """Evaluate the key rate of one scenario at one distance."""
+    specs = scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu)
+    return _evaluate(scenario, *specs, scenario.finite_key, distance_km)
 
 
 def run_sweep(scenario: Scenario) -> List[KeyRatePoint]:
@@ -153,9 +146,8 @@ def compare_sources(base: Scenario) -> List[KeyRatePoint]:
 def _best_point(scenario: Scenario, pairs: Sequence[Tuple[float, float]], distance_km: float) -> KeyRatePoint:
     best = None
     for mu1, mu2 in pairs:
-        candidate = evaluate_point(
-            replace(scenario, signal_mu=mu1, decoy_mu=mu2), distance_km
-        )
+        specs = scenario.signal_spec(mu1), scenario.signal_spec(mu2)
+        candidate = _evaluate(scenario, *specs, scenario.finite_key, distance_km)
         # Strict comparison keeps the first (smallest mu1, then mu2)
         # among rate ties, so results do not depend on grid order.
         if best is None or candidate.rate > best.rate:
@@ -247,12 +239,6 @@ class CalibrationResult:
     in_window: bool
 
 
-def _with_pulse_pairs(scenario: Scenario, pulse_pairs: float) -> Scenario:
-    return replace(
-        scenario, finite_key=replace(scenario.finite_key, pulse_pairs=pulse_pairs)
-    )
-
-
 def calibrate_pulse_pairs(
     scenario: Scenario,
     window: Tuple[float, float] = (170.0, 230.0),
@@ -278,10 +264,15 @@ def calibrate_pulse_pairs(
     upper edge.  So every step evaluates the same one or two distances.
     Only a count whose cutoff is reported gets a full search, bracketed
     by those two distances: the start when it is already in the window,
-    a bound that is returned, and the final candidate.  No (count,
-    distance) point is evaluated twice.  This rests on the assumption
-    ``cutoff_distance`` makes, that the rate does not rise with
-    distance: then the cutoff is at or past a grid distance exactly
+    a bound that is returned, and the final candidate.  The final
+    candidate is within 2 % of a count that answered its last step the
+    other way, so its search first tests the grid point beside that
+    step's edge, on the side of the candidate's own answer; where that
+    point agrees, it decides the cutoff, and the search ends after one
+    evaluation.  No (count, distance) point is evaluated twice, and each
+    count gets one validated ``FiniteKeyConfig``.  This rests on the
+    assumption ``cutoff_distance`` makes, that the rate does not rise
+    with distance: then the cutoff is at or past a grid distance exactly
     when the rate there is positive.
     """
     lo_w, hi_w = window
@@ -300,9 +291,14 @@ def calibrate_pulse_pairs(
     k_hi = _last_positive(lambda k: k * step_km <= hi_w, steps, 0, steps) + 1
 
     @lru_cache(maxsize=None)
+    def finite_key(pulse_pairs: float) -> FiniteKeyConfig:
+        return replace(scenario.finite_key, pulse_pairs=pulse_pairs)
+
+    specs = scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu)
+
+    @lru_cache(maxsize=None)
     def positive(pulse_pairs: float, index: int) -> bool:
-        scenario_n = _with_pulse_pairs(scenario, pulse_pairs)
-        return evaluate_point(scenario_n, index * step_km).rate > 0.0
+        return _evaluate(scenario, *specs, finite_key(pulse_pairs), index * step_km).rate > 0.0
 
     # "No key" is the cutoff -1.0, which reaches every lo <= -1 and
     # passes every hi < -1.
@@ -315,10 +311,10 @@ def calibrate_pulse_pairs(
     def in_window(pulse_pairs: float) -> bool:
         return not passes(pulse_pairs) and reaches(pulse_pairs)
 
-    def result(pulse_pairs: float) -> CalibrationResult:
-        index = _last_positive(
-            lambda k: positive(pulse_pairs, k), steps, min(k_lo, steps), k_hi
-        )
+    def result(
+        pulse_pairs: float, lo: int = min(k_lo, steps), hi: int = k_hi
+    ) -> CalibrationResult:
+        index = _last_positive(lambda k: positive(pulse_pairs, k), steps, lo, hi)
         cut = -1.0 if index < 0 else index * step_km
         return CalibrationResult(
             pulse_pairs, None if cut < 0.0 else cut, lo_w <= cut <= hi_w
@@ -353,7 +349,22 @@ def calibrate_pulse_pairs(
             hi_n = mid
         else:
             lo_n = mid
-    return result(hi_n if in_window(hi_n) else lo_n)
+    final = hi_n if in_window(hi_n) else lo_n
+    # The other endpoint, within 2 %, answered the edge test the other
+    # way, so the cutoff most likely is the edge (rate positive there) or
+    # the grid point below it.  One evaluation beside the edge confirms
+    # that; otherwise bisect from it to the window's other edge or to the
+    # grid's start.
+    edge = k_lo if predicate is reaches else k_hi
+    if positive(final, edge):
+        lo, hi = edge, edge + 1
+        if hi <= steps and positive(final, hi):
+            lo, hi = hi, k_hi
+    else:
+        lo, hi = edge - 1, edge
+        if lo >= 0 and not positive(final, lo):
+            lo, hi = k_lo if k_lo < lo else -1, lo
+    return result(final, lo, hi)
 
 
 CSV_COLUMNS = (

@@ -277,7 +277,8 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, monkeypatch, capsys, 
     def forbidden(*args):
         raise AssertionError("the run started before --out was checked")
 
-    monkeypatch.setattr(mdiqkd.sweep, "evaluate_point", forbidden)
+    # every pipeline evaluates its points through sweep._evaluate
+    monkeypatch.setattr(mdiqkd.sweep, "_evaluate", forbidden)
     monkeypatch.setattr(mdiqkd.cli, "_yields_report", forbidden)
     monkeypatch.chdir(tmp_path)
     cfg = _write_cfg(tmp_path, "grid.stop_km = 0\n")

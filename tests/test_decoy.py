@@ -6,10 +6,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mdiqkd.sweep
 from _oracles import oracle_css_y11
 from mdiqkd import (
     DecoyInputs,
-    DetectorParams,
     DomainError,
     FLAG_CLAMPED,
     FLAG_ERROR_ABOVE_HALF,
@@ -29,8 +29,6 @@ from mdiqkd.decoy import (
     generic_y11_bound,
     vacuum_substituted_gain,
 )
-from mdiqkd.sweep import _observed
-
 
 CSS_SIGNAL, CSS_DECOY = SourceSpec.css(0.1), SourceSpec.css(0.01)
 
@@ -96,24 +94,20 @@ def test_faint_decoy_bound_reads_the_multi_photon_term(mu2, distance_km):
     "kind, calls",
     [(SourceKind.WCS, 15), (SourceKind.NONIDEAL_CSS, 15), (SourceKind.CSS, 6), (SourceKind.SPS, 3)],
 )
-def test_estimate_applies_the_kernel_once_per_distinct_gain(kind, calls):
+def test_estimate_applies_the_kernel_once_per_distinct_gain(monkeypatch, kind, calls):
     """The pipelines hand mirrored vacuum channels one shared GainSet,
     which gets one interval: 5 distinct gains of 7 channels for the
     vacuum-plus-decoy bound, 3 kernel calls per gain."""
     scenario = Scenario(source_kind=kind, signal_mu=0.4, decoy_mu=0.07)
-    system = scenario.system
-    inputs = _observed(
-        scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu),
-        DetectorParams(system.efficiency_at(100.0), system.dark_count),
-        scenario.cutoff, system.misalignment,
-    )
+    want = evaluate_point(scenario, 100.0)
     seen = []
 
     def counting(gain):
         seen.append(gain)
         return gain, gain
 
-    assert estimate(inputs, counting) == estimate(inputs)
+    monkeypatch.setattr(mdiqkd.sweep, "interval_kernel", lambda config: counting)
+    assert evaluate_point(scenario, 100.0) == want
     assert len(seen) == calls
 
 

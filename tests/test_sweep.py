@@ -30,12 +30,11 @@ from mdiqkd import (
     write_csv,
     yield_tables,
 )
-from mdiqkd.decoy import CHANNELS
+from mdiqkd.decoy import CHANNELS, MULTI_PHOTON, emitted_head
 from mdiqkd.sweep import (
     CSV_COLUMNS,
-    _cached_gains,
+    _intensity,
     _last_positive,
-    _observed,
     csv_rows,
 )
 
@@ -74,54 +73,99 @@ def test_rate_decreases_with_distance():
     assert all(r > 0 for r in rates)
 
 
-def test_memoised_gains_equal_a_fresh_contraction():
-    key = (SourceSpec.wcs(0.4), SourceSpec.vacuum(), DetectorParams(0.037, 1e-7), 15, 0.015)
-    first = _cached_gains(*key)
-    assert _cached_gains(*key) is first
-    spec_a, spec_b, params, cutoff, e_d = key
-    fresh = gains(spec_a, spec_b, yield_tables(params, cutoff), e_d)
-    assert first == fresh
-
-
-def _memo_key(scenario, distance_km):
-    system = replace(scenario.system, distance_km=distance_km)
+def _entry_key(scenario, distance_km):
+    """The memo key of the scenario's signal intensity at one distance."""
+    system = scenario.system
     return (
-        scenario.signal_spec(scenario.signal_mu), scenario.signal_spec(scenario.decoy_mu),
-        system.detector_params(), scenario.cutoff, system.misalignment,
+        scenario.signal_spec(), system.efficiency_at(distance_km), system.dark_count,
+        scenario.cutoff, system.misalignment,
     )
 
 
+def test_memoised_gains_equal_a_fresh_contraction():
+    """An intensity's entry holds its diagonal gain, its gain with the
+    vacuum where the estimator reads vacuum channels, and its emitted
+    (P0, P1, Pm), each bitwise equal to a fresh computation."""
+    table = yield_tables(DetectorParams(0.037, 1e-7), 15)
+    for spec in (
+        SourceSpec.css(0.1), SourceSpec.nonideal_css(0.1, 0.7), SourceSpec.wcs(0.4),
+        SourceSpec.sps(), SourceSpec.vacuum(),
+    ):
+        key = (spec, 0.037, 1e-7, 15, 0.015)
+        first = _intensity(*key)
+        assert _intensity(*key) is first
+        diagonal, with_vacuum, head = first
+        # GainSet compares its float fields with ==
+        assert diagonal == gains(spec, spec, table, 0.015)
+        if "00" in CHANNELS.get(spec.kind, ()):
+            assert with_vacuum == gains(spec, SourceSpec.vacuum(), table, 0.015)
+        else:
+            assert with_vacuum is None
+        assert head == emitted_head(spec, MULTI_PHOTON.get(spec.kind, 1))
+
+
 def test_per_point_memo_is_keyed_by_every_input():
+    """Every point reads the per-intensity memo, keyed by kind, mu, odd
+    weight, efficiency, dark count, cutoff and misalignment."""
     base = small(
         source_kind=SourceKind.NONIDEAL_CSS,
         finite_key=FiniteKeyConfig(FluctuationMethod.STANDARD, 1e12),
     )
-    _observed.cache_clear()
+    _intensity.cache_clear()
     first = evaluate_point(base, 60.0)
-    assert _observed.cache_info().misses == 1
+    # signal, decoy and vacuum
+    assert _intensity.cache_info().misses == 3
     # a hit returns the memoised entry itself
-    entry = _observed(*_memo_key(base, 60.0))
-    assert _observed(*_memo_key(base, 60.0)) is entry
-    again = evaluate_point(base, 60.0)
-    assert _observed.cache_info().hits == 3
-    assert again == first and again.gains_signal is entry.gains["ss"]
+    entry = _intensity(*_entry_key(base, 60.0))
+    assert _intensity(*_entry_key(base, 60.0)) is entry
+    again = evaluate_point(replace(base, finite_key=FiniteKeyConfig()), 60.0)
+    assert _intensity.cache_info().misses == 3
+    assert again.gains_signal is entry[0] is first.gains_signal
     # and it equals a fresh computation
-    _observed.cache_clear()
-    _cached_gains.cache_clear()
+    _intensity.cache_clear()
     assert evaluate_point(base, 60.0) == first
-    assert _observed(*_memo_key(base, 60.0)) == entry
+    assert _intensity(*_entry_key(base, 60.0)) == entry
 
+    wcs = replace(base, source_kind=SourceKind.WCS)
     variants = {
-        "misalignment": (replace(base, system=replace(base.system, misalignment=0.02)), 60.0),
-        "cutoff": (replace(base, cutoff=12), 60.0),
-        "odd weight": (replace(base, odd_weight=0.8), 60.0),
+        "kind": (wcs, 60.0),
+        "signal mu": (replace(base, signal_mu=0.2), 60.0),
         "decoy mu": (replace(base, decoy_mu=0.02), 60.0),
+        "odd weight": (replace(base, odd_weight=0.8), 60.0),
         "distance": (base, 61.0),
+        "efficiency": (replace(base, system=replace(base.system, detector_efficiency=0.5)), 60.0),
+        "dark count": (replace(base, system=replace(base.system, dark_count=2e-7)), 60.0),
+        "cutoff": (replace(base, cutoff=12), 60.0),
+        "misalignment": (replace(base, system=replace(base.system, misalignment=0.02)), 60.0),
     }
+    # a new intensity misses once; a new distance or setting misses for
+    # all three entries
+    new = {"kind": 2, "signal mu": 1, "decoy mu": 1, "odd weight": 2}
     for field, (scenario, distance_km) in variants.items():
-        misses = _observed.cache_info().misses
+        misses = _intensity.cache_info().misses
         evaluate_point(scenario, distance_km)
-        assert _observed.cache_info().misses == misses + 1, field
+        assert _intensity.cache_info().misses == misses + new.get(field, 3), field
+
+
+def test_optimize_misses_the_memo_once_per_intensity_and_distance():
+    """One pass over the benchmark's optimize grids builds each
+    intensity's entry once per distance, and the vacuum's where the
+    estimator reads it."""
+    mu1_values = tuple(round(0.05 + 0.025 * k, 10) for k in range(23))
+    mu2_values = tuple(round(0.005 + 0.005 * k, 10) for k in range(20))
+    intensities = len(set(mu1_values) | set(mu2_values))
+    for kind in (SourceKind.CSS, SourceKind.NONIDEAL_CSS, SourceKind.WCS):
+        scenario = Scenario(
+            source_kind=kind,
+            grid=DistanceGrid(0.0, 200.0, 50.0),
+            finite_key=FiniteKeyConfig(FluctuationMethod.CHERNOFF, 1e14),
+            mu1_candidates=mu1_values,
+            mu2_candidates=mu2_values,
+        )
+        _intensity.cache_clear()
+        optimize_intensities(scenario)
+        distances = len(scenario.grid.distances())
+        assert 0 < _intensity.cache_info().misses <= (intensities + 1) * distances, kind
 
 
 def test_run_sweep_orders_by_distance():
@@ -405,22 +449,35 @@ def test_calibration_matches_independent_searches_on_random_windows(
     assert repr(got) == repr(oracle_calibrate_pulse_pairs(scenario, **kwargs))
 
 
-def test_calibration_searches_each_point_once(monkeypatch):
+def _recorded_calibration(monkeypatch, scenario, **kwargs):
+    """The result and the (N, distance) points calibration evaluates,
+    recorded at the function it calls."""
     seen = []
+    evaluate = mdiqkd.sweep._evaluate
 
-    def recording(scenario, distance_km):
-        seen.append((scenario.finite_key.pulse_pairs, distance_km))
-        return evaluate_point(scenario, distance_km)
+    def recording(scenario, spec_signal, spec_decoy, finite_key, distance_km):
+        seen.append((finite_key.pulse_pairs, distance_km))
+        return evaluate(scenario, spec_signal, spec_decoy, finite_key, distance_km)
 
-    monkeypatch.setattr(mdiqkd.sweep, "evaluate_point", recording)
-    result = calibrate_pulse_pairs(_WCS, **_CALIBRATE)
-    assert result.in_window and result.cutoff_km == 230.0
+    monkeypatch.setattr(mdiqkd.sweep, "_evaluate", recording)
+    result = calibrate_pulse_pairs(scenario, **kwargs)
+    monkeypatch.undo()
+    assert seen, "the recorder saw no evaluation"
+    return result, seen
+
+
+def test_calibration_searches_each_point_once(monkeypatch):
     # independent searches at every visited count made 116 evaluations,
-    # reusing the cutoffs found made 50; one evaluation per step at a
-    # window edge makes 15 at 6 distances
-    assert len(seen) <= 16
-    assert len({distance for _, distance in seen}) <= 7
-    assert len(set(seen)) == len(seen)
+    # reusing the cutoffs found made 50, one evaluation per step at a
+    # window edge made 15 at 6 distances; testing the final count beside
+    # the edge that flipped makes 11 at the two edge distances
+    for case in ("wcs 0.4/0.07", "wcs 0.39/0.069", "wcs 0.395/0.071", "wcs 0.405/0.069"):
+        scenario = _CALIBRATION_CASES[case][0]
+        result, seen = _recorded_calibration(monkeypatch, scenario, **_CALIBRATE)
+        assert result.in_window and result.cutoff_km == 230.0, case
+        assert len(seen) <= 11, case
+        assert {distance for _, distance in seen} <= {230.0, 235.0}, case
+        assert len(set(seen)) == len(seen), case
 
 
 def test_calibration_builds_only_the_y1_blocks_the_light_reaches(monkeypatch):
@@ -434,13 +491,42 @@ def test_calibration_builds_only_the_y1_blocks_the_light_reaches(monkeypatch):
         built.add((dark_count, rows, cols))
         return blocks(dark_count, rows, cols)
 
-    for cache in (blocks, _observed, _cached_gains):
+    for cache in (blocks, _intensity):
         cache.cache_clear()
     monkeypatch.setattr(mdiqkd.bsm, "_y1_block", recording)
     calibrate_pulse_pairs(_WCS, **_CALIBRATE)
     assert blocks.cache_info().misses == len(built)
     assert max(max(rows, cols) for _, rows, cols in built) <= 7
     assert sum(rows * cols for _, rows, cols in built) <= 110
+
+
+# Evaluations per calibration before the final search started beside
+# the edge that flipped, and after.
+_EVALUATIONS = {
+    "wcs 0.4/0.07": (15, 11),
+    "css": (13, 10),
+    "nonideal css": (13, 10),
+    "sps": (13, 10),
+    "from one pulse pair": (25, 23),
+    "window between grid points": (16, 11),
+    "no lower edge": (17, 11),
+    "step_km 1e-3": (27, 28),
+    "step_km 1e-6": (37, 38),
+}
+
+
+@pytest.mark.parametrize("case", list(_EVALUATIONS))
+def test_edge_first_search_costs_at_most_one_extra_evaluation(monkeypatch, case):
+    """Where the guess beside the edge misses (a fine grid), the final
+    search pays one evaluation more than a bisection between the edges."""
+    if case.startswith("step_km"):
+        scenario, updates = _WCS, {"step_km": float(case.split()[1])}
+    else:
+        scenario, updates = _CALIBRATION_CASES[case]
+    _, seen = _recorded_calibration(monkeypatch, scenario, **{**_CALIBRATE, **updates})
+    before, after = _EVALUATIONS[case]
+    assert len(seen) == after <= before + 1
+    assert len(set(seen)) == len(seen)
 
 
 @pytest.mark.parametrize(
@@ -475,10 +561,13 @@ def test_search_grid_arguments_are_validated(kwargs, name):
     ],
 )
 def test_calibration_arguments_are_validated(monkeypatch, kwargs, name):
-    def forbidden(scenario, distance_km):
+    def forbidden(*args):
         raise AssertionError("evaluated before the arguments were checked")
 
-    monkeypatch.setattr(mdiqkd.sweep, "evaluate_point", forbidden)
+    monkeypatch.setattr(mdiqkd.sweep, "_evaluate", forbidden)
+    # the patched function is the one calibration evaluates through
+    with pytest.raises(AssertionError, match="evaluated"):
+        calibrate_pulse_pairs(_WCS)
     with pytest.raises(DomainError, match=name):
         calibrate_pulse_pairs(_WCS, **kwargs)
 

@@ -11,9 +11,9 @@ only the standard library.
 
 from .bsm import DetectorParams, MAX_CUTOFF, YieldTable, yield_tables
 from .config import DistanceGrid, Scenario, load_scenario, parse_kv_text, scenario_from_mapping
-from .decoy import DecoyEstimate, DecoyInputs, FLAG_CLAMPED, FLAG_ERROR_ABOVE_HALF
+from .decoy import DecoyEstimate, FLAG_CLAMPED, FLAG_ERROR_ABOVE_HALF
 from .errors import ConfigError, CutoffError, DomainError
-from .finite_key import DEFAULT_EPSILON, FiniteKeyConfig, FluctuationMethod, worst_case_decoy
+from .finite_key import DEFAULT_EPSILON, FiniteKeyConfig, FluctuationMethod
 from .rates import (
     GainSet,
     KeyRatePoint,
@@ -44,7 +44,6 @@ __all__ = [
     "ConfigError",
     "CutoffError",
     "DecoyEstimate",
-    "DecoyInputs",
     "DetectorParams",
     "DistanceGrid",
     "DomainError",
@@ -76,7 +75,6 @@ __all__ = [
     "run_sweep",
     "scenario_from_mapping",
     "true_single_photon_quantities",
-    "worst_case_decoy",
     "write_csv",
     "yield_tables",
 ]

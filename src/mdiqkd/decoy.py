@@ -14,26 +14,28 @@ The estimator follows from the signal source's photon statistics, so
 
   after which a two-point estimate in (P1, Pm) bounds y11 and the decoy
   intensity alone bounds e11; m is the lowest multi-photon number the
-  source emits (``MULTI_PHOTON``).  The odd cat is its (P1, P3), P0 = 0
-  case: it reads no vacuum channels, and with P1 = mu / sinh(mu) and
-  P3 = mu^3 / (6 sinh(mu)) the bound is the paper's one-decoy formula
+  source emits (``sources.MULTI_PHOTON``).  The odd cat is its (P1, P3),
+  P0 = 0 case: it reads no vacuum channels, and with P1 = mu / sinh(mu)
+  and P3 = mu^3 / (6 sinh(mu)) the bound is the paper's one-decoy formula
 
     y11 >= [mu1^4 sinh^2(mu2) Q(mu2) - mu2^4 sinh^2(mu1) Q(mu1)]
            / [mu1^2 mu2^2 (mu1^2 - mu2^2)],
     e11 <= sinh^2(mu2) E(mu2) Q(mu2) / (mu2^2 y11).
 
   P0, P1 and Pm are read off the emitted closed-form series
-  (``emitted_head``, ``transmitted`` at eta = 1), keeping Pm of a faint source.
+  (``SourceSpec.emitted_head``, ``transmitted`` at eta = 1), keeping Pm
+  of a faint source.
 
-``CHANNELS`` lists the gains each estimator reads; ``DecoyInputs``
-holds them keyed by channel and rejects inputs that lack one.  Each
-evaluation builds one interval table, a ``(lower, upper)`` pair per
-(channel, field), by applying a ``Bounds`` map to every observed gain,
-and the algebra takes each gain at the endpoint, LOW or HIGH, that
-weakens the bound.  The finite-key layer supplies its method's
-confidence-interval map; the default, ``exact``, is the identity
-interval of the asymptotic case, so every path shares one copy of the
-formulas.
+``estimate(spec_signal, spec_decoy, gains, bounds)`` is the one entry:
+it takes the gains keyed by channel, those ``CHANNELS`` lists for the
+kind, and rejects inputs that lack one.  Each evaluation builds one
+interval table, a ``(lower, upper)`` pair per (channel, field), by
+applying the ``bounds`` map to every observed gain, and the algebra
+takes each gain at the endpoint, LOW or HIGH, that weakens the bound.
+``finite_key.interval_kernel`` gives a method's confidence-interval
+map; the default, ``exact``, is the identity interval of the asymptotic
+case, so every path shares one copy of the formulas.  A yield bound
+above 1 means the gains cancelled to rounding, and raises.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Dict, Mapping, Tuple
 
 from .errors import DomainError
 from .rates import GainSet
-from .sources import SourceKind, SourceSpec, transmitted
+from .sources import SourceKind, SourceSpec
 
 FLAG_CLAMPED = "clamped_to_zero"
 FLAG_ERROR_ABOVE_HALF = "error_bound_above_half"
@@ -76,14 +78,6 @@ CHANNELS = {
     SourceKind.WCS: _VACUUM_PLUS_DECOY,
 }
 
-# The lowest multi-photon number each decoy family emits: the m of the
-# two-point bound's (P0, P1, Pm).
-MULTI_PHOTON = {
-    SourceKind.CSS: 3,
-    SourceKind.NONIDEAL_CSS: 2,
-    SourceKind.WCS: 2,
-}
-
 # A channel the estimator does not read: its gains are zero.  It stands
 # in for the vacuum channels of a source with P0 = 0, where each enters
 # as P0 times it and so drops out exactly.
@@ -101,44 +95,6 @@ def observe(g: GainSet, bounds: Bounds = exact) -> ChannelIntervals:
 
 
 @dataclass(frozen=True)
-class DecoyInputs:
-    """Everything a decoy estimator consumes: both sources and the gains
-    of every channel in ``CHANNELS[spec_signal.kind]``."""
-
-    spec_signal: SourceSpec
-    spec_decoy: SourceSpec
-    gains: Mapping[str, GainSet]
-
-    @property
-    def kind(self) -> SourceKind:
-        return self.spec_signal.kind
-
-    @property
-    def mu_signal(self) -> float:
-        return self.spec_signal.mu
-
-    @property
-    def mu_decoy(self) -> float:
-        return self.spec_decoy.mu
-
-    def __post_init__(self) -> None:
-        channels = CHANNELS.get(self.kind)
-        if channels is None:
-            raise DomainError(f"no decoy estimator for a {self.kind.value} signal source")
-        missing = [c for c in channels if c not in self.gains]
-        if missing:
-            raise DomainError(
-                f"{self.kind.value} decoy estimator needs the gains of channel(s) "
-                f"{', '.join(missing)}"
-            )
-        if self.kind is not SourceKind.SPS and not self.mu_signal > self.mu_decoy > 0.0:
-            raise DomainError(
-                f"intensities must satisfy mu_signal > mu_decoy > 0, got "
-                f"({self.mu_signal}, {self.mu_decoy})"
-            )
-
-
-@dataclass(frozen=True)
 class DecoyEstimate:
     """Bounds handed to the key-rate formula, with diagnostic flags."""
 
@@ -148,7 +104,13 @@ class DecoyEstimate:
 
 
 def _finalize(y11_z: float, y11_x: float, e11_raw: Callable[[float], float]) -> DecoyEstimate:
-    """Clamp negative yields, derive e11 and collect flags."""
+    """Clamp negative yields, derive e11 and collect flags.  A yield
+    bound above 1 has no digits left: the gains cancelled to rounding."""
+    if y11_z > 1.0 or y11_x > 1.0:
+        raise DomainError(
+            f"bound_without_digits: the single-photon yield bounds ({y11_z}, {y11_x}) "
+            "exceed 1, so the observed gains cancelled to rounding"
+        )
     flags = set()
     if y11_z < 0.0 or y11_x < 0.0:
         flags.add(FLAG_CLAMPED)
@@ -251,36 +213,32 @@ def _assemble_generic(
     )
 
 
-def emitted_head(spec: SourceSpec, m: int) -> tuple:
-    """(P0, P1, Pm) of the emitted statistics in closed form.  Below m
-    the multi-photon mass ``transmitted`` weighs its tail against is zero
-    (P2 of the odd cat is exactly zero too), so the series stops early
-    only where its tail is exactly zero, and the rest is zero."""
-    probs, _ = transmitted(spec, 1.0, m)
-    probs += (0.0,) * (m + 1 - len(probs))
-    return probs[0], probs[1], probs[m]
-
-
-def estimate(inputs: DecoyInputs, bounds: Bounds = exact) -> DecoyEstimate:
-    """Decoy bounds with every observed gain at the endpoint of its
-    ``bounds`` interval that weakens the bound, by the estimator of the
-    signal source's kind."""
-    m = MULTI_PHOTON.get(inputs.kind, 1)
-    heads = emitted_head(inputs.spec_signal, m), emitted_head(inputs.spec_decoy, m)
-    return estimate_from(inputs.kind, *heads, inputs.gains, bounds)
-
-
-def estimate_from(kind: SourceKind, head_signal: tuple, head_decoy: tuple,
-                  gains: Mapping[str, GainSet], bounds: Bounds = exact) -> DecoyEstimate:
-    """``estimate`` on unchecked parts: the gains of ``CHANNELS[kind]``
-    and each intensity's ``emitted_head``, which a pipeline holds per
-    intensity and distance.  A single-photon source reads no head."""
-    channels = CHANNELS[kind]
-    # Mirrored channels share one GainSet, and so one interval.
-    by_gain = {id(gains[c]): gains[c] for c in channels}
+def estimate(spec_signal: SourceSpec, spec_decoy: SourceSpec,
+             gains: Mapping[str, GainSet], bounds: Bounds = exact) -> DecoyEstimate:
+    """Decoy bounds from the gains of every channel in
+    ``CHANNELS[spec_signal.kind]``, with every observed gain at the
+    endpoint of its ``bounds`` interval that weakens the bound, by the
+    estimator of the signal source's kind."""
+    kind = spec_signal.kind
+    channels = CHANNELS.get(kind)
+    if channels is None:
+        raise DomainError(f"no decoy estimator for a {kind.value} signal source")
+    try:
+        # Mirrored channels share one GainSet, and so one interval.
+        by_gain = {id(gains[c]): gains[c] for c in channels}
+    except KeyError:
+        raise DomainError(
+            f"{kind.value} decoy estimator needs the gains of channel(s) "
+            f"{', '.join(c for c in channels if c not in gains)}"
+        ) from None
+    if kind is not SourceKind.SPS and not spec_signal.mu > spec_decoy.mu > 0.0:
+        raise DomainError(
+            f"intensities must satisfy mu_signal > mu_decoy > 0, got "
+            f"({spec_signal.mu}, {spec_decoy.mu})"
+        )
     intervals = {key: observe(g, bounds) for key, g in by_gain.items()}
     table = {c: intervals[id(gains[c])] for c in channels}
     if kind is SourceKind.SPS:
         q_z, q_x, eq_x = table["ss"]
         return _finalize(q_z[LOW], q_x[LOW], lambda y: eq_x[HIGH] / y)
-    return _assemble_generic(head_signal, head_decoy, table)
+    return _assemble_generic(spec_signal.emitted_head, spec_decoy.emitted_head, table)

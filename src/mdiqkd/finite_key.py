@@ -22,9 +22,9 @@ pulse pairs.  Two confidence constructions are supported:
 
 Each method's formula is one private kernel returning ``(lower,
 upper)``; ``interval_kernel`` selects it for a ``FiniteKeyConfig``.
-``worst_case_decoy`` runs ``decoy.estimate``, which picks the estimator
-by the source kind, on those intervals, so each observed gain enters
-the bound at whichever endpoint weakens it.  The pipeline is
+``decoy.estimate(..., interval_kernel(config))``, which picks the
+estimator by the source kind, runs on those intervals, so each observed
+gain enters the bound at whichever endpoint weakens it.  The pipeline is
 deterministic: observed counts are taken at their expected
 (real-valued) positions rather than sampled.
 """
@@ -36,8 +36,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from . import decoy
-from .decoy import Bounds, DecoyEstimate, DecoyInputs, Interval, exact
+from .decoy import Bounds, Interval, exact
 from .errors import ConfigError
 
 
@@ -104,10 +103,3 @@ def interval_kernel(config: FiniteKeyConfig) -> Bounds:
     if config.method is FluctuationMethod.CHERNOFF:
         return partial(_chernoff, config.pulse_pairs, config.epsilon)
     return exact
-
-
-def worst_case_decoy(inputs: DecoyInputs, config: FiniteKeyConfig) -> DecoyEstimate:
-    """Decoy bounds with every gain at its least favorable endpoint, by
-    the estimator of the signal source's kind.  With the asymptotic
-    method this is exactly the plain estimator."""
-    return decoy.estimate(inputs, interval_kernel(config))

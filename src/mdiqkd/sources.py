@@ -23,7 +23,9 @@ and sinh swapped, and a single photon arrives with probability eta.
 ``transmitted`` truncates the series after loss relative to the
 multi-photon mass it keeps (``TAIL_TOLERANCE``), or at a yield table's
 cutoff; ``mass_above`` sums what such a cutoff leaves out.  No other
-module applies loss to photon numbers or truncates them.  A
+module applies loss to photon numbers or truncates them.
+``SourceSpec.emitted_head`` is the emitted (P0, P1, Pm) the decoy
+bounds read, computed once per spec.  A
 distribution is a tuple of floats built with ``math``, so this module
 needs no numpy.
 """
@@ -68,6 +70,11 @@ class SourceKind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# The lowest multi-photon number each decoy family emits: the m of the
+# two-point bound's (P0, P1, Pm).  Every other kind reads m = 1.
+MULTI_PHOTON = {SourceKind.CSS: 3, SourceKind.NONIDEAL_CSS: 2, SourceKind.WCS: 2}
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Declarative description of one pulse source.
@@ -91,6 +98,18 @@ class SourceSpec:
                 raise DomainError(
                     f"odd_weight must lie in (0, 1], got {self.odd_weight}"
                 )
+
+    @functools.cached_property
+    def emitted_head(self) -> tuple:
+        """(P0, P1, Pm) of the emitted statistics in closed form, m from
+        ``MULTI_PHOTON``.  Below m the multi-photon mass ``transmitted``
+        weighs its tail against is zero (P2 of the odd cat is exactly
+        zero too), so the series stops early only where its tail is
+        exactly zero, and the rest is zero."""
+        m = MULTI_PHOTON.get(self.kind, 1)
+        probs, _ = transmitted(self, 1.0, m)
+        probs += (0.0,) * (m + 1 - len(probs))
+        return probs[0], probs[1], probs[m]
 
     @classmethod
     def css(cls, mu: float) -> "SourceSpec":

@@ -19,7 +19,7 @@ from fock import MAX_TOTAL_PHOTONS, BellOutcome, Polarization, bell_yield, propa
 from mdiqkd.bsm import DetectorParams, yield_tables
 from mdiqkd.cli import main as cli_main
 from mdiqkd.config import DistanceGrid, Scenario
-from mdiqkd.decoy import CHANNELS, DecoyInputs, estimate
+from mdiqkd.decoy import CHANNELS, estimate
 from mdiqkd.finite_key import FiniteKeyConfig, FluctuationMethod
 from mdiqkd.rates import SystemParams, gains, true_single_photon_quantities
 from mdiqkd.sources import SourceKind, SourceSpec, transmitted
@@ -166,10 +166,10 @@ def test_announcement_yields_match_loss_enumeration_oracle(capsys):
     assert worst <= 1e-12
 
 
-def _decoy_inputs(kind, mu1, mu2, table, misalignment):
+def _decoy_bounds(kind, mu1, mu2, table, misalignment):
     spec = Scenario(source_kind=kind, odd_weight=0.7).signal_spec
     specs = {"s": spec(mu1), "d": spec(mu2), "0": SourceSpec.vacuum()}
-    return DecoyInputs(
+    return estimate(
         specs["s"],
         specs["d"],
         {
@@ -196,7 +196,7 @@ def test_decoy_bounds_bracket_exact_single_pair_values(capsys):
         table = yield_tables(system.detector_params(), 15)
         truth = true_single_photon_quantities(table, system.misalignment)
         for _, kind, mu1, mu2 in settings:
-            bounds = estimate(_decoy_inputs(kind, mu1, mu2, table, system.misalignment))
+            bounds = _decoy_bounds(kind, mu1, mu2, table, system.misalignment)
             worst_y = min(worst_y, truth.y11_z - bounds.y11_lower)
             worst_e = min(worst_e, bounds.e11_upper - truth.e11_x)
             points += 1

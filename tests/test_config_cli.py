@@ -27,6 +27,7 @@ from mdiqkd.cli import main
 from mdiqkd.config import MAX_GRID_POINTS
 
 from _oracles import dense_tables
+from test_decoy import DIGITLESS_POINTS
 
 
 def test_parse_kv_basic():
@@ -299,6 +300,21 @@ def test_cli_failed_run_leaves_the_output_as_it_was(tmp_path, capsys):
     # a run that succeeds replaces the whole file
     assert main(["sweep", "--out", str(old)]) == 0
     assert old.read_text().startswith("distance_km,") and "kept" not in old.read_text()
+
+
+@pytest.mark.parametrize("intensities,distance_km", DIGITLESS_POINTS)
+def test_cli_yield_bound_above_one_exits_3(tmp_path, capsys, intensities, distance_km):
+    mu1, mu2 = intensities
+    cfg = _write_cfg(
+        tmp_path,
+        f"source.kind = wcs\nsource.signal_mu = {mu1!r}\nsource.decoy_mu = {mu2!r}\n"
+        f"grid.start_km = {distance_km!r}\ngrid.stop_km = {distance_km!r}\n",
+    )
+    out = tmp_path / "rates.csv"
+    out.write_text("kept\n")
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+    assert "bound_without_digits" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_cli_exit_code_on_bad_config(tmp_path, capsys):

@@ -4,15 +4,17 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mdiqkd.sweep
 from _oracles import oracle_css_y11
 from mdiqkd import (
-    DecoyInputs,
+    CutoffError,
     DomainError,
+    FiniteKeyConfig,
     FLAG_CLAMPED,
     FLAG_ERROR_ABOVE_HALF,
+    FluctuationMethod,
     GainSet,
     Scenario,
     SourceKind,
@@ -40,20 +42,21 @@ def _table(distance_km: float, cutoff: int = 15):
 
 def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_weight=0.7,
             cutoff: int = 15):
-    """Estimator inputs with the gains of every channel the kind reads."""
+    """``estimate``'s (signal spec, decoy spec, gains), with the gains of
+    every channel the kind reads."""
     table, e_d = _table(distance_km, cutoff)
     spec = Scenario(source_kind=kind, odd_weight=odd_weight).signal_spec
     specs = {"s": spec(mu1), "d": spec(mu2), "0": SourceSpec.vacuum()}
     channel_gains = {
         c: gains(specs[c[0]], specs[c[1]], table, e_d) for c in CHANNELS[kind]
     }
-    return DecoyInputs(specs["s"], specs["d"], channel_gains), table, e_d
+    return (specs["s"], specs["d"], channel_gains), table, e_d
 
 
 @pytest.mark.parametrize("distance_km", [0.0, 100.0, 300.0])
 def test_one_decoy_brackets_truth(distance_km):
     inputs, table, e_d = _inputs(SourceKind.CSS, 0.1, 0.01, distance_km)
-    bounds = estimate(inputs)
+    bounds = estimate(*inputs)
     truth = true_single_photon_quantities(table, e_d)
     assert bounds.y11_lower <= truth.y11_z + 1e-12
     assert bounds.e11_upper >= truth.e11_x - 1e-12
@@ -69,7 +72,7 @@ def test_one_decoy_brackets_truth(distance_km):
 )
 def test_two_decoy_brackets_truth(kind, mu1, mu2, distance_km):
     inputs, table, e_d = _inputs(kind, mu1, mu2, distance_km)
-    bounds = estimate(inputs)
+    bounds = estimate(*inputs)
     truth = true_single_photon_quantities(table, e_d)
     assert bounds.y11_lower <= truth.y11_z + 1e-12
     assert bounds.e11_upper >= truth.e11_x - 1e-12
@@ -114,8 +117,8 @@ def test_estimate_applies_the_kernel_once_per_distinct_gain(monkeypatch, kind, c
 def test_single_photon_bounds_are_the_observed_gains():
     """A single-photon source is observed directly: no decoy algebra."""
     inputs, _, _ = _inputs(SourceKind.SPS, 0.0, 0.0, 100.0)
-    signal = inputs.gains["ss"]
-    bounds = estimate(inputs)
+    signal = inputs[2]["ss"]
+    bounds = estimate(*inputs)
     assert bounds.y11_lower == signal.total_z
     assert bounds.e11_upper == signal.error_weighted_x / signal.total_x
     assert bounds.flags == frozenset()
@@ -178,10 +181,8 @@ def test_css_bound_is_the_one_decoy_formula_property(intensities, distance_km):
     formula for odd cat sources."""
     mu1, mu2 = intensities
     inputs, _, _ = _inputs(SourceKind.CSS, mu1, mu2, distance_km, cutoff=20)
-    expected = oracle_css_y11(
-        mu1, mu2, inputs.gains["ss"].total_z, inputs.gains["dd"].total_z
-    )
-    assert estimate(inputs).y11_lower == pytest.approx(max(0.0, expected), rel=1e-13)
+    expected = oracle_css_y11(mu1, mu2, inputs[2]["ss"].total_z, inputs[2]["dd"].total_z)
+    assert estimate(*inputs).y11_lower == pytest.approx(max(0.0, expected), rel=1e-13)
 
 
 # Outside the property's intensity range rounding breaks the bracket.
@@ -209,17 +210,60 @@ def test_decoy_bounds_bracket_truth_fails_when_rounding_dominates(
     assert point.y11_lower <= truth.y11_z
 
 
+# Faint, near-equal wcs pairs on the default hardware (asymptotic) whose
+# gains cancel to rounding: the unguarded algebra reported y11_lower of
+# 3.9965087576533196 and 8.0312195123197707 here.
+DIGITLESS_POINTS = [
+    ((4.19e-11, 4.189999992458e-11), 100.0),
+    ((3e-11, 2.9999999946e-11), 0.0),
+]
+
+
+@pytest.mark.parametrize("intensities,distance_km", DIGITLESS_POINTS)
+def test_yield_bound_above_one_is_a_domain_error(intensities, distance_km):
+    mu1, mu2 = intensities
+    scenario = Scenario(source_kind=SourceKind.WCS, signal_mu=mu1, decoy_mu=mu2)
+    with pytest.raises(DomainError, match="bound_without_digits: .* exceed 1"):
+        evaluate_point(scenario, distance_km)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mu2=st.floats(1e-12, 1e-6),
+    excess=st.floats(1e-10, 1e-6),
+    distance_km=st.floats(0.0, 400.0),
+    method=st.sampled_from(list(FluctuationMethod)),
+)
+# Points where the unguarded algebra gave 14.4 and 255.6.
+@example(5.198112697411633e-12, 3.2624253147713427e-08, 40.46957602397914,
+         FluctuationMethod.ASYMPTOTIC)
+@example(6.438271342806498e-12, 1.1914032825024316e-09, 35.603370746033924,
+         FluctuationMethod.ASYMPTOTIC)
+def test_faint_near_equal_pairs_report_no_yield_above_one(mu2, excess, distance_km, method):
+    """Each point returns a yield bound in [0, 1] or takes the exit-3
+    path; none reports a bound that no yield can reach."""
+    scenario = Scenario(
+        source_kind=SourceKind.WCS, signal_mu=mu2 * (1.0 + excess), decoy_mu=mu2,
+        finite_key=FiniteKeyConfig(method),
+    )
+    try:
+        point = evaluate_point(scenario, distance_km)
+    except (DomainError, CutoffError):
+        return
+    assert 0.0 <= point.y11_lower <= 1.0
+
+
 def test_two_decoy_requires_vacuum_channels():
-    inputs, _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 0.0)
-    without_vacuum = {c: g for c, g in inputs.gains.items() if c != "00"}
+    (signal, decoy, channel_gains), _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 0.0)
+    without_vacuum = {c: g for c, g in channel_gains.items() if c != "00"}
     with pytest.raises(DomainError, match="needs the gains of channel\\(s\\) 00"):
-        replace(inputs, gains=without_vacuum)
+        estimate(signal, decoy, without_vacuum)
 
 
 def test_vacuum_signal_has_no_estimator():
     dv = SourceSpec.vacuum()
     with pytest.raises(DomainError, match="no decoy estimator for a vacuum signal source"):
-        DecoyInputs(dv, dv, {})
+        estimate(dv, dv, {})
 
 
 def test_two_decoy_degenerate_for_odd_only_sources():
@@ -227,16 +271,17 @@ def test_two_decoy_degenerate_for_odd_only_sources():
     which makes the two-point linear system singular."""
     inputs, _, _ = _inputs(SourceKind.NONIDEAL_CSS, 0.1, 0.01, 0.0, odd_weight=1.0)
     with pytest.raises(DomainError, match="denominator_ill_conditioned"):
-        estimate(inputs)
+        estimate(*inputs)
 
 
 def test_intensity_ordering_is_validated():
     table, e_d = _table(0.0)
     g = gains(CSS_SIGNAL, CSS_SIGNAL, table, e_d)
-    with pytest.raises(DomainError):
-        DecoyInputs(CSS_DECOY, CSS_SIGNAL, {"ss": g, "dd": g})
-    with pytest.raises(DomainError):
-        DecoyInputs(CSS_SIGNAL, SourceSpec.css(0.0), {"ss": g, "dd": g})
+    ordering = "intensities must satisfy mu_signal > mu_decoy > 0"
+    with pytest.raises(DomainError, match=ordering):
+        estimate(CSS_DECOY, CSS_SIGNAL, {"ss": g, "dd": g})
+    with pytest.raises(DomainError, match=ordering):
+        estimate(CSS_SIGNAL, SourceSpec.css(0.0), {"ss": g, "dd": g})
 
 
 def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x):
@@ -252,21 +297,17 @@ def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x)
             error_weighted_x=eq_x,
         )
 
-    return DecoyInputs(
-        spec_signal=CSS_SIGNAL,
-        spec_decoy=CSS_DECOY,
-        gains={
-            "ss": gain_set(q_signal_z, q_signal_x, 0.015 * q_signal_x),
-            "dd": gain_set(q_decoy_z, q_decoy_x, eq_decoy_x),
-        },
-    )
+    return CSS_SIGNAL, CSS_DECOY, {
+        "ss": gain_set(q_signal_z, q_signal_x, 0.015 * q_signal_x),
+        "dd": gain_set(q_decoy_z, q_decoy_x, eq_decoy_x),
+    }
 
 
 def test_negative_yield_bound_is_clamped_and_flagged():
     # a huge signal gain with a negligible decoy gain drives the
     # estimate negative
     inputs = _fabricated_inputs(0.9, 1e-9, 0.9, 1e-9, 1e-11)
-    bounds = estimate(inputs)
+    bounds = estimate(*inputs)
     assert bounds.y11_lower == 0.0
     assert FLAG_CLAMPED in bounds.flags
     assert math.isinf(bounds.e11_upper)
@@ -275,7 +316,7 @@ def test_negative_yield_bound_is_clamped_and_flagged():
 def test_error_bound_above_half_is_flagged():
     # error-weighted gain close to the decoy gain forces e11 toward 1
     inputs = _fabricated_inputs(0.08, 0.008, 0.08, 0.008, 0.0079)
-    bounds = estimate(inputs)
+    bounds = estimate(*inputs)
     assert bounds.y11_lower > 0.0
     assert bounds.e11_upper > 0.5
     assert FLAG_ERROR_ABOVE_HALF in bounds.flags

@@ -16,7 +16,6 @@ from mdiqkd import (
     SystemParams,
     comparison_scenarios,
     evaluate_point,
-    worst_case_decoy,
 )
 from mdiqkd.decoy import estimate
 from mdiqkd.finite_key import interval_kernel
@@ -103,18 +102,18 @@ _ESTIMATOR_CASES = [
 
 
 def test_asymptotic_worst_case_equals_plain_estimators():
-    config = FiniteKeyConfig(FluctuationMethod.ASYMPTOTIC)
+    kernel = interval_kernel(FiniteKeyConfig(FluctuationMethod.ASYMPTOTIC))
     for kind, mu1, mu2 in _ESTIMATOR_CASES:
         inputs, _, _ = _inputs(kind, mu1, mu2, 50.0)
-        assert worst_case_decoy(inputs, config) == estimate(inputs)
+        assert estimate(*inputs, kernel) == estimate(*inputs)
 
 
 @pytest.mark.parametrize("kind,mu1,mu2", _ESTIMATOR_CASES)
 @pytest.mark.parametrize("method", [FluctuationMethod.STANDARD, FluctuationMethod.CHERNOFF])
 def test_worst_case_weakens_both_bounds(kind, mu1, mu2, method):
     inputs, _, _ = _inputs(kind, mu1, mu2, 50.0)
-    asymptotic = worst_case_decoy(inputs, FiniteKeyConfig(FluctuationMethod.ASYMPTOTIC))
-    finite = worst_case_decoy(inputs, FiniteKeyConfig(method, 1e13))
+    asymptotic = estimate(*inputs, _kernel(FluctuationMethod.ASYMPTOTIC, 1e14))
+    finite = estimate(*inputs, _kernel(method, 1e13))
     assert finite.y11_lower <= asymptotic.y11_lower
     assert finite.e11_upper >= asymptotic.e11_upper
 
@@ -122,7 +121,7 @@ def test_worst_case_weakens_both_bounds(kind, mu1, mu2, method):
 def test_worst_case_tightens_with_more_pulses():
     inputs, _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 50.0)
     estimates = [
-        worst_case_decoy(inputs, FiniteKeyConfig(FluctuationMethod.STANDARD, n))
+        estimate(*inputs, _kernel(FluctuationMethod.STANDARD, n))
         for n in (1e12, 1e14, 1e16, 1e20)
     ]
     y11s = [e.y11_lower for e in estimates]
@@ -130,7 +129,7 @@ def test_worst_case_tightens_with_more_pulses():
     assert y11s == sorted(y11s)
     assert e11s == sorted(e11s, reverse=True)
     # converges to the asymptotic value
-    asym = estimate(inputs)
+    asym = estimate(*inputs)
     assert estimates[-1].y11_lower == pytest.approx(asym.y11_lower, rel=1e-3)
     assert estimates[-1].e11_upper == pytest.approx(asym.e11_upper, rel=1e-3)
 

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from mdiqkd import DetectorParams, DomainError, SourceSpec, gains, yield_tables
-from mdiqkd.sources import TAIL_TOLERANCE, mass_above, transmitted
+import mdiqkd.sources
+from mdiqkd.sources import (
+    MULTI_PHOTON, TAIL_TOLERANCE, SourceKind, mass_above, transmitted,
+)
 
 from _oracles import binomial_fold, oracle_distribution
 
@@ -124,6 +127,27 @@ def test_distribution_is_read_only():
     probs, _ = emitted(SourceSpec.wcs(0.4))
     with pytest.raises(TypeError):
         probs[0] = 0.5
+
+
+@pytest.mark.parametrize("kind", list(SourceKind))
+def test_emitted_head_is_computed_once_per_spec(monkeypatch, kind):
+    """(P0, P1, Pm) of a spec is the emitted series up to m, padded with
+    zeros to m + 1 entries, bitwise; later reads return the same tuple."""
+    spec = SourceSpec(kind, 0.3, 0.7 if kind is SourceKind.NONIDEAL_CSS else 1.0)
+    m = MULTI_PHOTON.get(kind, 1)
+    probs, _ = transmitted(spec, 1.0, m)
+    padded = probs + (0.0,) * (m + 1 - len(probs))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return transmitted(*args)
+
+    monkeypatch.setattr(mdiqkd.sources, "transmitted", counting)
+    head = spec.emitted_head
+    assert spec.emitted_head is head
+    assert calls == [(spec, 1.0, m)]
+    assert head == (padded[0], padded[1], padded[m])
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from mdiqkd import (
     write_csv,
     yield_tables,
 )
-from mdiqkd.decoy import CHANNELS, MULTI_PHOTON, emitted_head
+from mdiqkd.decoy import CHANNELS
 from mdiqkd.sweep import (
     CSV_COLUMNS,
     _intensity,
@@ -83,9 +83,9 @@ def _entry_key(scenario, distance_km):
 
 
 def test_memoised_gains_equal_a_fresh_contraction():
-    """An intensity's entry holds its diagonal gain, its gain with the
-    vacuum where the estimator reads vacuum channels, and its emitted
-    (P0, P1, Pm), each bitwise equal to a fresh computation."""
+    """An intensity's entry holds its diagonal gain and its gain with the
+    vacuum where the estimator reads vacuum channels, each bitwise equal
+    to a fresh contraction."""
     table = yield_tables(DetectorParams(0.037, 1e-7), 15)
     for spec in (
         SourceSpec.css(0.1), SourceSpec.nonideal_css(0.1, 0.7), SourceSpec.wcs(0.4),
@@ -94,14 +94,13 @@ def test_memoised_gains_equal_a_fresh_contraction():
         key = (spec, 0.037, 1e-7, 15, 0.015)
         first = _intensity(*key)
         assert _intensity(*key) is first
-        diagonal, with_vacuum, head = first
+        diagonal, with_vacuum = first
         # GainSet compares its float fields with ==
         assert diagonal == gains(spec, spec, table, 0.015)
         if "00" in CHANNELS.get(spec.kind, ()):
             assert with_vacuum == gains(spec, SourceSpec.vacuum(), table, 0.015)
         else:
             assert with_vacuum is None
-        assert head == emitted_head(spec, MULTI_PHOTON.get(spec.kind, 1))
 
 
 def test_per_point_memo_is_keyed_by_every_input():
@@ -138,9 +137,11 @@ def test_per_point_memo_is_keyed_by_every_input():
         "cutoff": (replace(base, cutoff=12), 60.0),
         "misalignment": (replace(base, system=replace(base.system, misalignment=0.02)), 60.0),
     }
-    # a new intensity misses once; a new distance or setting misses for
-    # all three entries
-    new = {"kind": 2, "signal mu": 1, "decoy mu": 1, "odd weight": 2}
+    # a new intensity misses once; a new distance or efficiency misses for
+    # the signal and decoy entries, the vacuum's serving every efficiency;
+    # any other new setting misses for all three entries
+    new = {"kind": 2, "signal mu": 1, "decoy mu": 1, "odd weight": 2, "distance": 2,
+           "efficiency": 2}
     for field, (scenario, distance_km) in variants.items():
         misses = _intensity.cache_info().misses
         evaluate_point(scenario, distance_km)
@@ -149,7 +150,7 @@ def test_per_point_memo_is_keyed_by_every_input():
 
 def test_optimize_misses_the_memo_once_per_intensity_and_distance():
     """One pass over the benchmark's optimize grids builds each
-    intensity's entry once per distance, and the vacuum's where the
+    intensity's entry once per distance, and the vacuum's once where the
     estimator reads it."""
     mu1_values = tuple(round(0.05 + 0.025 * k, 10) for k in range(23))
     mu2_values = tuple(round(0.005 + 0.005 * k, 10) for k in range(20))
@@ -165,7 +166,8 @@ def test_optimize_misses_the_memo_once_per_intensity_and_distance():
         _intensity.cache_clear()
         optimize_intensities(scenario)
         distances = len(scenario.grid.distances())
-        assert 0 < _intensity.cache_info().misses <= (intensities + 1) * distances, kind
+        reads_vacuum = "00" in CHANNELS[kind]
+        assert _intensity.cache_info().misses == intensities * distances + reads_vacuum, kind
 
 
 def test_run_sweep_orders_by_distance():

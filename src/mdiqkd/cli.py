@@ -25,8 +25,7 @@ from typing import List, Optional
 from .bsm import yield_tables
 from .config import Scenario, load_scenario
 from .errors import ConfigError, CutoffError, DomainError
-from .rates import gains, true_single_photon_quantities
-from .sources import SourceSpec
+from .rates import true_single_photon_quantities
 from .sweep import (
     compare_sources,
     optimize_intensities,
@@ -100,15 +99,14 @@ def _yields_report(scenario: Scenario, distance_km: float) -> List[str]:
     system = replace(scenario.system, distance_km=distance_km)
     table = yield_tables(system.detector_params(), scenario.cutoff)
     truth = true_single_photon_quantities(table, system.misalignment)
-    vacuum = SourceSpec.vacuum()
-    vacuum_yield = gains(vacuum, vacuum, table, system.misalignment).correct_z
+    vacuum_yield = table.contract((1.0,), (1.0,))[0]
 
     def fmt(value: Optional[float]) -> str:
         return format(float("nan") if value is None else value, ".17g")
 
     return [
         f"distance_km = {fmt(distance_km)}",
-        f"overall_efficiency = {fmt(system.overall_efficiency())}",
+        f"overall_efficiency = {fmt(system.efficiency_at(distance_km))}",
         f"dark_count = {fmt(system.dark_count)}",
         f"cutoff = {scenario.cutoff}",
         f"y11_z = {fmt(truth.y11_z)}",

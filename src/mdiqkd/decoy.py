@@ -23,8 +23,8 @@ The estimator follows from the signal source's photon statistics, so
     e11 <= sinh^2(mu2) E(mu2) Q(mu2) / (mu2^2 y11).
 
   P0, P1 and Pm are read off the emitted closed-form series
-  (``SourceSpec.emitted_head``, ``transmitted`` at eta = 1), keeping Pm
-  of a faint source.
+  (``SourceSpec.emitted_head``, the first terms of the series), keeping
+  Pm of a faint source.
 
 ``estimate(spec_signal, spec_decoy, gains, bounds)`` is the one entry:
 it takes the gains keyed by channel, those ``CHANNELS`` lists for the

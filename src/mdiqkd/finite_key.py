@@ -67,8 +67,8 @@ class FiniteKeyConfig:
             raise ConfigError(
                 f"pulse_pairs must be finite and >= 1, got {self.pulse_pairs}"
             )
-        if not self.sigmas > 0.0:
-            raise ConfigError(f"sigmas must be > 0, got {self.sigmas}")
+        if not (math.isfinite(self.sigmas) and self.sigmas > 0.0):
+            raise ConfigError(f"sigmas must be finite and > 0, got {self.sigmas}")
         if not 0.0 < self.epsilon < 1.0:
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 

@@ -12,7 +12,9 @@ error-weighted gain of a channel is
 
     E Q = e_d Q_correct + (1 - e_d) Q_error.
 
-The secret fraction follows the standard decoy-state form
+A ``GainSet`` keeps Q and E Q per basis, all that the decoy bounds and
+the key rate read.  The secret fraction follows the standard
+decoy-state form
 
     R = Q11_Z (1 - H(e11_X)) - Q_Z f H(E_Z)
 
@@ -80,13 +82,9 @@ class SystemParams:
             -self.fiber_loss_db_km * distance_km / 20.0
         )
 
-    def overall_efficiency(self) -> float:
-        """Detector efficiency times one arm's fiber transmittance."""
-        return self.efficiency_at(self.distance_km)
-
     def detector_params(self) -> DetectorParams:
         return DetectorParams(
-            efficiency=self.overall_efficiency(), dark_count=self.dark_count
+            efficiency=self.efficiency_at(self.distance_km), dark_count=self.dark_count
         )
 
 
@@ -94,16 +92,13 @@ class SystemParams:
 class GainSet:
     """Per-pulse-pair gains of one intensity pair, both bases.
 
-    ``total`` = correct + error coincidence gain; ``error_weighted`` is
-    E Q with misalignment already mixed in.
+    ``total`` = correct + error coincidence gain Q; ``error_weighted`` is
+    E Q with misalignment already mixed in.  ``YieldTable.contract``
+    gives the intrinsic correct/error split.
     """
 
-    correct_z: float
-    error_z: float
     total_z: float
     error_weighted_z: float
-    correct_x: float
-    error_x: float
     total_x: float
     error_weighted_x: float
 
@@ -152,12 +147,8 @@ def gains(
     correct_z, error_z, correct_x, error_x = table.contract(a, b)
     e_d = misalignment
     return GainSet(
-        correct_z=correct_z,
-        error_z=error_z,
         total_z=correct_z + error_z,
         error_weighted_z=e_d * correct_z + (1.0 - e_d) * error_z,
-        correct_x=correct_x,
-        error_x=error_x,
         total_x=correct_x + error_x,
         error_weighted_x=e_d * correct_x + (1.0 - e_d) * error_x,
     )

@@ -25,15 +25,16 @@ multi-photon mass it keeps (``TAIL_TOLERANCE``), or at a yield table's
 cutoff; ``mass_above`` sums what such a cutoff leaves out.  No other
 module applies loss to photon numbers or truncates them.
 ``SourceSpec.emitted_head`` is the emitted (P0, P1, Pm) the decoy
-bounds read, computed once per spec.  A
-distribution is a tuple of floats built with ``math``, so this module
-needs no numpy.
+bounds read, the first terms of the series at eta = 1, computed once
+per spec.  A distribution is a tuple of floats built with ``math``, so
+this module needs no numpy.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -102,14 +103,10 @@ class SourceSpec:
     @functools.cached_property
     def emitted_head(self) -> tuple:
         """(P0, P1, Pm) of the emitted statistics in closed form, m from
-        ``MULTI_PHOTON``.  Below m the multi-photon mass ``transmitted``
-        weighs its tail against is zero (P2 of the odd cat is exactly
-        zero too), so the series stops early only where its tail is
-        exactly zero, and the rest is zero."""
+        ``MULTI_PHOTON``: the first m + 1 terms of the series at eta = 1."""
         m = MULTI_PHOTON.get(self.kind, 1)
-        probs, _ = transmitted(self, 1.0, m)
-        probs += (0.0,) * (m + 1 - len(probs))
-        return probs[0], probs[1], probs[m]
+        head = [p for p, _ in itertools.islice(_series(self, 1.0), m + 1)]
+        return head[0], head[1], head[m]
 
     @classmethod
     def css(cls, mu: float) -> "SourceSpec":

@@ -87,7 +87,9 @@ def _evaluate(scenario: Scenario, spec_signal: SourceSpec, spec_decoy: SourceSpe
         })
     bounds = estimate(spec_signal, spec_decoy, channels, interval_kernel(finite_key))
     p1 = spec_signal.emitted_head[1]
-    q11_z = p1 * p1 * bounds.y11_lower
+    # (1, 1) coincidences are among all coincidences, so Q11 <= Q_Z; a
+    # bound not rounded outward can pass it by a rounding.
+    q11_z = min(p1 * p1 * bounds.y11_lower, gains_signal.total_z)
     raw = key_rate(q11_z, bounds.e11_upper, gains_signal.total_z, gains_signal.qber_z,
                    system.ec_efficiency)
     return KeyRatePoint(

@@ -255,9 +255,11 @@ def test_reachable_distance_ranks_sources_consistently(capsys):
     labels = ("sps", "css", "nonideal_css", "wcs")
     results = {}
     ok = True
+    pulse_pairs = _calibrated().pulse_pairs
     for regime, fk in (
         ("asymptotic", FiniteKeyConfig()),
-        ("finite", _standard(_calibrated().pulse_pairs)),
+        ("standard", _standard(pulse_pairs)),
+        ("chernoff", FiniteKeyConfig(FluctuationMethod.CHERNOFF, pulse_pairs)),
     ):
         cuts = [
             cutoff_distance(scenario)
@@ -272,8 +274,8 @@ def test_reachable_distance_ranks_sources_consistently(capsys):
         capsys,
         ok,
         "source ordering",
-        f"max positive-rate km asymptotic: {results['asymptotic']}; "
-        f"finite: {results['finite']}",
+        "max positive-rate km "
+        + "; ".join(f"{regime}: {cuts}" for regime, cuts in results.items()),
     )
     assert ok, results
 

@@ -4,11 +4,12 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import mdiqkd.sweep
 from _oracles import oracle_css_y11
 from mdiqkd import (
+    ConfigError,
     CutoffError,
     DomainError,
     FiniteKeyConfig,
@@ -253,6 +254,60 @@ def test_faint_near_equal_pairs_report_no_yield_above_one(mu2, excess, distance_
     assert 0.0 <= point.y11_lower <= 1.0
 
 
+# Intensities from 1e-15 to past the photon cap at 512.
+_FUZZ_MU = st.floats(-15.0, math.log10(600.0)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(
+        [SourceKind.SPS, SourceKind.CSS, SourceKind.NONIDEAL_CSS, SourceKind.WCS]
+    ),
+    mu1=_FUZZ_MU,
+    ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    odd_weight=st.floats(0.0, 1.0, exclude_min=True),
+    method=st.sampled_from(list(FluctuationMethod)),
+    pulse_pairs=st.floats(0.0, 20.0).map(lambda e: 10.0**e),
+    sigmas=st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+    epsilon=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    cutoff=st.integers(1, 20),
+    dark=st.one_of(st.just(0.0), st.floats(1e-12, 0.1)),
+    e_d=st.floats(0.0, 0.5),
+    distance_km=st.floats(0.0, 500.0),
+)
+# Without dark counts or misalignment a faint cat's y11 bound, not rounded
+# outward, gave q11_z = 0.08 above q_z = 0.07999999999999996.
+@example(SourceKind.CSS, 1e-08, 0.5, 1.0, FluctuationMethod.ASYMPTOTIC, 1.0, 1.0, 0.5, 1,
+         0.0, 0.0, 0.0)
+def test_every_validated_point_is_sound_or_a_named_error(
+    kind, mu1, ratio, odd_weight, method, pulse_pairs, sigmas, epsilon, cutoff,
+    dark, e_d, distance_km,
+):
+    """Any input either gives a point or raises ConfigError, DomainError
+    or CutoffError.  A point has no NaN, a yield bound in [0, 1], and a
+    rate that is the clamp of the unclamped rate and at most the gain."""
+    try:
+        scenario = Scenario(
+            source_kind=kind, signal_mu=mu1, decoy_mu=mu1 * ratio, odd_weight=odd_weight,
+            system=SystemParams(dark_count=dark, misalignment=e_d),
+            finite_key=FiniteKeyConfig(method, pulse_pairs, sigmas, epsilon),
+            cutoff=cutoff,
+        )
+        point = evaluate_point(scenario, distance_km)
+    except (ConfigError, DomainError, CutoffError) as exc:
+        event(type(exc).__name__)
+        return
+    event("point")
+    values = (
+        point.q_z, point.qber_z, point.y11_lower, point.e11_upper, point.q11_z,
+        point.rate, point.rate_unclamped,
+    )
+    assert not any(math.isnan(v) for v in values), point
+    assert 0.0 <= point.y11_lower <= 1.0
+    assert point.rate <= point.q_z
+    assert point.rate == max(0.0, point.rate_unclamped)
+
+
 def test_two_decoy_requires_vacuum_channels():
     (signal, decoy, channel_gains), _, _ = _inputs(SourceKind.WCS, 0.4, 0.07, 0.0)
     without_vacuum = {c: g for c, g in channel_gains.items() if c != "00"}
@@ -287,12 +342,8 @@ def test_intensity_ordering_is_validated():
 def _fabricated_inputs(q_signal_z, q_decoy_z, q_signal_x, q_decoy_x, eq_decoy_x):
     def gain_set(total_z, total_x, eq_x):
         return GainSet(
-            correct_z=total_z,
-            error_z=0.0,
             total_z=total_z,
             error_weighted_z=0.015 * total_z,
-            correct_x=total_x,
-            error_x=0.0,
             total_x=total_x,
             error_weighted_x=eq_x,
         )

@@ -88,8 +88,9 @@ def test_finite_key_config_validation():
         FiniteKeyConfig(method="standard")
     with pytest.raises(ConfigError):
         FiniteKeyConfig(FluctuationMethod.STANDARD, pulse_pairs=0.0)
-    with pytest.raises(ConfigError):
-        FiniteKeyConfig(FluctuationMethod.STANDARD, sigmas=-1.0)
+    for sigmas in (-1.0, math.inf):
+        with pytest.raises(ConfigError, match=f"sigmas must be finite and > 0, got {sigmas}"):
+            FiniteKeyConfig(FluctuationMethod.STANDARD, sigmas=sigmas)
     with pytest.raises(ConfigError):
         FiniteKeyConfig(FluctuationMethod.CHERNOFF, epsilon=1.5)
 

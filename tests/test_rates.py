@@ -1,6 +1,7 @@
 """System parameters, gain contraction and the key-rate formula."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import pytest
@@ -35,10 +36,12 @@ WCS, VACUUM = SourceSpec.wcs(0.4), SourceSpec.vacuum()
 
 
 def test_overall_efficiency_combines_detector_and_fiber():
-    system = SystemParams(distance_km=100.0, detector_efficiency=0.4, fiber_loss_db_km=0.2)
+    system = SystemParams(detector_efficiency=0.4, fiber_loss_db_km=0.2)
     # 0.4 * 10^(-0.2 * 100 / 20) = 0.4 * 0.1
-    assert system.overall_efficiency() == pytest.approx(0.04, rel=1e-15)
-    assert SystemParams(distance_km=0.0).overall_efficiency() == pytest.approx(0.4, rel=1e-15)
+    assert system.efficiency_at(100.0) == pytest.approx(0.04, rel=1e-15)
+    assert SystemParams().efficiency_at(0.0) == pytest.approx(0.4, rel=1e-15)
+    at_100 = replace(system, distance_km=100.0).detector_params()
+    assert at_100.efficiency == system.efficiency_at(100.0)
 
 
 def test_system_params_validation():
@@ -85,15 +88,28 @@ def test_binary_entropy_reference_values():
         binary_entropy(1.01)
 
 
+_CHANNELS = ("correct_z", "error_z", "correct_x", "error_x")
+
+
+def _intrinsic(spec_a, spec_b, table):
+    """(correct_z, error_z, correct_x, error_x) of the statistics that
+    ``gains`` contracts, before misalignment mixes them."""
+    eta, cutoff = table.params.efficiency, table.cutoff
+    return table.contract(
+        transmitted(spec_a, eta, cutoff)[0], transmitted(spec_b, eta, cutoff)[0]
+    )
+
+
 def test_gains_match_double_sum():
     table = yield_tables(DetectorParams(0.4, 1e-7), 12)
     g = gains(WCS, WCS, table, 0.015)
+    correct, error, _, _ = _intrinsic(WCS, WCS, table)
     pa, _ = transmitted(WCS, 1.0, table.cutoff)
     dense = dense_tables(table)
     want_correct = oracle_gain(pa, pa, dense["correct_z"])
     want_error = oracle_gain(pa, pa, dense["error_z"])
-    assert g.correct_z == pytest.approx(want_correct, rel=1e-13)
-    assert g.error_z == pytest.approx(want_error, rel=1e-13)
+    assert correct == pytest.approx(want_correct, rel=1e-13)
+    assert error == pytest.approx(want_error, rel=1e-13)
     assert g.total_z == pytest.approx(want_correct + want_error, rel=1e-13)
     assert g.error_weighted_z == pytest.approx(
         0.015 * want_correct + 0.985 * want_error, rel=1e-13
@@ -103,10 +119,14 @@ def test_gains_match_double_sum():
 
 def test_gains_asymmetric_sources():
     table = yield_tables(DetectorParams(0.4, 1e-7), 12)
-    g = gains(WCS, VACUUM, table, 0.0)
     pa, _ = transmitted(WCS, 1.0, table.cutoff)
-    want = oracle_gain(pa, (1.0,), dense_tables(table)["correct_z"])
-    assert g.correct_z == pytest.approx(want, rel=1e-13)
+    dense = dense_tables(table)
+    want_correct = oracle_gain(pa, (1.0,), dense["correct_z"])
+    want_error = oracle_gain(pa, (1.0,), dense["error_z"])
+    assert _intrinsic(WCS, VACUUM, table)[0] == pytest.approx(want_correct, rel=1e-13)
+    g = gains(WCS, VACUUM, table, 0.0)
+    assert g.total_z == pytest.approx(want_correct + want_error, rel=1e-13)
+    assert g.error_weighted_z == pytest.approx(want_error, rel=1e-13)
 
 
 _MU = st.floats(0.0, 0.3)
@@ -137,7 +157,9 @@ def test_gains_match_per_pair_detection_property(eta, dark, e_d, spec_a, spec_b)
     # mu <= 0.3 keeps the oracle within 17 photons
     deep_a, deep_b = (oracle_distribution(s, 1e-22) for s in (spec_a, spec_b))
     cutoff = max(len(deep_a), len(deep_b), 2) - 1
-    g = gains(spec_a, spec_b, yield_tables(params, cutoff), e_d)
+    table = yield_tables(params, cutoff)
+    got = dict(zip(_CHANNELS, _intrinsic(spec_a, spec_b, table)))
+    got.update(vars(gains(spec_a, spec_b, table, e_d)))
     # the contraction in 50 digits, rounded once
     with mpmath.workdps(50):
         want = {
@@ -149,10 +171,33 @@ def test_gains_match_per_pair_detection_property(eta, dark, e_d, spec_a, spec_b)
             want[f"total_{basis}"] = correct + error
             want[f"error_weighted_{basis}"] = e_d * correct + (1 - e_d) * error
     for name, value in want.items():
-        got, value = getattr(g, name), float(value)
-        assert (got == 0.0) == (value == 0.0), name
+        value = float(value)
+        assert (got[name] == 0.0) == (value == 0.0), name
         # a subnormal gain carries fewer digits than the relative tolerance
-        assert got == pytest.approx(value, rel=1e-13, abs=_SUBNORMAL_SLACK), name
+        assert got[name] == pytest.approx(value, rel=1e-13, abs=_SUBNORMAL_SLACK), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eta=st.one_of(st.just(0.0), st.floats(_SMALLEST_NONZERO, 1.0)),
+    dark=st.one_of(st.just(0.0), st.floats(_SMALLEST_NONZERO, 0.5, exclude_max=True)),
+    e_d=st.floats(0.0, 1.0),
+    spec_a=_SOURCES,
+    spec_b=_SOURCES,
+)
+def test_gain_set_is_the_misalignment_mix_of_the_contraction(eta, dark, e_d, spec_a, spec_b):
+    """A GainSet keeps the four gains the relay reports, each bitwise the
+    misalignment mix of ``YieldTable.contract``'s four outputs."""
+    table = yield_tables(DetectorParams(eta, dark), 20)
+    correct_z, error_z, correct_x, error_x = _intrinsic(spec_a, spec_b, table)
+    want = {
+        "total_z": correct_z + error_z,
+        "error_weighted_z": e_d * correct_z + (1.0 - e_d) * error_z,
+        "total_x": correct_x + error_x,
+        "error_weighted_x": e_d * correct_x + (1.0 - e_d) * error_x,
+    }
+    got = vars(gains(spec_a, spec_b, table, e_d))
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
 @pytest.mark.parametrize(
@@ -165,10 +210,10 @@ def test_wcs_gains_match_bessel_closed_form(mu_a, mu_b):
     spec_a, spec_b = (SourceSpec.wcs(mu) if mu else VACUUM for mu in (mu_a, mu_b))
     for distance_km in range(0, 601, 10):
         params = SystemParams(distance_km=distance_km).detector_params()
-        g = gains(spec_a, spec_b, yield_tables(params, 15), 0.0)
+        got = _intrinsic(spec_a, spec_b, yield_tables(params, 15))
         want = oracle_wcs_gains(mu_a, mu_b, params.efficiency, params.dark_count)
-        for name, value in zip(("correct_z", "error_z", "correct_x", "error_x"), want):
-            assert abs(getattr(g, name) - value) <= 1e-12 * value, (distance_km, name)
+        for name, g, value in zip(_CHANNELS, got, want):
+            assert abs(g - value) <= 1e-12 * value, (distance_km, name)
 
 
 def test_gains_reject_undersized_table():

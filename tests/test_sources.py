@@ -1,5 +1,6 @@
 """Photon-number statistics of the supported source families."""
 
+import itertools
 import math
 import sys
 
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mdiqkd import DetectorParams, DomainError, SourceSpec, gains, yield_tables
 import mdiqkd.sources
 from mdiqkd.sources import (
-    MULTI_PHOTON, TAIL_TOLERANCE, SourceKind, mass_above, transmitted,
+    MULTI_PHOTON, TAIL_TOLERANCE, SourceKind, _series, mass_above, transmitted,
 )
 
 from _oracles import binomial_fold, oracle_distribution
@@ -131,23 +132,61 @@ def test_distribution_is_read_only():
 
 @pytest.mark.parametrize("kind", list(SourceKind))
 def test_emitted_head_is_computed_once_per_spec(monkeypatch, kind):
-    """(P0, P1, Pm) of a spec is the emitted series up to m, padded with
-    zeros to m + 1 entries, bitwise; later reads return the same tuple."""
+    """(P0, P1, Pm) of a spec is the first m + 1 terms of the emitted
+    series, bitwise; later reads return the same tuple."""
     spec = SourceSpec(kind, 0.3, 0.7 if kind is SourceKind.NONIDEAL_CSS else 1.0)
     m = MULTI_PHOTON.get(kind, 1)
-    probs, _ = transmitted(spec, 1.0, m)
-    padded = probs + (0.0,) * (m + 1 - len(probs))
+    terms = [p for p, _ in itertools.islice(_series(spec, 1.0), m + 1)]
     calls = []
 
     def counting(*args):
         calls.append(args)
-        return transmitted(*args)
+        return _series(*args)
 
-    monkeypatch.setattr(mdiqkd.sources, "transmitted", counting)
+    monkeypatch.setattr(mdiqkd.sources, "_series", counting)
     head = spec.emitted_head
     assert spec.emitted_head is head
-    assert calls == [(spec, 1.0, m)]
-    assert head == (padded[0], padded[1], padded[m])
+    assert calls == [(spec, 1.0)]
+    assert head == (terms[0], terms[1], terms[m])
+
+
+def _capped_head(spec):
+    """(P0, P1, Pm) from ``transmitted`` capped at m, padded with zeros to
+    m + 1 entries."""
+    m = MULTI_PHOTON.get(spec.kind, 1)
+    probs, _ = transmitted(spec, 1.0, m)
+    probs += (0.0,) * (m + 1 - len(probs))
+    return probs[0], probs[1], probs[m]
+
+
+def _outcome(read):
+    try:
+        return repr(read())
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+# from zero and subnormal intensities to past the photon cap at 512
+_HEAD_MU = st.one_of(st.just(0.0), st.floats(-323.5, math.log10(600.0)).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    spec=st.one_of(
+        st.builds(SourceSpec.css, _HEAD_MU),
+        st.builds(SourceSpec.nonideal_css, _HEAD_MU, st.floats(0.0, 1.0, exclude_min=True)),
+        st.builds(SourceSpec.wcs, _HEAD_MU),
+        st.just(SourceSpec.sps()),
+        st.just(SourceSpec.vacuum()),
+    )
+)
+@example(SourceSpec.css(512.0))
+@example(SourceSpec.wcs(5e-324))
+def test_emitted_head_equals_the_capped_transmitted_path(spec):
+    """The first terms of the series equal, bitwise, the capped and
+    padded ``transmitted`` path, or both raise the same ``DomainError``:
+    below m that path stops early only where its tail is exactly zero."""
+    assert _outcome(lambda: spec.emitted_head) == _outcome(lambda: _capped_head(spec))
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
-from .decoy import CHANNELS
 from .errors import ConfigError, DomainError
 from .finite_key import FiniteKeyConfig, FluctuationMethod
 from .rates import SystemParams
@@ -35,8 +34,8 @@ MAX_GRID_POINTS = 100_000
 
 _METHODS = {m.value: m for m in FluctuationMethod}
 
-# A signal source is any kind with an estimator.
-_SIGNAL_KINDS = {kind.value: kind for kind in CHANNELS}
+# A signal source is any kind with a decoy estimator: all but the vacuum.
+_SIGNAL_KINDS = {kind.value: kind for kind in SourceKind if kind is not SourceKind.VACUUM}
 
 
 @dataclass(frozen=True)
@@ -116,13 +115,9 @@ class Scenario:
 # typed: an int setting keeps an int mu, as an unshared spec would.
 @lru_cache(maxsize=1024, typed=True)
 def _source_spec(kind: SourceKind, mu: float, odd_weight: float) -> SourceSpec:
-    if kind is SourceKind.CSS:
-        return SourceSpec.css(mu)
-    if kind is SourceKind.NONIDEAL_CSS:
-        return SourceSpec.nonideal_css(mu, odd_weight)
-    if kind is SourceKind.WCS:
-        return SourceSpec.wcs(mu)
-    return SourceSpec.sps()
+    if kind is SourceKind.SPS:
+        return SourceSpec.sps()
+    return SourceSpec(kind, mu, odd_weight if kind is SourceKind.NONIDEAL_CSS else 1.0)
 
 
 def parse_kv_text(text: str) -> Dict[str, str]:

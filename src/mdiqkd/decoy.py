@@ -13,10 +13,11 @@ The estimator follows from the signal source's photon statistics, so
     g(mu) = Q(mu,mu) - P0 Q(mu,0) - P0 Q(0,mu) + P0^2 Q(0,0),
 
   after which a two-point estimate in (P1, Pm) bounds y11 and the decoy
-  intensity alone bounds e11; m is the lowest multi-photon number the
-  source emits (``sources.MULTI_PHOTON``).  The odd cat is its (P1, P3),
-  P0 = 0 case: it reads no vacuum channels, and with P1 = mu / sinh(mu)
-  and P3 = mu^3 / (6 sinh(mu)) the bound is the paper's one-decoy formula
+  intensity alone bounds e11.  Whether the source emits an even-photon
+  sector (``SourceSpec.has_even_sector``) picks m = 2 and the vacuum
+  channels (``channels``).  Without one, P0 = 0, m = 3 and no vacuum
+  channel is read: with P1 = mu / sinh(mu) and P3 = mu^3 / (6 sinh(mu))
+  the odd cat's bound is the paper's one-decoy formula
 
     y11 >= [mu1^4 sinh^2(mu2) Q(mu2) - mu2^4 sinh^2(mu1) Q(mu1)]
            / [mu1^2 mu2^2 (mu1^2 - mu2^2)],
@@ -27,8 +28,8 @@ The estimator follows from the signal source's photon statistics, so
   Pm of a faint source.
 
 ``estimate(spec_signal, spec_decoy, gains, bounds)`` is the one entry:
-it takes the gains keyed by channel, those ``CHANNELS`` lists for the
-kind, and rejects inputs that lack one.  Each evaluation builds one
+it takes the gains keyed by channel, those ``channels(spec_signal)``
+lists, and rejects inputs that lack one.  Each evaluation builds one
 interval table, a ``(lower, upper)`` pair per (channel, field), by
 applying the ``bounds`` map to every observed gain, and the algebra
 takes each gain at the endpoint, LOW or HIGH, that weakens the bound.
@@ -69,19 +70,23 @@ Q_Z, Q_X, EQ_X = 0, 1, 2
 # pulses of a pair: "s" signal, "d" decoy, "0" vacuum.
 ChannelIntervals = Tuple[Interval, Interval, Interval]
 
-# The channels each signal family's estimator reads.
-_VACUUM_PLUS_DECOY = ("ss", "dd", "s0", "0s", "d0", "0d", "00")
-CHANNELS = {
-    SourceKind.SPS: ("ss",),
-    SourceKind.CSS: ("ss", "dd"),
-    SourceKind.NONIDEAL_CSS: _VACUUM_PLUS_DECOY,
-    SourceKind.WCS: _VACUUM_PLUS_DECOY,
-}
-
 # A channel the estimator does not read: its gains are zero.  It stands
 # in for the vacuum channels of a source with P0 = 0, where each enters
 # as P0 times it and so drops out exactly.
 _UNREAD: ChannelIntervals = ((0.0, 0.0),) * 3
+
+
+def channels(spec: SourceSpec) -> Tuple[str, ...]:
+    """The channels the estimator for signal source ``spec`` reads: none
+    for the vacuum, the signal pair for a single photon, else the signal
+    and decoy pairs, with the vacuum channels where P0 > 0."""
+    if spec.kind is SourceKind.VACUUM:
+        return ()
+    if spec.kind is SourceKind.SPS:
+        return ("ss",)
+    if spec.has_even_sector:
+        return ("ss", "dd", "s0", "0s", "d0", "0d", "00")
+    return ("ss", "dd")
 
 
 def exact(gain: float) -> Interval:
@@ -146,10 +151,11 @@ def generic_y11_bound(
     det = p1d * pms - p1s * pmd
     scale = abs(p1d * pms) + abs(p1s * pmd)
     if scale == 0.0 or abs(det) <= DEGENERACY_TOLERANCE * scale:
-        raise DomainError(
-            "denominator_ill_conditioned: the two intensities give "
-            "proportional (P1, Pm) photon probabilities"
-        )
+        raise DomainError("denominator_ill_conditioned: " + (
+            "the multi-photon probability Pm vanished at both intensities"
+            if pms == pmd == 0.0 else
+            "the two intensities give proportional (P1, Pm) photon probabilities"
+        ))
     if det < 0.0:
         raise DomainError(
             "two-point estimator requires P1(decoy) Pm(signal) > "
@@ -215,21 +221,21 @@ def _assemble_generic(
 
 def estimate(spec_signal: SourceSpec, spec_decoy: SourceSpec,
              gains: Mapping[str, GainSet], bounds: Bounds = exact) -> DecoyEstimate:
-    """Decoy bounds from the gains of every channel in
-    ``CHANNELS[spec_signal.kind]``, with every observed gain at the
+    """Decoy bounds from the gains of every channel that
+    ``channels(spec_signal)`` lists, with every observed gain at the
     endpoint of its ``bounds`` interval that weakens the bound, by the
     estimator of the signal source's kind."""
     kind = spec_signal.kind
-    channels = CHANNELS.get(kind)
-    if channels is None:
+    read = channels(spec_signal)
+    if not read:
         raise DomainError(f"no decoy estimator for a {kind.value} signal source")
     try:
         # Mirrored channels share one GainSet, and so one interval.
-        by_gain = {id(gains[c]): gains[c] for c in channels}
+        by_gain = {id(gains[c]): gains[c] for c in read}
     except KeyError:
         raise DomainError(
             f"{kind.value} decoy estimator needs the gains of channel(s) "
-            f"{', '.join(c for c in channels if c not in gains)}"
+            f"{', '.join(c for c in read if c not in gains)}"
         ) from None
     if kind is not SourceKind.SPS and not spec_signal.mu > spec_decoy.mu > 0.0:
         raise DomainError(
@@ -237,7 +243,7 @@ def estimate(spec_signal: SourceSpec, spec_decoy: SourceSpec,
             f"({spec_signal.mu}, {spec_decoy.mu})"
         )
     intervals = {key: observe(g, bounds) for key, g in by_gain.items()}
-    table = {c: intervals[id(gains[c])] for c in channels}
+    table = {c: intervals[id(gains[c])] for c in read}
     if kind is SourceKind.SPS:
         q_z, q_x, eq_x = table["ss"]
         return _finalize(q_z[LOW], q_x[LOW], lambda y: eq_x[HIGH] / y)

@@ -25,9 +25,9 @@ multi-photon mass it keeps (``TAIL_TOLERANCE``), or at a yield table's
 cutoff; ``mass_above`` sums what such a cutoff leaves out.  No other
 module applies loss to photon numbers or truncates them.
 ``SourceSpec.emitted_head`` is the emitted (P0, P1, Pm) the decoy
-bounds read, the first terms of the series at eta = 1, computed once
-per spec.  A distribution is a tuple of floats built with ``math``, so
-this module needs no numpy.
+bounds read, computed once per spec: m = 2 where the source emits an
+even-photon sector (``has_even_sector``), else 3.  A distribution is a
+tuple of floats built with ``math``, so this module needs no numpy.
 """
 
 from __future__ import annotations
@@ -71,18 +71,13 @@ class SourceKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-# The lowest multi-photon number each decoy family emits: the m of the
-# two-point bound's (P0, P1, Pm).  Every other kind reads m = 1.
-MULTI_PHOTON = {SourceKind.CSS: 3, SourceKind.NONIDEAL_CSS: 2, SourceKind.WCS: 2}
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     """Declarative description of one pulse source.
 
     ``mu`` is the intensity setting (ignored for sps/vacuum) and
-    ``odd_weight`` the odd-photon-sector weight: 1 for an ideal cat
-    state, the fidelity-squared parameter a for a non-ideal one.
+    ``odd_weight`` the odd-photon-sector weight: the fidelity-squared
+    parameter a of a non-ideal cat, fixed at 1 for every other kind.
     """
 
     kind: SourceKind
@@ -92,19 +87,23 @@ class SourceSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.mu) or self.mu < 0.0:
             raise DomainError(f"intensity must be finite and >= 0, got {self.mu}")
-        if self.kind is SourceKind.CSS and self.odd_weight != 1.0:
-            raise DomainError("an ideal cat source has odd_weight fixed at 1")
         if self.kind is SourceKind.NONIDEAL_CSS:
             if not 0.0 < self.odd_weight <= 1.0:
-                raise DomainError(
-                    f"odd_weight must lie in (0, 1], got {self.odd_weight}"
-                )
+                raise DomainError(f"odd_weight must lie in (0, 1], got {self.odd_weight}")
+        elif self.odd_weight != 1.0:
+            raise DomainError(f"a {self.kind.value} source has odd_weight fixed at 1")
+
+    @property
+    def has_even_sector(self) -> bool:
+        """Whether even photon numbers are emitted: by a Poisson source, by
+        a cat of odd weight below 1.  Read off the parameters: P2 underflows."""
+        return self.kind in (SourceKind.WCS, SourceKind.VACUUM) or self.odd_weight < 1.0
 
     @functools.cached_property
     def emitted_head(self) -> tuple:
-        """(P0, P1, Pm) of the emitted statistics in closed form, m from
-        ``MULTI_PHOTON``: the first m + 1 terms of the series at eta = 1."""
-        m = MULTI_PHOTON.get(self.kind, 1)
+        """(P0, P1, Pm) of the emitted statistics in closed form, the first
+        m + 1 terms of the series at eta = 1: m = 2 with an even sector, else 3."""
+        m = 2 if self.has_even_sector else 3
         head = [p for p, _ in itertools.islice(_series(self, 1.0), m + 1)]
         return head[0], head[1], head[m]
 
@@ -157,7 +156,7 @@ def _series(spec: SourceSpec, eta: float) -> Iterator[tuple[float, float]]:
         odd_cosh = odd_sinh = 0.0
         even_cosh = even_sinh = math.exp(-x)
     else:
-        a = 1.0 if kind is SourceKind.SPS else spec.odd_weight
+        a = spec.odd_weight
         r = (1.0 - eta) * mu
         s = _sinhc(mu)
         odd_cosh = a * math.cosh(r) / s  # odd k, times eta g_(k-1) / k

@@ -4,26 +4,25 @@
 photon statistics after loss, in closed form -> observed gains,
 contracted against the lossless relay yield tables -> decoy bounds with
 finite-size worst-casing -> key rate.  One path serves every source
-family and the library alike: ``decoy.estimate`` picks the estimator by
-the signal source's kind, and ``decoy.CHANNELS`` says which gains it
-reads (the signal pair alone for a single-photon source).  Both middle
-steps are cached: the lossless table blocks depend only on the
-dark-count probability and the block shape and serve every source and
-distance, and the statistics after loss (``sources.transmitted``) serve
-every channel and intensity partner of a source at one distance.  One
-memo (``_intensity``) holds each intensity's share of an evaluation at
-one distance: its diagonal gain and its gain with the vacuum where the
-estimator reads vacuum channels, keyed by (source spec, efficiency,
-dark count, cutoff, misalignment); each spec holds its own emitted
-(P0, P1, Pm).  A point reads its signal, decoy and vacuum entries, so a
-point that differs from an earlier one only in the pulse count (a
-calibration step) or in one intensity (an ``optimize`` grid) pays
-lookups for what it shares.  The vacuum arrives unchanged at every
-efficiency, so its entry serves every distance.  Mirrored vacuum
-channels ("s0" and "0s", "d0" and "0d") share one gain, and so one
-interval.  The finite-size interval pass is not memoised: each
-evaluation applies its method's kernel once to every distinct gain
-(``finite_key.interval_kernel``).
+family and the library alike: ``decoy.estimate`` picks the estimator,
+and ``decoy.channels`` the gains it reads (vacuum channels only where
+the source emits an even-photon sector).  Both middle steps are cached:
+the lossless table blocks depend only on the dark-count probability and
+the block shape and serve every source and distance, and the statistics
+after loss (``sources.transmitted``) serve every channel and intensity
+partner of a source at one distance.  One memo (``_intensity``) holds
+each intensity's share of an evaluation at one distance: its diagonal
+gain and its gain with the vacuum where the estimator reads vacuum
+channels, keyed by (source spec, efficiency, dark count, cutoff,
+misalignment); each spec holds its own emitted (P0, P1, Pm).  A point
+reads its signal, decoy and vacuum entries, so a point that differs from
+an earlier one only in the pulse count (a calibration step) or in one
+intensity (an ``optimize`` grid) pays lookups for what it shares.  The
+vacuum arrives unchanged at every efficiency, so its entry serves every
+distance.  Mirrored vacuum channels ("s0" and "0s", "d0" and "0d") share
+one gain, and so one interval.  The finite-size interval pass is not
+memoised: each evaluation applies its method's kernel once to every
+distinct gain (``finite_key.interval_kernel``).
 
 All pipelines are serial and deterministic: identical inputs give
 bit-identical results in grid order.
@@ -38,7 +37,7 @@ from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Unio
 
 from .bsm import DetectorParams, yield_tables
 from .config import Scenario
-from .decoy import CHANNELS, estimate
+from .decoy import channels, estimate
 from .errors import DomainError
 from .finite_key import FiniteKeyConfig, interval_kernel
 from .rates import KeyRatePoint, gains, key_rate
@@ -51,12 +50,12 @@ _VACUUM = SourceSpec.vacuum()
 def _intensity(spec: SourceSpec, efficiency: float, dark_count: float,
                cutoff: int, misalignment: float) -> tuple:
     """One intensity's share of every evaluation at one distance: its
-    diagonal gain and its gain with the vacuum where its kind's estimator
+    diagonal gain and its gain with the vacuum where its estimator
     reads vacuum channels (else None).  Every intensity pair, pulse count
     and method at that distance shares it.  The vacuum's diagonal, the
     "00" channel, is the same at every efficiency and is read at 1."""
     table = yield_tables(DetectorParams(efficiency, dark_count), cutoff)
-    reads_vacuum = "00" in CHANNELS.get(spec.kind, ())
+    reads_vacuum = "00" in channels(spec)
     return (
         gains(spec, spec, table, misalignment),
         gains(spec, _VACUUM, table, misalignment) if reads_vacuum else None,
@@ -73,19 +72,19 @@ def _evaluate(scenario: Scenario, spec_signal: SourceSpec, spec_decoy: SourceSpe
     at = (eta, system.dark_count, scenario.cutoff, system.misalignment)
     gains_signal, signal_vacuum = _intensity(spec_signal, *at)
     gains_decoy, decoy_vacuum = _intensity(spec_decoy, *at)
-    channels = {"ss": gains_signal, "dd": gains_decoy}
+    channel_gains = {"ss": gains_signal, "dd": gains_decoy}
     # A vacuum channel and its mirror ("s0" and "0s") share the gain with
     # the vacuum second.  It is bitwise the same both ways because Y1 is
     # symmetric, the vacuum arrives as (1.0,), and both arms share one
     # efficiency; an asymmetric relay would need both.  For the same
     # reason "00" is the same at every efficiency: one entry per setting.
     if signal_vacuum is not None:
-        channels.update({
+        channel_gains.update({
             "s0": signal_vacuum, "0s": signal_vacuum,
             "d0": decoy_vacuum, "0d": decoy_vacuum,
             "00": _intensity(_VACUUM, 1.0, *at[1:])[0],
         })
-    bounds = estimate(spec_signal, spec_decoy, channels, interval_kernel(finite_key))
+    bounds = estimate(spec_signal, spec_decoy, channel_gains, interval_kernel(finite_key))
     p1 = spec_signal.emitted_head[1]
     # (1, 1) coincidences are among all coincidences, so Q11 <= Q_Z; a
     # bound not rounded outward can pass it by a rounding.

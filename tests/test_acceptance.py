@@ -19,7 +19,7 @@ from fock import MAX_TOTAL_PHOTONS, BellOutcome, Polarization, bell_yield, propa
 from mdiqkd.bsm import DetectorParams, yield_tables
 from mdiqkd.cli import main as cli_main
 from mdiqkd.config import DistanceGrid, Scenario
-from mdiqkd.decoy import CHANNELS, estimate
+from mdiqkd.decoy import channels, estimate
 from mdiqkd.finite_key import FiniteKeyConfig, FluctuationMethod
 from mdiqkd.rates import SystemParams, gains, true_single_photon_quantities
 from mdiqkd.sources import SourceKind, SourceSpec, transmitted
@@ -174,7 +174,7 @@ def _decoy_bounds(kind, mu1, mu2, table, misalignment):
         specs["d"],
         {
             c: gains(specs[c[0]], specs[c[1]], table, misalignment)
-            for c in CHANNELS[kind]
+            for c in channels(specs["s"])
         },
     )
 

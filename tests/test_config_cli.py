@@ -387,12 +387,20 @@ def test_cli_exit_code_on_bright_source_at_long_distance(tmp_path, capsys):
     assert "denominator_underflow" in capsys.readouterr().err
 
 
-def test_cli_exit_code_on_odd_only_imperfect_cat(tmp_path, capsys):
-    """An imperfect cat with odd weight 1 has no two-photon component, so
-    the two-decoy estimator its kind selects has a singular system."""
-    cfg = _write_cfg(tmp_path, "source.kind = nonideal_css\nsource.odd_weight = 1\n")
-    assert main(["sweep", "--config", cfg]) == 3
-    assert "denominator_ill_conditioned" in capsys.readouterr().err
+def test_cli_sweeps_the_odd_only_imperfect_cat(tmp_path):
+    """An imperfect cat with odd weight 1 emits no two-photon term; it is
+    the ideal cat, and its sweep gives the css rows."""
+    rows = {}
+    for kind in ("nonideal_css", "css"):
+        cfg = _write_cfg(tmp_path, f"source.kind = {kind}\nsource.odd_weight = 1\n")
+        out = tmp_path / f"{kind}.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows[kind] = [
+            {k: v for k, v in row.items() if k != "source"}
+            for row in csv.DictReader(out.open())
+        ]
+    assert rows["nonideal_css"] == rows["css"]
+    assert float(rows["css"][0]["rate"]) > 0.0
 
 
 def test_removed_wcs_estimator_key_is_unknown(tmp_path, capsys):

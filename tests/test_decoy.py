@@ -27,7 +27,7 @@ from mdiqkd import (
     yield_tables,
 )
 from mdiqkd.decoy import (
-    CHANNELS,
+    channels,
     estimate,
     generic_y11_bound,
     vacuum_substituted_gain,
@@ -49,7 +49,7 @@ def _inputs(kind: SourceKind, mu1: float, mu2: float, distance_km: float, odd_we
     spec = Scenario(source_kind=kind, odd_weight=odd_weight).signal_spec
     specs = {"s": spec(mu1), "d": spec(mu2), "0": SourceSpec.vacuum()}
     channel_gains = {
-        c: gains(specs[c[0]], specs[c[1]], table, e_d) for c in CHANNELS[kind]
+        c: gains(specs[c[0]], specs[c[1]], table, e_d) for c in channels(specs["s"])
     }
     return (specs["s"], specs["d"], channel_gains), table, e_d
 
@@ -321,12 +321,38 @@ def test_vacuum_signal_has_no_estimator():
         estimate(dv, dv, {})
 
 
-def test_two_decoy_degenerate_for_odd_only_sources():
-    """An imperfect cat with odd weight 1 has no two-photon component,
-    which makes the two-point linear system singular."""
-    inputs, _, _ = _inputs(SourceKind.NONIDEAL_CSS, 0.1, 0.01, 0.0, odd_weight=1.0)
-    with pytest.raises(DomainError, match="denominator_ill_conditioned"):
-        estimate(*inputs)
+def test_odd_only_imperfect_cat_gets_the_css_bounds():
+    """An imperfect cat with odd weight 1 emits no even-photon sector: it
+    is the ideal cat, read in (P1, P3) without vacuum channels, and every
+    method gives it the css numbers bitwise."""
+    assert channels(SourceSpec.nonideal_css(0.1, 1.0)) == ("ss", "dd")
+    for method in FluctuationMethod:
+        for distance_km in (0.0, 50.0, 200.0, 333.0):
+            points = [
+                evaluate_point(
+                    Scenario(source_kind=kind, odd_weight=1.0,
+                             finite_key=FiniteKeyConfig(method, 1e14)),
+                    distance_km,
+                )
+                for kind in (SourceKind.CSS, SourceKind.NONIDEAL_CSS)
+            ]
+            fields = [(p.rate, p.y11_lower, p.e11_upper, p.q_z, p.qber_z) for p in points]
+            assert fields[0] == fields[1], (method, distance_km)
+            assert points[0].y11_lower > 0.0
+
+
+def test_vanished_multi_photon_term_is_named():
+    """Pm of both intensities underflows to 0 for a faint cat; the error
+    says so rather than calling the (P1, Pm) rows proportional."""
+    signal, decoy = SourceSpec.css(1e-170), SourceSpec.css(1e-171)
+    assert signal.emitted_head == (0.0, 1.0, 0.0)
+    g = GainSet(total_z=1e-3, error_weighted_z=1e-5, total_x=1e-3, error_weighted_x=1e-5)
+    with pytest.raises(
+        DomainError,
+        match="^denominator_ill_conditioned: the multi-photon probability Pm "
+        "vanished at both intensities$",
+    ):
+        estimate(signal, decoy, {"ss": g, "dd": g})
 
 
 def test_intensity_ordering_is_validated():

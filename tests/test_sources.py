@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mdiqkd import DetectorParams, DomainError, SourceSpec, gains, yield_tables
 import mdiqkd.sources
 from mdiqkd.sources import (
-    MULTI_PHOTON, TAIL_TOLERANCE, SourceKind, _series, mass_above, transmitted,
+    TAIL_TOLERANCE, SourceKind, _series, mass_above, transmitted,
 )
 
 from _oracles import binomial_fold, oracle_distribution
@@ -109,6 +109,12 @@ def test_css_mean_matches_closed_form():
         lambda: SourceSpec.nonideal_css(0.1, -0.2),
         lambda: SourceSpec.nonideal_css(0.1, 1.2),
         lambda: SourceSpec.wcs(-2.0),
+        # only the non-ideal cat has an odd weight to set
+        lambda: SourceSpec(SourceKind.CSS, 0.1, 0.7),
+        lambda: SourceSpec(SourceKind.WCS, 0.4, float("nan")),
+        lambda: SourceSpec(SourceKind.WCS, 0.4, -3.0),
+        lambda: SourceSpec(SourceKind.SPS, 0.0, 0.5),
+        lambda: SourceSpec(SourceKind.VACUUM, 0.0, 0.7),
     ],
 )
 def test_invalid_source_parameters(factory):
@@ -123,6 +129,23 @@ def test_nonideal_with_full_odd_weight_matches_css():
     np.testing.assert_allclose(limit[:n], pure[:n], rtol=0, atol=1e-15)
 
 
+def test_the_even_sector_picks_the_multi_photon_term():
+    """(P0, P1, Pm) reads m = 2 where the source emits an even-photon
+    sector and m = 3 where it does not, decided by the parameters."""
+    assert SourceSpec.sps().emitted_head == (0.0, 1.0, 0.0)
+    assert SourceSpec.vacuum().emitted_head == (1.0, 0.0, 0.0)
+    assert SourceSpec.nonideal_css(0.2, 1.0).emitted_head == SourceSpec.css(0.2).emitted_head
+    assert [s.has_even_sector for s in ALL_SPECS] == [
+        False, False, False, True, True, True, True, True, False, True,
+    ]
+    # P2 = (1 - a) mu^2 / (2 cosh mu) underflows here while P3 = mu^2 / 6
+    # of the odd sector stays subnormal; the even sector still sets P0
+    faint = SourceSpec.nonideal_css(1e-158, 1.0 - 1e-12)
+    p0, _, p2 = faint.emitted_head
+    assert faint.has_even_sector and p0 > 0.0 and p2 == 0.0
+    assert 0.0 < SourceSpec.nonideal_css(1e-158, 1.0).emitted_head[2] < sys.float_info.min
+
+
 def test_distribution_is_read_only():
     # the memo hands every caller the same object
     probs, _ = emitted(SourceSpec.wcs(0.4))
@@ -135,7 +158,8 @@ def test_emitted_head_is_computed_once_per_spec(monkeypatch, kind):
     """(P0, P1, Pm) of a spec is the first m + 1 terms of the emitted
     series, bitwise; later reads return the same tuple."""
     spec = SourceSpec(kind, 0.3, 0.7 if kind is SourceKind.NONIDEAL_CSS else 1.0)
-    m = MULTI_PHOTON.get(kind, 1)
+    # odd-only sources skip to P3
+    m = 3 if kind in (SourceKind.CSS, SourceKind.SPS) else 2
     terms = [p for p, _ in itertools.islice(_series(spec, 1.0), m + 1)]
     calls = []
 
@@ -153,7 +177,7 @@ def test_emitted_head_is_computed_once_per_spec(monkeypatch, kind):
 def _capped_head(spec):
     """(P0, P1, Pm) from ``transmitted`` capped at m, padded with zeros to
     m + 1 entries."""
-    m = MULTI_PHOTON.get(spec.kind, 1)
+    m = 2 if spec.has_even_sector else 3
     probs, _ = transmitted(spec, 1.0, m)
     probs += (0.0,) * (m + 1 - len(probs))
     return probs[0], probs[1], probs[m]

@@ -30,7 +30,8 @@ from mdiqkd import (
     write_csv,
     yield_tables,
 )
-from mdiqkd.decoy import CHANNELS
+from mdiqkd.config import _SIGNAL_KINDS
+from mdiqkd.decoy import channels
 from mdiqkd.sweep import (
     CSV_COLUMNS,
     _intensity,
@@ -97,7 +98,7 @@ def test_memoised_gains_equal_a_fresh_contraction():
         diagonal, with_vacuum = first
         # GainSet compares its float fields with ==
         assert diagonal == gains(spec, spec, table, 0.015)
-        if "00" in CHANNELS.get(spec.kind, ()):
+        if "00" in channels(spec):
             assert with_vacuum == gains(spec, SourceSpec.vacuum(), table, 0.015)
         else:
             assert with_vacuum is None
@@ -166,7 +167,7 @@ def test_optimize_misses_the_memo_once_per_intensity_and_distance():
         _intensity.cache_clear()
         optimize_intensities(scenario)
         distances = len(scenario.grid.distances())
-        reads_vacuum = "00" in CHANNELS[kind]
+        reads_vacuum = "00" in channels(scenario.signal_spec())
         assert _intensity.cache_info().misses == intensities * distances + reads_vacuum, kind
 
 
@@ -277,11 +278,10 @@ def test_cutoff_distance_bisection_equals_a_linear_scan(method):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    kind=st.sampled_from(list(CHANNELS)),
+    kind=st.sampled_from(list(_SIGNAL_KINDS.values())),
     mu2=st.floats(0.005, 0.2),
     ratio=st.floats(1.2, 4.0),
-    # at odd_weight 1 the nonideal cat emits no two-photon term, and its
-    # estimator rejects the pair as degenerate
+    # at odd_weight 1 the nonideal cat is the css source, which kind covers
     odd_weight=st.floats(0.5, 0.95),
     method=st.sampled_from(list(FluctuationMethod)),
     pulse_exponent=st.floats(8.0, 18.0),

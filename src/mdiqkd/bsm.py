@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul
 
-from .errors import CutoffError, DomainError
+from .errors import CutoffError, DomainError, record
 
 # Highest per-side photon number the tables accept.  Pairs then stay
 # within a 40-photon total, where the Fock-state simulation the tests
@@ -46,18 +45,17 @@ from .errors import CutoffError, DomainError
 MAX_CUTOFF = 20
 
 
-@dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(record("DetectorParams", "efficiency dark_count")):
     """Threshold-detector model shared by all four detectors."""
 
-    efficiency: float
-    dark_count: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise DomainError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.dark_count < 1.0:
-            raise DomainError(f"dark count must lie in [0, 1), got {self.dark_count}")
+    def __new__(cls, efficiency: float, dark_count: float) -> DetectorParams:
+        if not 0.0 <= efficiency <= 1.0:
+            raise DomainError(f"efficiency must lie in [0, 1], got {efficiency}")
+        if not 0.0 <= dark_count < 1.0:
+            raise DomainError(f"dark count must lie in [0, 1), got {dark_count}")
+        return tuple.__new__(cls, (efficiency, dark_count))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -85,8 +83,7 @@ def _y1_block(dark_count: float, rows: int, cols: int) -> tuple:
     return tuple(map(tuple, blocks))
 
 
-@dataclass(frozen=True)
-class YieldTable:
+class YieldTable(record("YieldTable", "params cutoff")):
     """Bell-measurement yields per photon-number pair at one efficiency.
 
     The yield of the pair (i, j) is the psi_plus yield when the two
@@ -105,8 +102,7 @@ class YieldTable:
     (``sources.transmitted``), never on the table.
     """
 
-    params: DetectorParams
-    cutoff: int
+    __slots__ = ()
 
     def contract(self, a: tuple, b: tuple) -> tuple:
         """(correct_z, error_z, correct_x, error_x) gains of the two
@@ -114,8 +110,9 @@ class YieldTable:
         (tuples of probabilities from zero photons up, after loss), each
         at most ``cutoff + 1`` long."""
         products = [x * y for x in a for y in b]
-        flat = _y1_block(self.params.dark_count, len(a), len(b))
-        return tuple(sum(map(mul, products, table)) for table in flat)
+        cz, ez, cx, ex = _y1_block(self.params.dark_count, len(a), len(b))
+        return (sum(map(mul, products, cz)), sum(map(mul, products, ez)),
+                sum(map(mul, products, cx)), sum(map(mul, products, ex)))
 
 
 def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:

@@ -20,7 +20,6 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from typing import List, Optional
 
 from .bsm import yield_tables
 from .config import Scenario, load_scenario
@@ -95,13 +94,13 @@ def _check_out(path: str) -> None:
         os.remove(path)
 
 
-def _yields_report(scenario: Scenario, distance_km: float) -> List[str]:
+def _yields_report(scenario: Scenario, distance_km: float) -> list[str]:
     system = replace(scenario.system, distance_km=distance_km)
     table = yield_tables(system.detector_params(), scenario.cutoff)
     truth = true_single_photon_quantities(table, system.misalignment)
     vacuum_yield = table.contract((1.0,), (1.0,))[0]
 
-    def fmt(value: Optional[float]) -> str:
+    def fmt(value: float | None) -> str:
         return format(float("nan") if value is None else value, ".17g")
 
     return [
@@ -117,7 +116,7 @@ def _yields_report(scenario: Scenario, distance_km: float) -> List[str]:
     ]
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = _load(args)

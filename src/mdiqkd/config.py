@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
 
 from .errors import ConfigError, DomainError
 from .finite_key import FiniteKeyConfig, FluctuationMethod
@@ -69,7 +68,7 @@ class DistanceGrid:
         steps = (self.stop_km - self.start_km) / self.step_km + 1e-9
         return math.floor(steps) + 1 if math.isfinite(steps) else math.inf
 
-    def distances(self) -> Tuple[float, ...]:
+    def distances(self) -> tuple[float, ...]:
         return tuple(self.start_km + k * self.step_km for k in range(self._point_count()))
 
 
@@ -85,8 +84,8 @@ class Scenario:
     grid: DistanceGrid = DistanceGrid()
     finite_key: FiniteKeyConfig = FiniteKeyConfig()
     cutoff: int = 15
-    mu1_candidates: Tuple[float, ...] = (0.05, 0.1, 0.2, 0.3)
-    mu2_candidates: Tuple[float, ...] = (0.01, 0.02, 0.05)
+    mu1_candidates: tuple[float, ...] = (0.05, 0.1, 0.2, 0.3)
+    mu2_candidates: tuple[float, ...] = (0.01, 0.02, 0.05)
 
     def __post_init__(self) -> None:
         if self.source_kind not in _SIGNAL_KINDS.values():
@@ -104,7 +103,7 @@ class Scenario:
         if not self.mu1_candidates or not self.mu2_candidates:
             raise ConfigError("optimization grids must be non-empty")
 
-    def signal_spec(self, mu: Optional[float] = None) -> SourceSpec:
+    def signal_spec(self, mu: float | None = None) -> SourceSpec:
         """Source specification at intensity ``mu`` (default: signal_mu).
         Equal settings share one spec, so a pipeline builds none per point."""
         return _source_spec(
@@ -120,9 +119,9 @@ def _source_spec(kind: SourceKind, mu: float, odd_weight: float) -> SourceSpec:
     return SourceSpec(kind, mu, odd_weight if kind is SourceKind.NONIDEAL_CSS else 1.0)
 
 
-def parse_kv_text(text: str) -> Dict[str, str]:
+def parse_kv_text(text: str) -> dict[str, str]:
     """Parse ``key = value`` lines into a mapping, tracking line numbers."""
-    mapping: Dict[str, str] = {}
+    mapping: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -157,7 +156,7 @@ def _parse_int(key: str, value: str) -> int:
         raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
 
 
-def _parse_float_list(key: str, value: str) -> Tuple[float, ...]:
+def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
     items = [item.strip() for item in value.split(",") if item.strip()]
     if not items:
         raise ConfigError(f"{key}: expected a comma-separated list of numbers")
@@ -207,9 +206,9 @@ _KEYS = {
 }
 
 
-def scenario_from_mapping(mapping: Dict[str, str]) -> Scenario:
+def scenario_from_mapping(mapping: dict[str, str]) -> Scenario:
     """Build a validated Scenario from raw config pairs."""
-    fields: Dict[type, dict] = {target: {} for target, _, _ in _KEYS.values()}
+    fields: dict[type, dict] = {target: {} for target, _, _ in _KEYS.values()}
     for key, raw in mapping.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
@@ -228,9 +227,9 @@ def scenario_from_mapping(mapping: Dict[str, str]) -> Scenario:
 
 
 def load_scenario(
-    text: Optional[str] = None,
-    method: Optional[str] = None,
-    pulse_pairs: Optional[float] = None,
+    text: str | None = None,
+    method: str | None = None,
+    pulse_pairs: float | None = None,
 ) -> Scenario:
     """Parse config text and apply command-line overrides."""
     scenario = scenario_from_mapping(parse_kv_text(text) if text else {})

@@ -42,10 +42,9 @@ above 1 means the gains cancelled to rounding, and raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Tuple
+from collections.abc import Callable, Mapping
 
-from .errors import DomainError
+from .errors import DomainError, record
 from .rates import GainSet
 from .sources import SourceKind, SourceSpec
 
@@ -58,7 +57,7 @@ DEGENERACY_TOLERANCE = 1e-12
 
 
 # A (lower, upper) interval and a map from an observed gain to one.
-Interval = Tuple[float, float]
+Interval = tuple[float, float]
 Bounds = Callable[[float], Interval]
 
 # Endpoints of an interval, and the observed fields of a channel in the
@@ -68,7 +67,7 @@ Q_Z, Q_X, EQ_X = 0, 1, 2
 
 # One channel's (q_z, q_x, eq_x) intervals.  A channel names the two
 # pulses of a pair: "s" signal, "d" decoy, "0" vacuum.
-ChannelIntervals = Tuple[Interval, Interval, Interval]
+ChannelIntervals = tuple[Interval, Interval, Interval]
 
 # A channel the estimator does not read: its gains are zero.  It stands
 # in for the vacuum channels of a source with P0 = 0, where each enters
@@ -76,7 +75,7 @@ ChannelIntervals = Tuple[Interval, Interval, Interval]
 _UNREAD: ChannelIntervals = ((0.0, 0.0),) * 3
 
 
-def channels(spec: SourceSpec) -> Tuple[str, ...]:
+def channels(spec: SourceSpec) -> tuple[str, ...]:
     """The channels the estimator for signal source ``spec`` reads: none
     for the vacuum, the signal pair for a single photon, else the signal
     and decoy pairs, with the vacuum channels where P0 > 0."""
@@ -99,13 +98,11 @@ def observe(g: GainSet, bounds: Bounds = exact) -> ChannelIntervals:
     return bounds(g.total_z), bounds(g.total_x), bounds(g.error_weighted_x)
 
 
-@dataclass(frozen=True)
-class DecoyEstimate:
-    """Bounds handed to the key-rate formula, with diagnostic flags."""
+class DecoyEstimate(record("DecoyEstimate", "y11_lower e11_upper flags")):
+    """Bounds handed to the key-rate formula, with diagnostic flags (a
+    frozenset)."""
 
-    y11_lower: float
-    e11_upper: float
-    flags: frozenset
+    __slots__ = ()
 
 
 def _finalize(y11_z: float, y11_x: float, e11_raw: Callable[[float], float]) -> DecoyEstimate:
@@ -180,7 +177,7 @@ def generic_e11_bound(
 
 
 def _assemble_generic(
-    p_signal: tuple, p_decoy: tuple, table: Dict[str, ChannelIntervals]
+    p_signal: tuple, p_decoy: tuple, table: dict[str, ChannelIntervals]
 ) -> DecoyEstimate:
     vac = table.get("00", _UNREAD)
 

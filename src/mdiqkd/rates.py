@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from .bsm import DetectorParams, YieldTable
-from .errors import CutoffError, DomainError
+from .errors import CutoffError, DomainError, record
 from .sources import TAIL_TOLERANCE, SourceSpec, mass_above, transmitted
 
 
@@ -88,8 +87,7 @@ class SystemParams:
         )
 
 
-@dataclass(frozen=True)
-class GainSet:
+class GainSet(record("GainSet", "total_z error_weighted_z total_x error_weighted_x")):
     """Per-pulse-pair gains of one intensity pair, both bases.
 
     ``total`` = correct + error coincidence gain Q; ``error_weighted`` is
@@ -97,15 +95,18 @@ class GainSet:
     gives the intrinsic correct/error split.
     """
 
-    total_z: float
-    error_weighted_z: float
-    total_x: float
-    error_weighted_x: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not 0.0 <= value <= 1.0:
-                raise DomainError(f"gain {name}={value} outside [0, 1]")
+    def __new__(cls, total_z: float, error_weighted_z: float, total_x: float,
+                error_weighted_x: float) -> GainSet:
+        values = total_z, error_weighted_z, total_x, error_weighted_x
+        # One chain checks all four; the loop only names the culprit.
+        if not (0.0 <= total_z <= 1.0 >= error_weighted_z >= 0.0
+                <= total_x <= 1.0 >= error_weighted_x >= 0.0):
+            for name, value in zip(cls._fields, values):
+                if not 0.0 <= value <= 1.0:
+                    raise DomainError(f"gain {name}={value} outside [0, 1]")
+        return tuple.__new__(cls, values)
 
     @property
     def qber_z(self) -> float:
@@ -134,23 +135,25 @@ def gains(
         raise DomainError(f"misalignment must lie in [0, 1], got {misalignment}")
     cutoff = table.cutoff
     eta = table.params.efficiency
-    a, _ = transmitted(spec_a, eta, cutoff)
-    b, _ = transmitted(spec_b, eta, cutoff)
-    for spec, probs in ((spec_a, a), (spec_b, b)):
-        if len(probs) > cutoff:
-            mass = mass_above(spec, eta, cutoff)
-            if mass >= TAIL_TOLERANCE:
-                raise CutoffError(
-                    f"{spec.kind.value} source (mu={spec.mu}) keeps mass {mass:.3g} "
-                    f"above the yield-table cutoff {cutoff} at efficiency {eta:.6g}"
-                )
+    a = transmitted(spec_a, eta, cutoff)[0]
+    b = transmitted(spec_b, eta, cutoff)[0]
+    if len(a) > cutoff or len(b) > cutoff:
+        for spec, probs in ((spec_a, a), (spec_b, b)):
+            if len(probs) > cutoff:
+                mass = mass_above(spec, eta, cutoff)
+                if mass >= TAIL_TOLERANCE:
+                    raise CutoffError(
+                        f"{spec.kind.value} source (mu={spec.mu}) keeps mass {mass:.3g} "
+                        f"above the yield-table cutoff {cutoff} at efficiency {eta:.6g}"
+                    )
     correct_z, error_z, correct_x, error_x = table.contract(a, b)
     e_d = misalignment
+    # total_z, error_weighted_z, total_x, error_weighted_x
     return GainSet(
-        total_z=correct_z + error_z,
-        error_weighted_z=e_d * correct_z + (1.0 - e_d) * error_z,
-        total_x=correct_x + error_x,
-        error_weighted_x=e_d * correct_x + (1.0 - e_d) * error_x,
+        correct_z + error_z,
+        e_d * correct_z + (1.0 - e_d) * error_z,
+        correct_x + error_x,
+        e_d * correct_x + (1.0 - e_d) * error_x,
     )
 
 
@@ -194,18 +197,14 @@ def key_rate(
     return q11_z * privacy - q_z * ec_efficiency * binary_entropy(qber_z)
 
 
-@dataclass(frozen=True)
-class SinglePhotonQuantities:
+class SinglePhotonQuantities(record("SinglePhotonQuantities", "y11_z y11_x e11_z e11_x")):
     """Exact (1, 1)-pair yields and error rates read off a yield table.
 
     ``e11_*`` is None when the corresponding yield vanishes: with no
     coincidences there is no error rate to define.
     """
 
-    y11_z: float
-    y11_x: float
-    e11_z: Optional[float]
-    e11_x: Optional[float]
+    __slots__ = ()
 
 
 def true_single_photon_quantities(
@@ -223,22 +222,16 @@ def true_single_photon_quantities(
     )
 
 
-@dataclass(frozen=True)
-class KeyRatePoint:
-    """One evaluated point of a rate-versus-distance sweep."""
+class KeyRatePoint(record(
+    "KeyRatePoint",
+    "distance_km source method mu_signal mu_decoy gains_signal "
+    "y11_lower e11_upper q11_z rate rate_unclamped flags",
+)):
+    """One evaluated point of a rate-versus-distance sweep: ``source``
+    and ``method`` are names, ``gains_signal`` a ``GainSet`` and
+    ``flags`` a frozenset."""
 
-    distance_km: float
-    source: str
-    method: str
-    mu_signal: float
-    mu_decoy: float
-    gains_signal: GainSet
-    y11_lower: float
-    e11_upper: float
-    q11_z: float
-    rate: float
-    rate_unclamped: float
-    flags: frozenset
+    __slots__ = ()
 
     @property
     def q_z(self) -> float:

@@ -36,10 +36,9 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections.abc import Iterator
 
-from .errors import DomainError
+from .errors import DomainError, record
 
 # Terms beyond this photon number are never enumerated; intensities that
 # need more are outside the regime this engine is built for.
@@ -71,27 +70,29 @@ class SourceKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class SourceSpec:
+class SourceSpec(record("SourceSpec", "kind mu odd_weight")):
     """Declarative description of one pulse source.
 
-    ``mu`` is the intensity setting (ignored for sps/vacuum) and
+    ``mu`` is the intensity setting, fixed at 0 for sps and vacuum, and
     ``odd_weight`` the odd-photon-sector weight: the fidelity-squared
-    parameter a of a non-ideal cat, fixed at 1 for every other kind.
+    parameter a of a non-ideal cat, fixed at 1 for every other kind.  A
+    spec keeps an instance dict only for ``emitted_head``.
     """
 
-    kind: SourceKind
-    mu: float = 0.0
-    odd_weight: float = 1.0
+    def __new__(cls, kind: SourceKind, mu: float = 0.0, odd_weight: float = 1.0) -> SourceSpec:
+        if not math.isfinite(mu) or mu < 0.0:
+            raise DomainError(f"intensity must be finite and >= 0, got {mu}")
+        if kind is SourceKind.NONIDEAL_CSS:
+            if not 0.0 < odd_weight <= 1.0:
+                raise DomainError(f"odd_weight must lie in (0, 1], got {odd_weight}")
+        elif odd_weight != 1.0:
+            raise DomainError(f"a {kind.value} source has odd_weight fixed at 1")
+        if mu != 0.0 and kind in (SourceKind.SPS, SourceKind.VACUUM):
+            raise DomainError(f"a {kind.value} source has mu fixed at 0, got {mu}")
+        return tuple.__new__(cls, (kind, mu, odd_weight))
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.mu) or self.mu < 0.0:
-            raise DomainError(f"intensity must be finite and >= 0, got {self.mu}")
-        if self.kind is SourceKind.NONIDEAL_CSS:
-            if not 0.0 < self.odd_weight <= 1.0:
-                raise DomainError(f"odd_weight must lie in (0, 1], got {self.odd_weight}")
-        elif self.odd_weight != 1.0:
-            raise DomainError(f"a {self.kind.value} source has odd_weight fixed at 1")
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a SourceSpec is immutable")
 
     @property
     def has_even_sector(self) -> bool:
@@ -140,8 +141,8 @@ def _series(spec: SourceSpec, eta: float) -> Iterator[tuple[float, float]]:
     ``DomainError`` once the series runs past ``_HARD_CAP``."""
     kind = spec.kind
     # A single photon is the mu -> 0 limit of the cat, the vacuum that of
-    # the weak coherent state.
-    mu = 0.0 if kind in (SourceKind.SPS, SourceKind.VACUUM) else spec.mu
+    # the weak coherent state; their specs fix mu at 0.
+    mu = spec.mu
     x = eta * mu
     # Every p'(k) is built from g_k = x^k / k!.  The odd sector is
     # a cosh(r) eta g_(k-1) / (k sinhc(mu)) for odd k and, as sinh(r) =

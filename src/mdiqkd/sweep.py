@@ -30,15 +30,16 @@ bit-identical results in grid order.
 
 from __future__ import annotations
 
+import io
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import replace
 from functools import lru_cache
-from typing import IO, Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bsm import DetectorParams, yield_tables
 from .config import Scenario
 from .decoy import channels, estimate
-from .errors import DomainError
+from .errors import DomainError, record
 from .finite_key import FiniteKeyConfig, interval_kernel
 from .rates import KeyRatePoint, gains, key_rate
 from .sources import SourceKind, SourceSpec
@@ -113,7 +114,7 @@ def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     return _evaluate(scenario, *specs, scenario.finite_key, distance_km)
 
 
-def run_sweep(scenario: Scenario) -> List[KeyRatePoint]:
+def run_sweep(scenario: Scenario) -> list[KeyRatePoint]:
     """Key rate at every grid distance, ordered by distance."""
     return [evaluate_point(scenario, d) for d in scenario.grid.distances()]
 
@@ -128,7 +129,7 @@ COMPARISON_SETTINGS = (
 )
 
 
-def comparison_scenarios(base: Scenario) -> List[Scenario]:
+def comparison_scenarios(base: Scenario) -> list[Scenario]:
     """The four standard source setups sharing the base system and grid."""
     scenarios = []
     for kind, mu1, mu2 in COMPARISON_SETTINGS:
@@ -139,15 +140,15 @@ def comparison_scenarios(base: Scenario) -> List[Scenario]:
     return scenarios
 
 
-def compare_sources(base: Scenario) -> List[KeyRatePoint]:
+def compare_sources(base: Scenario) -> list[KeyRatePoint]:
     """Sweep all four standard sources; rows grouped by source."""
-    points: List[KeyRatePoint] = []
+    points: list[KeyRatePoint] = []
     for scenario in comparison_scenarios(base):
         points.extend(run_sweep(scenario))
     return points
 
 
-def _best_point(scenario: Scenario, pairs: Sequence[Tuple[float, float]], distance_km: float) -> KeyRatePoint:
+def _best_point(scenario: Scenario, pairs: Sequence[tuple[float, float]], distance_km: float) -> KeyRatePoint:
     best = None
     for mu1, mu2 in pairs:
         specs = scenario.signal_spec(mu1), scenario.signal_spec(mu2)
@@ -159,7 +160,7 @@ def _best_point(scenario: Scenario, pairs: Sequence[Tuple[float, float]], distan
     return best
 
 
-def optimize_intensities(scenario: Scenario) -> List[KeyRatePoint]:
+def optimize_intensities(scenario: Scenario) -> list[KeyRatePoint]:
     """Best (signal, decoy) intensity pair per distance, by key rate."""
     if scenario.source_kind is SourceKind.SPS:
         raise DomainError("single-photon sources have no intensities to optimize")
@@ -222,7 +223,7 @@ def _rate_positive(scenario: Scenario, step_km: float) -> Callable[[int], bool]:
 
 def cutoff_distance(
     scenario: Scenario, max_km: float = 800.0, step_km: float = 5.0
-) -> Optional[float]:
+) -> float | None:
     """Largest grid distance with a positive key rate.
 
     Searches the arithmetic grid {0, step, 2 step, ...} up to ``max_km``
@@ -234,19 +235,18 @@ def cutoff_distance(
     return None if index < 0 else index * step_km
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
-    """Outcome of tuning the pulse count to hit a cutoff window."""
+class CalibrationResult(record("CalibrationResult", "pulse_pairs cutoff_km in_window")):
+    """Outcome of tuning the pulse count to hit a cutoff window: the
+    count, its cutoff distance (None without key) and whether that
+    cutoff lies in the window."""
 
-    pulse_pairs: float
-    cutoff_km: Optional[float]
-    in_window: bool
+    __slots__ = ()
 
 
 def calibrate_pulse_pairs(
     scenario: Scenario,
-    window: Tuple[float, float] = (170.0, 230.0),
-    bounds: Tuple[float, float] = (1e12, 1e16),
+    window: tuple[float, float] = (170.0, 230.0),
+    bounds: tuple[float, float] = (1e12, 1e16),
     start: float = 1e14,
     step_km: float = 5.0,
     max_km: float = 600.0,
@@ -385,33 +385,19 @@ CSV_COLUMNS = (
 )
 
 
-def _format_value(value: float) -> str:
-    return format(float(value), ".17g")
-
-
-def csv_rows(points: Iterable[KeyRatePoint]) -> List[str]:
-    rows = [",".join(CSV_COLUMNS)]
-    for p in points:
-        rows.append(
-            ",".join(
-                (
-                    _format_value(p.distance_km),
-                    p.source,
-                    p.method,
-                    _format_value(p.mu_signal),
-                    _format_value(p.mu_decoy),
-                    _format_value(p.q_z),
-                    _format_value(p.qber_z),
-                    _format_value(p.y11_lower),
-                    _format_value(p.e11_upper),
-                    _format_value(p.rate),
-                )
-            )
+def csv_rows(points: Iterable[KeyRatePoint]) -> list[str]:
+    """The header and one row per point, in CSV_COLUMNS order.  "%.17g" of
+    a value is format(float(value), ".17g"), inf, nan and -0 included."""
+    return [",".join(CSV_COLUMNS)] + [
+        "%.17g,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+            p.distance_km, p.source, p.method, p.mu_signal, p.mu_decoy,
+            p.q_z, p.qber_z, p.y11_lower, p.e11_upper, p.rate,
         )
-    return rows
+        for p in points
+    ]
 
 
-def write_lines(lines: Iterable[str], out: Union[str, IO[str]]) -> None:
+def write_lines(lines: Iterable[str], out: str | io.TextIOBase) -> None:
     """Write ASCII lines, each ended by a bare newline, to a path or an
     open text stream."""
     text = "\n".join(lines) + "\n"
@@ -422,6 +408,6 @@ def write_lines(lines: Iterable[str], out: Union[str, IO[str]]) -> None:
         out.write(text)
 
 
-def write_csv(points: Iterable[KeyRatePoint], out: Union[str, IO[str]]) -> None:
+def write_csv(points: Iterable[KeyRatePoint], out: str | io.TextIOBase) -> None:
     """Write results with full float precision and a fixed column order."""
     write_lines(csv_rows(points), out)

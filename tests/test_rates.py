@@ -159,7 +159,7 @@ def test_gains_match_per_pair_detection_property(eta, dark, e_d, spec_a, spec_b)
     cutoff = max(len(deep_a), len(deep_b), 2) - 1
     table = yield_tables(params, cutoff)
     got = dict(zip(_CHANNELS, _intrinsic(spec_a, spec_b, table)))
-    got.update(vars(gains(spec_a, spec_b, table, e_d)))
+    got.update(gains(spec_a, spec_b, table, e_d)._asdict())
     # the contraction in 50 digits, rounded once
     with mpmath.workdps(50):
         want = {
@@ -196,7 +196,7 @@ def test_gain_set_is_the_misalignment_mix_of_the_contraction(eta, dark, e_d, spe
         "total_x": correct_x + error_x,
         "error_weighted_x": e_d * correct_x + (1.0 - e_d) * error_x,
     }
-    got = vars(gains(spec_a, spec_b, table, e_d))
+    got = gains(spec_a, spec_b, table, e_d)._asdict()
     assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
@@ -280,12 +280,12 @@ def test_gains_are_finite_or_rejected(spec, partner, eta, dark, cutoff):
     except DomainError as exc:
         assert "does not converge within 512 photons" in str(exc)
     else:
-        assert all(math.isfinite(getattr(g, name)) for name in GainSet.__dataclass_fields__)
+        assert all(math.isfinite(getattr(g, name)) for name in GainSet._fields)
 
 
 def _gains_or_error(spec_a, spec_b, table, e_d):
     try:
-        return [v.hex() for v in vars(gains(spec_a, spec_b, table, e_d)).values()]
+        return [v.hex() for v in gains(spec_a, spec_b, table, e_d)._asdict().values()]
     except (CutoffError, DomainError) as exc:
         return type(exc), str(exc)
 
@@ -315,7 +315,7 @@ def test_vacuum_channel_gains_are_mirror_symmetric(spec, eta, dark, e_d, cutoff)
 @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
 def test_gain_set_rejects_gains_outside_unit_interval(value):
     """The interval kernels take gains unchecked; GainSet is their guard."""
-    fields = dict.fromkeys(GainSet.__dataclass_fields__, 0.5)
+    fields = dict.fromkeys(GainSet._fields, 0.5)
     for name in fields:
         with pytest.raises(DomainError, match=f"gain {name}="):
             GainSet(**dict(fields, **{name: value}))

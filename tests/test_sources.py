@@ -122,6 +122,17 @@ def test_invalid_source_parameters(factory):
         factory()
 
 
+@pytest.mark.parametrize("kind", [SourceKind.SPS, SourceKind.VACUUM])
+def test_single_photon_and_vacuum_take_no_intensity(kind):
+    """Their statistics do not depend on mu, so a nonzero mu would make
+    equal sources unequal specs, each with its own memo entries."""
+    with pytest.raises(DomainError, match=f"a {kind.value} source has mu fixed at 0"):
+        SourceSpec(kind, 0.5)
+    assert SourceSpec(kind) == SourceSpec(kind, 0.0)
+    assert SourceSpec.sps() == SourceSpec(SourceKind.SPS)
+    assert SourceSpec.vacuum() == SourceSpec(SourceKind.VACUUM)
+
+
 def test_nonideal_with_full_odd_weight_matches_css():
     pure, _ = emitted(SourceSpec.css(0.2))
     limit, _ = emitted(SourceSpec.nonideal_css(0.2, 1.0))
@@ -157,7 +168,8 @@ def test_distribution_is_read_only():
 def test_emitted_head_is_computed_once_per_spec(monkeypatch, kind):
     """(P0, P1, Pm) of a spec is the first m + 1 terms of the emitted
     series, bitwise; later reads return the same tuple."""
-    spec = SourceSpec(kind, 0.3, 0.7 if kind is SourceKind.NONIDEAL_CSS else 1.0)
+    mu = 0.0 if kind in (SourceKind.SPS, SourceKind.VACUUM) else 0.3
+    spec = SourceSpec(kind, mu, 0.7 if kind is SourceKind.NONIDEAL_CSS else 1.0)
     # odd-only sources skip to P3
     m = 3 if kind in (SourceKind.CSS, SourceKind.SPS) else 2
     terms = [p for p, _ in itertools.islice(_series(spec, 1.0), m + 1)]

@@ -15,6 +15,8 @@ from mdiqkd import (
     DomainError,
     FiniteKeyConfig,
     FluctuationMethod,
+    GainSet,
+    KeyRatePoint,
     Scenario,
     SourceKind,
     SourceSpec,
@@ -602,6 +604,18 @@ def test_csv_format_is_stable():
     buffer = io.StringIO()
     write_csv(points, buffer)
     assert buffer.getvalue() == "\n".join(rows) + "\n"
+
+
+def test_csv_row_formats_each_value_as_format_17g():
+    """One row is format(float(value), ".17g") of each numeric column,
+    joined by commas, for ints and the special floats too."""
+    gains_signal = GainSet(5e-324, 0.0, 0.1, 0.0)
+    for distance_km, mu1, y11, e11 in [(0, 0.1, -0.0, math.inf), (2.5, 1, math.nan, 1e300)]:
+        point = KeyRatePoint(distance_km, "wcs", "standard", mu1, -0.0, gains_signal,
+                             y11, e11, 0.0, 1 / 3, -1.0, frozenset())
+        numbers = (distance_km, mu1, -0.0, 5e-324, 0.0, y11, e11, 1 / 3)
+        want = [format(float(v), ".17g") for v in numbers]
+        assert csv_rows([point])[1] == ",".join(want[:1] + ["wcs", "standard"] + want[1:])
 
 
 def test_csv_handles_infinite_error_bound(tmp_path):

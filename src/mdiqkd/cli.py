@@ -19,9 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
-from .bsm import yield_tables
+from .bsm import DetectorParams, yield_tables
 from .config import Scenario, load_scenario
 from .errors import ConfigError, CutoffError, DomainError
 from .rates import true_single_photon_quantities
@@ -95,8 +94,9 @@ def _check_out(path: str) -> None:
 
 
 def _yields_report(scenario: Scenario, distance_km: float) -> list[str]:
-    system = replace(scenario.system, distance_km=distance_km)
-    table = yield_tables(system.detector_params(), scenario.cutoff)
+    system = scenario.system
+    eta = system.efficiency_at(distance_km)
+    table = yield_tables(DetectorParams(eta, system.dark_count), scenario.cutoff)
     truth = true_single_photon_quantities(table, system.misalignment)
     vacuum_yield = table.contract((1.0,), (1.0,))[0]
 
@@ -105,7 +105,7 @@ def _yields_report(scenario: Scenario, distance_km: float) -> list[str]:
 
     return [
         f"distance_km = {fmt(distance_km)}",
-        f"overall_efficiency = {fmt(system.efficiency_at(distance_km))}",
+        f"overall_efficiency = {fmt(eta)}",
         f"dark_count = {fmt(system.dark_count)}",
         f"cutoff = {scenario.cutoff}",
         f"y11_z = {fmt(truth.y11_z)}",

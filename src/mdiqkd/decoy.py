@@ -13,10 +13,11 @@ The estimator follows from the signal source's photon statistics, so
     g(mu) = Q(mu,mu) - P0 Q(mu,0) - P0 Q(0,mu) + P0^2 Q(0,0),
 
   after which a two-point estimate in (P1, Pm) bounds y11 and the decoy
-  intensity alone bounds e11.  Whether the source emits an even-photon
-  sector (``SourceSpec.has_even_sector``) picks m = 2 and the vacuum
-  channels (``channels``).  Without one, P0 = 0, m = 3 and no vacuum
-  channel is read: with P1 = mu / sinh(mu) and P3 = mu^3 / (6 sinh(mu))
+  intensity alone bounds e11, as its error-weighted g over P1^2 y11.
+  Whether the source emits an even-photon sector
+  (``SourceSpec.has_even_sector``) picks m = 2 and the vacuum channels
+  (``channels``).  Without one, P0 = 0, m = 3 and no vacuum channel is
+  read: with P1 = mu / sinh(mu) and P3 = mu^3 / (6 sinh(mu))
   the odd cat's bound is the paper's one-decoy formula
 
     y11 >= [mu1^4 sinh^2(mu2) Q(mu2) - mu2^4 sinh^2(mu1) Q(mu1)]
@@ -31,8 +32,9 @@ The estimator follows from the signal source's photon statistics, so
 it takes the gains keyed by channel, those ``channels(spec_signal)``
 lists, and rejects inputs that lack one.  Each evaluation builds one
 interval table, a ``(lower, upper)`` pair per (channel, field), by
-applying the ``bounds`` map to every observed gain, and the algebra
-takes each gain at the endpoint, LOW or HIGH, that weakens the bound.
+applying the ``bounds`` map to every observed gain, and one helper
+reads every g, the e11 numerator's included, with each gain at the
+endpoint, LOW or HIGH, that weakens the bound.
 ``finite_key.interval_kernel`` gives a method's confidence-interval
 map; the default, ``exact``, is the identity interval of the asymptotic
 case, so every path shares one copy of the formulas.  A yield bound
@@ -69,11 +71,6 @@ Q_Z, Q_X, EQ_X = 0, 1, 2
 # pulses of a pair: "s" signal, "d" decoy, "0" vacuum.
 ChannelIntervals = tuple[Interval, Interval, Interval]
 
-# A channel the estimator does not read: its gains are zero.  It stands
-# in for the vacuum channels of a source with P0 = 0, where each enters
-# as P0 times it and so drops out exactly.
-_UNREAD: ChannelIntervals = ((0.0, 0.0),) * 3
-
 
 def channels(spec: SourceSpec) -> tuple[str, ...]:
     """The channels the estimator for signal source ``spec`` reads: none
@@ -105,9 +102,10 @@ class DecoyEstimate(record("DecoyEstimate", "y11_lower e11_upper flags")):
     __slots__ = ()
 
 
-def _finalize(y11_z: float, y11_x: float, e11_raw: Callable[[float], float]) -> DecoyEstimate:
-    """Clamp negative yields, derive e11 and collect flags.  A yield
-    bound above 1 has no digits left: the gains cancelled to rounding."""
+def _finalize(y11_z: float, y11_x: float, eq11: float, weight: float) -> DecoyEstimate:
+    """Clamp negative yields, derive e11 = eq11 / (weight y11_x), with
+    ``weight`` the decoy's P1^2, and collect flags.  A yield bound above
+    1 has no digits left: the gains cancelled to rounding."""
     if y11_z > 1.0 or y11_x > 1.0:
         raise DomainError(
             f"bound_without_digits: the single-photon yield bounds ({y11_z}, {y11_x}) "
@@ -120,7 +118,7 @@ def _finalize(y11_z: float, y11_x: float, e11_raw: Callable[[float], float]) -> 
     if y11_x <= 0.0:
         e11 = math.inf
     else:
-        e11 = e11_raw(y11_x)
+        e11 = eq11 / (weight * y11_x)
     if e11 > 0.5:
         flags.add(FLAG_ERROR_ABOVE_HALF)
     return DecoyEstimate(y11_lower=y11_z, e11_upper=e11, flags=frozenset(flags))
@@ -168,54 +166,6 @@ def generic_y11_bound(
     return numerator / denominator
 
 
-def generic_e11_bound(
-    p_decoy: tuple, eq_dd: float, eq_d0: float, eq_0d: float, eq_00: float, y11: float
-) -> float:
-    p0d, p1d, _ = p_decoy
-    numerator = vacuum_substituted_gain(eq_dd, eq_d0, eq_0d, eq_00, p0d)
-    return numerator / (p1d * p1d * y11)
-
-
-def _assemble_generic(
-    p_signal: tuple, p_decoy: tuple, table: dict[str, ChannelIntervals]
-) -> DecoyEstimate:
-    vac = table.get("00", _UNREAD)
-
-    def g(p0: float, diag: ChannelIntervals, row: ChannelIntervals,
-          col: ChannelIntervals, field: int, favorable: int) -> float:
-        # The diagonal term carries the sign of the whole g; the vacuum
-        # cross terms enter with the opposite sign, the double-vacuum
-        # term again with the same sign.
-        opposite = HIGH - favorable
-        return vacuum_substituted_gain(
-            diag[field][favorable],
-            row[field][opposite],
-            col[field][opposite],
-            vac[field][favorable],
-            p0,
-        )
-
-    p0s = p_signal[0]
-    p0d = p_decoy[0]
-    ss, s0, zs = table["ss"], table.get("s0", _UNREAD), table.get("0s", _UNREAD)
-    dd, d0, zd = table["dd"], table.get("d0", _UNREAD), table.get("0d", _UNREAD)
-    y11_z = generic_y11_bound(
-        p_signal, p_decoy, g(p0s, ss, s0, zs, Q_Z, HIGH), g(p0d, dd, d0, zd, Q_Z, LOW)
-    )
-    y11_x = generic_y11_bound(
-        p_signal, p_decoy, g(p0s, ss, s0, zs, Q_X, HIGH), g(p0d, dd, d0, zd, Q_X, LOW)
-    )
-    eq_dd = dd[EQ_X][HIGH]
-    eq_d0 = d0[EQ_X][LOW]
-    eq_0d = zd[EQ_X][LOW]
-    eq_00 = vac[EQ_X][HIGH]
-    return _finalize(
-        y11_z,
-        y11_x,
-        lambda y: generic_e11_bound(p_decoy, eq_dd, eq_d0, eq_0d, eq_00, y),
-    )
-
-
 def estimate(spec_signal: SourceSpec, spec_decoy: SourceSpec,
              gains: Mapping[str, GainSet], bounds: Bounds = exact) -> DecoyEstimate:
     """Decoy bounds from the gains of every channel that
@@ -243,5 +193,30 @@ def estimate(spec_signal: SourceSpec, spec_decoy: SourceSpec,
     table = {c: intervals[id(gains[c])] for c in read}
     if kind is SourceKind.SPS:
         q_z, q_x, eq_x = table["ss"]
-        return _finalize(q_z[LOW], q_x[LOW], lambda y: eq_x[HIGH] / y)
-    return _assemble_generic(spec_signal.emitted_head, spec_decoy.emitted_head, table)
+        return _finalize(q_z[LOW], q_x[LOW], eq_x[HIGH], 1.0)
+    # The vacuum channels of a source with P0 = 0 are not read: they
+    # enter as P0 times zero gains and so drop out exactly.
+    zero = ((0.0, 0.0),) * 3
+    ss, s0, zs = table["ss"], table.get("s0", zero), table.get("0s", zero)
+    dd, d0, zd = table["dd"], table.get("d0", zero), table.get("0d", zero)
+    vac = table.get("00", zero)
+
+    def g(p0: float, diag: ChannelIntervals, row: ChannelIntervals,
+          col: ChannelIntervals, field: int, end: int) -> float:
+        # The diagonal and double-vacuum terms carry the sign of the
+        # whole g and are read at ``end``; the cross terms enter with the
+        # opposite sign and are read at the other end.
+        other = HIGH - end
+        return vacuum_substituted_gain(
+            diag[field][end], row[field][other], col[field][other], vac[field][end], p0
+        )
+
+    p_signal, p_decoy = spec_signal.emitted_head, spec_decoy.emitted_head
+    p0s, p0d, p1d = p_signal[0], p_decoy[0], p_decoy[1]
+    y11_z = generic_y11_bound(
+        p_signal, p_decoy, g(p0s, ss, s0, zs, Q_Z, HIGH), g(p0d, dd, d0, zd, Q_Z, LOW)
+    )
+    y11_x = generic_y11_bound(
+        p_signal, p_decoy, g(p0s, ss, s0, zs, Q_X, HIGH), g(p0d, dd, d0, zd, Q_X, LOW)
+    )
+    return _finalize(y11_z, y11_x, g(p0d, dd, d0, zd, EQ_X, HIGH), p1d * p1d)

@@ -2,10 +2,7 @@
 
 Gains are obtained by weighting the per-photon-pair yield tables with
 the two sources' photon-number distributions after loss
-(``sources.transmitted`` and ``YieldTable.contract``).  A table's cutoff
-is judged against the light that arrives, not the light emitted: loss
-moves mass only downwards, so a source too bright for the table at short
-distance can fit it further out.
+(``sources.transmitted`` and ``YieldTable.contract``).
 Misalignment enters only here: a fraction e_d of intrinsically correct
 coincidences is recorded as an error and vice versa, so the
 error-weighted gain of a channel is
@@ -28,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .bsm import DetectorParams, YieldTable
-from .errors import CutoffError, DomainError, record
-from .sources import TAIL_TOLERANCE, SourceSpec, mass_above, transmitted
+from .errors import DomainError, record
+from .sources import SourceSpec, transmitted
 
 
 def _check_distance(distance_km: float) -> None:
@@ -128,24 +125,14 @@ def gains(
     loss, against a yield table.
 
     Each source's statistics come from ``transmitted`` at the table's
-    efficiency and cutoff.  Raises ``CutoffError`` when one runs into the
-    cutoff with at least ``TAIL_TOLERANCE`` of its mass above it.
+    efficiency and cutoff, which raises ``CutoffError`` when the cutoff
+    leaves out too much of either.
     """
     if not 0.0 <= misalignment <= 1.0:
         raise DomainError(f"misalignment must lie in [0, 1], got {misalignment}")
-    cutoff = table.cutoff
     eta = table.params.efficiency
-    a = transmitted(spec_a, eta, cutoff)[0]
-    b = transmitted(spec_b, eta, cutoff)[0]
-    if len(a) > cutoff or len(b) > cutoff:
-        for spec, probs in ((spec_a, a), (spec_b, b)):
-            if len(probs) > cutoff:
-                mass = mass_above(spec, eta, cutoff)
-                if mass >= TAIL_TOLERANCE:
-                    raise CutoffError(
-                        f"{spec.kind.value} source (mu={spec.mu}) keeps mass {mass:.3g} "
-                        f"above the yield-table cutoff {cutoff} at efficiency {eta:.6g}"
-                    )
+    a = transmitted(spec_a, eta, table.cutoff)[0]
+    b = transmitted(spec_b, eta, table.cutoff)[0]
     correct_z, error_z, correct_x, error_x = table.contract(a, b)
     e_d = misalignment
     # total_z, error_weighted_z, total_x, error_weighted_x

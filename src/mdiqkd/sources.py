@@ -22,7 +22,10 @@ and sinh swapped, and a single photon arrives with probability eta.
 
 ``transmitted`` truncates the series after loss relative to the
 multi-photon mass it keeps (``TAIL_TOLERANCE``), or at a yield table's
-cutoff; ``mass_above`` sums what such a cutoff leaves out.  No other
+cutoff, and decides in the same walk whether that cutoff leaves out too
+much.  The cutoff is judged against the light that arrives, not the
+light emitted: loss moves mass only downwards, so a source too bright
+for the table at short distance can fit it further out.  No other
 module applies loss to photon numbers or truncates them.
 ``SourceSpec.emitted_head`` is the emitted (P0, P1, Pm) the decoy
 bounds read, computed once per spec: m = 2 where the source emits an
@@ -38,14 +41,14 @@ import itertools
 import math
 from collections.abc import Iterator
 
-from .errors import DomainError, record
+from .errors import CutoffError, DomainError, record
 
 # Terms beyond this photon number are never enumerated; intensities that
 # need more are outside the regime this engine is built for.
 _HARD_CAP = 512
 
 # Mass a truncation may leave out: relative to the multi-photon mass
-# kept in ``transmitted``, absolute at a table cutoff (``mass_above``).
+# kept in ``transmitted``, absolute at a table cutoff.
 TAIL_TOLERANCE = 1e-15
 
 # Relative widening of the transmitted tail bound, above its roundings
@@ -198,31 +201,30 @@ def transmitted(
     (two-photon interference cancels the (1, 1) term) while a dropped
     three-photon term enters some yields at order one, so neither a tail
     relative to the arriving mass x nor an absolute one would be small
-    against it.  Where the series runs into ``cutoff``, ``mass_above``
-    gives the mass it leaves out.
+    against it.  Where the series runs into ``cutoff``, the walk goes on
+    past it and sums the terms it drops, smallest first, until the bound
+    on the mass beyond them is below the rounding of ``TAIL_TOLERANCE``,
+    so every term that could carry the sum across the tolerance counts.
+    Raises ``CutoffError`` when that mass is at least ``TAIL_TOLERANCE``.
     """
     probs = []
     multi = 0.0
-    for k, (p, tail) in zip(range(cutoff + 1), _series(spec, eta)):
+    series = _series(spec, eta)
+    for k, (p, tail) in zip(range(cutoff + 1), series):
         probs.append(p)
         if k > 1:
             multi += p
         if tail <= TAIL_TOLERANCE * multi:
             break
-    return tuple(probs), tail
-
-
-def mass_above(spec: SourceSpec, eta: float, cutoff: int) -> float:
-    """Mass of ``spec`` after loss ``eta`` above ``cutoff`` photons.
-
-    Terms are summed smallest first until the bound on the mass beyond
-    them is below the rounding of ``TAIL_TOLERANCE``, so every term that
-    could carry the sum across the tolerance counts.
-    """
-    above = []
-    for k, (p, bound) in enumerate(_series(spec, eta)):
-        if k > cutoff:
+    if len(probs) > cutoff:
+        above, bound = [], tail
+        while bound >= TAIL_TOLERANCE * _ROUNDING:
+            p, bound = next(series)
             above.append(p)
-        if bound < TAIL_TOLERANCE * _ROUNDING:
-            break
-    return sum(reversed(above))
+        mass = sum(reversed(above))
+        if mass >= TAIL_TOLERANCE:
+            raise CutoffError(
+                f"{spec.kind.value} source (mu={spec.mu}) keeps mass {mass:.3g} "
+                f"above the yield-table cutoff {cutoff} at efficiency {eta:.6g}"
+            )
+    return tuple(probs), tail

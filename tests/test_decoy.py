@@ -125,6 +125,35 @@ def test_single_photon_bounds_are_the_observed_gains():
     assert bounds.flags == frozenset()
 
 
+@pytest.mark.parametrize("r", [1e-3, 0.1])
+@pytest.mark.parametrize("distance_km", [0.0, 100.0, 250.0])
+@pytest.mark.parametrize(
+    "kind,mu1,mu2",
+    [
+        (SourceKind.WCS, 0.4, 0.07),
+        (SourceKind.NONIDEAL_CSS, 0.1, 0.01),
+        (SourceKind.CSS, 0.1, 0.01),
+        (SourceKind.SPS, 0.0, 0.0),
+    ],
+)
+def test_widening_one_gain_never_tightens_the_bounds(kind, mu1, mu2, distance_km, r):
+    """Each observed gain is read at the endpoint of its interval that
+    weakens the bounds: widening any one of them to (g (1 - r), g (1 + r))
+    never raises y11_lower and never lowers e11_upper."""
+    inputs, _, _ = _inputs(kind, mu1, mu2, distance_km)
+    exact = estimate(*inputs)
+    for channel, g in inputs[2].items():
+        for field in ("total_z", "total_x", "error_weighted_x"):
+            value = getattr(g, field)
+
+            def widened(gain):
+                return (gain * (1.0 - r), gain * (1.0 + r)) if gain == value else (gain, gain)
+
+            bounds = estimate(*inputs, widened)
+            assert bounds.y11_lower <= exact.y11_lower, (channel, field)
+            assert bounds.e11_upper >= exact.e11_upper, (channel, field)
+
+
 _KINDS = (SourceKind.SPS, SourceKind.CSS, SourceKind.NONIDEAL_CSS, SourceKind.WCS)
 
 

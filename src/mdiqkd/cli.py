@@ -1,22 +1,15 @@
-"""Command-line interface.
-
-Subcommands:
-
-* ``sweep``     rate versus distance for the configured source
-* ``compare``   the four standard sources on one grid
-* ``optimize``  best intensity pair per distance
-* ``yields``    single-photon and vacuum yield diagnostics at one distance
+"""Command-line interface; ``USAGE`` lists the commands and options.
 
 Results are written as CSV (or key=value lines for ``yields``) to
-``--out`` or stdout.  Exit codes: 0 on success, 2 for configuration
-problems (including an unreadable ``--config`` or unwritable ``--out``,
-both found before the run), 3 when a computation leaves the supported
-domain.
+``--out`` or stdout.  Exit codes: 0 on success, 2 for usage and
+configuration problems (including an unreadable ``--config`` or
+unwritable ``--out``, both found before the run), 3 when a computation
+leaves the supported domain.
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import os
 import sys
 
@@ -32,52 +25,78 @@ from .sweep import (
     write_lines,
 )
 
+USAGE = """\
+usage: mdiqkd <command> [--config PATH] [--out PATH]
+                        [--method {asymptotic,standard,chernoff}]
+                        [--pulses N] [--distance-km KM]
+
+commands:
+  sweep             rate versus distance for the configured source (CSV)
+  compare           the four standard source setups on one grid (CSV)
+  optimize          best signal/decoy intensity pair per distance (CSV)
+  yields            single-photon and vacuum yield diagnostics at one
+                    distance (key = value lines)
+
+options:
+  --config PATH     key=value config file
+  --out PATH        output file (default stdout)
+  --method METHOD   override the statistical treatment of observed gains
+  --pulses N        override the number of transmitted pulse pairs
+  --distance-km KM  total link length (yields only; default 0)
+  -h, --help        print this message
+"""
+
 _RUNS = {"sweep": run_sweep, "compare": compare_sources, "optimize": optimize_intensities}
+_COMMANDS = (*_RUNS, "yields")
+# getopt's long options: a trailing "=" takes a value.
+_OPTIONS = ["help", "config=", "out=", "method=", "pulses="]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mdiqkd",
-        description="Key rates for measurement-device-independent QKD "
-        "with superposition, coherent and single-photon sources.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--config", metavar="PATH", help="key=value config file")
-        sub.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-        sub.add_argument(
-            "--method",
-            choices=["asymptotic", "standard", "chernoff"],
-            help="override the statistical treatment of observed gains",
-        )
-        sub.add_argument(
-            "--pulses",
-            type=float,
-            metavar="N",
-            help="override the number of transmitted pulse pairs",
-        )
-
-    add_common(commands.add_parser("sweep", help="rate versus distance"))
-    add_common(commands.add_parser("compare", help="all four standard sources"))
-    add_common(commands.add_parser("optimize", help="best intensities per distance"))
-    yields = commands.add_parser("yields", help="yield diagnostics at one distance")
-    add_common(yields)
-    yields.add_argument(
-        "--distance-km", type=float, default=0.0, help="total link length"
-    )
-    return parser
+def _parse(argv: list[str]) -> tuple[str, dict[str, str]] | None:
+    """The command and its options by full name, the last of a repeated
+    option winning; None when help was asked for."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        return None
+    if command not in _COMMANDS:
+        problem = "missing command" if command is None else f"unknown command {command!r}"
+        raise ConfigError(f"{problem} (choose from {', '.join(_COMMANDS)})")
+    longopts = _OPTIONS + ["distance-km="] if command == "yields" else _OPTIONS
+    try:
+        pairs, rest = getopt.getopt(argv[1:], "h", longopts)
+    except getopt.GetoptError as exc:
+        raise ConfigError(str(exc)) from None
+    if rest:
+        raise ConfigError(f"unexpected argument {rest[0]!r}")
+    options = dict(pairs)
+    if "-h" in options or "--help" in options:
+        return None
+    return command, options
 
 
-def _load(args: argparse.Namespace) -> Scenario:
+def _number(options: dict[str, str], name: str, default: float | None = None) -> float | None:
+    value = options.get(name)
+    if value is None:
+        return default
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"option {name} expects a number, got {value!r}") from None
+
+
+def _load(path: str | None, method: str | None, pulses: float | None) -> Scenario:
     text = None
-    if args.config is not None:
+    if path is not None:
         try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            with open(path, "rb") as handle:
+                text = handle.read().decode("utf-8")
         except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-    return load_scenario(text, method=args.method, pulse_pairs=args.pulses)
+            raise ConfigError(f"cannot read config {path!r}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"cannot read config {path!r}: not UTF-8 at byte {exc.start}"
+            ) from None
+    return load_scenario(text, method=method, pulse_pairs=pulses)
 
 
 def _check_out(path: str) -> None:
@@ -117,16 +136,23 @@ def _yields_report(scenario: Scenario, distance_km: float) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        scenario = _load(args)
-        if args.out is not None:
-            _check_out(args.out)
-        if args.command == "yields":
-            report, write = _yields_report(scenario, args.distance_km), write_lines
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            sys.stdout.write(USAGE)
+            return 0
+        command, options = parsed
+        pulses = _number(options, "--pulses")
+        distance_km = _number(options, "--distance-km", 0.0)
+        out = options.get("--out")
+        scenario = _load(options.get("--config"), options.get("--method"), pulses)
+        if out is not None:
+            _check_out(out)
+        if command == "yields":
+            report, write = _yields_report(scenario, distance_km), write_lines
         else:
-            report, write = _RUNS[args.command](scenario), write_csv
-        out = sys.stdout if args.out is None else args.out
+            report, write = _RUNS[command](scenario), write_csv
+        out = sys.stdout if out is None else out
         try:
             write(report, out)
         except OSError as exc:

@@ -420,10 +420,97 @@ def test_removed_tail_tolerance_key_is_unknown(tmp_path, capsys):
 
 def test_cli_rejects_workers_flag(capsys):
     """Runs are serial; the former --workers flag is a usage error."""
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--workers", "2"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert main(["compare", "--workers", "2"]) == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,token",
+    [
+        (["sweep", "--verbose"], "--verbose"),  # unknown flag
+        (["sweep", "--out"], "--out"),  # missing value
+        (["compare", "--distance-km", "5"], "--distance-km"),  # yields only
+        ([], "missing command"),
+        (["simulate"], "'simulate'"),
+        (["--config", "x.cfg", "sweep"], "'--config'"),  # options follow the command
+        (["sweep", "extra"], "'extra'"),  # stray positional
+        (["sweep", "--", "--out", "x.csv"], "'--out'"),  # positional after --
+        (["sweep", "--pulses", "many"], "--pulses expects a number, got 'many'"),
+        (["yields", "--distance-km", "far"], "--distance-km expects a number, got 'far'"),
+    ],
+    ids=[
+        "unknown-flag", "missing-value", "distance-off-yields", "no-command",
+        "unknown-command", "option-before-command", "positional", "positional-after-dashes",
+        "pulses-not-a-number", "distance-not-a-number",
+    ],
+)
+def test_cli_usage_errors_exit_2_naming_the_token(monkeypatch, capsys, argv, token):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a usage error reached the run")
+
+    monkeypatch.setattr(mdiqkd.cli, "load_scenario", forbidden)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and token in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sweep", "-h"], ["yields", "--help"]])
+def test_cli_help_prints_usage(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == mdiqkd.cli.USAGE
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        ["--config={cfg}", "--out", "{out}"],
+        ["--conf", "{cfg}", "--out", "{out}"],  # a unique prefix
+        ["--out", "{other}", "--config", "{cfg}", "--out", "{out}"],  # the last --out wins
+        ["--config", "{cfg}", "--out", "{out}", "--"],
+    ],
+    ids=["equals", "prefix", "repeated", "dashes"],
+)
+def test_cli_option_spellings_give_the_same_bytes(tmp_path, spelling):
+    cfg = _write_cfg(tmp_path, BASE_CFG)
+    canonical, out, other = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
+    assert main(["sweep", "--config", cfg, "--out", str(canonical)]) == 0
+    argv = [arg.format(cfg=cfg, out=out, other=other) for arg in spelling]
+    assert main(["sweep", *argv]) == 0
+    assert out.read_bytes() == canonical.read_bytes()
+    assert not other.exists()
+
+
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"source.kind = css\xff\xfe\n")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read config {str(cfg)!r}: not UTF-8 at byte 17" in err
+    # the offset counts from the start of the file, past the decoder's chunks
+    cfg.write_bytes(b"# " + b"x" * 20000 + b"\n\xc3")
+    assert main(["sweep", "--config", str(cfg)]) == 2
+    assert "not UTF-8 at byte 20003" in capsys.readouterr().err
+
+
+_NO_ARGPARSE_SCRIPT = """
+import sys
+import mdiqkd.cli
+assert mdiqkd.cli.main(["compare", "--out", sys.argv[1]]) == 0
+loaded = sorted({"argparse", "locale"} & set(sys.modules))
+assert not loaded, loaded
+"""
+
+
+def test_cli_run_imports_neither_argparse_nor_locale(tmp_path):
+    """Parsing builds no parser objects and looks up no translations."""
+    src = os.path.dirname(os.path.dirname(mdiqkd.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", _NO_ARGPARSE_SCRIPT, str(tmp_path / "out.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out.csv").read_text().startswith("distance_km,")
 
 
 def test_cli_rejects_infinite_pulse_count(capsys):

@@ -16,3 +16,9 @@ def test_readme_has_library_examples():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index + 1}", "exec"), {})
+
+
+def test_readme_usage_block_is_the_cli_help():
+    from mdiqkd.cli import USAGE
+
+    assert f"```\n{USAGE}```\n" in README.read_text(encoding="utf-8")

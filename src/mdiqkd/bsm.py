@@ -99,10 +99,21 @@ class YieldTable(record("YieldTable", "params cutoff")):
     directly in gain formulas.  Every gain is a contraction (``contract``)
     against the four unit-efficiency tables Y1 of the dark count; the
     loss ``params.efficiency`` acts on the photon statistics before it
-    (``sources.transmitted``), never on the table.
+    (``sources.transmitted``), never on the table.  ``cutoff``, the
+    highest photon number per side, lies in [1, MAX_CUTOFF].
     """
 
     __slots__ = ()
+
+    def __new__(cls, params: DetectorParams, cutoff: int) -> YieldTable:
+        if cutoff < 1:
+            raise DomainError(f"cutoff must be >= 1, got {cutoff}")
+        if cutoff > MAX_CUTOFF:
+            raise CutoffError(
+                f"cutoff {cutoff} exceeds the numeric precision budget "
+                f"(max {MAX_CUTOFF} per side)"
+            )
+        return tuple.__new__(cls, (params, cutoff))
 
     def contract(self, a: tuple, b: tuple) -> tuple:
         """(correct_z, error_z, correct_x, error_x) gains of the two
@@ -115,13 +126,4 @@ class YieldTable(record("YieldTable", "params cutoff")):
                 sum(map(mul, products, cx)), sum(map(mul, products, ex)))
 
 
-def yield_tables(params: DetectorParams, cutoff: int) -> YieldTable:
-    """Tabulate psi_plus yields for all photon pairs up to ``cutoff``."""
-    if cutoff < 1:
-        raise DomainError(f"cutoff must be >= 1, got {cutoff}")
-    if cutoff > MAX_CUTOFF:
-        raise CutoffError(
-            f"cutoff {cutoff} exceeds the numeric precision budget "
-            f"(max {MAX_CUTOFF} per side)"
-        )
-    return YieldTable(params, cutoff)
+yield_tables = YieldTable  # the constructor under its public name

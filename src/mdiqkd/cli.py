@@ -41,7 +41,8 @@ options:
   --config PATH     key=value config file
   --out PATH        output file (default stdout)
   --method METHOD   override the statistical treatment of observed gains
-  --pulses N        override the number of transmitted pulse pairs
+  --pulses N        override the pulse pairs sent in each (intensity
+                    pair, basis) setting
   --distance-km KM  total link length (yields only; default 0)
   -h, --help        print this message
 """

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import partial
 
 from .errors import ConfigError, DomainError
 from .finite_key import FiniteKeyConfig, FluctuationMethod
@@ -104,19 +104,12 @@ class Scenario:
             raise ConfigError("optimization grids must be non-empty")
 
     def signal_spec(self, mu: float | None = None) -> SourceSpec:
-        """Source specification at intensity ``mu`` (default: signal_mu).
-        Equal settings share one spec, so a pipeline builds none per point."""
-        return _source_spec(
-            self.source_kind, self.signal_mu if mu is None else mu, self.odd_weight
-        )
-
-
-# typed: an int setting keeps an int mu, as an unshared spec would.
-@lru_cache(maxsize=1024, typed=True)
-def _source_spec(kind: SourceKind, mu: float, odd_weight: float) -> SourceSpec:
-    if kind is SourceKind.SPS:
-        return SourceSpec.sps()
-    return SourceSpec(kind, mu, odd_weight if kind is SourceKind.NONIDEAL_CSS else 1.0)
+        """Source specification at intensity ``mu`` (default: signal_mu)."""
+        kind = self.source_kind
+        if kind is SourceKind.SPS:
+            return SourceSpec.sps()
+        odd_weight = self.odd_weight if kind is SourceKind.NONIDEAL_CSS else 1.0
+        return SourceSpec(kind, self.signal_mu if mu is None else mu, odd_weight)
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
@@ -163,28 +156,19 @@ def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
     return tuple(_parse_float(key, item) for item in items)
 
 
-def _parse_kind(key: str, value: str) -> SourceKind:
+def _parse_choice(choices: dict, key: str, value: str):
     try:
-        return _SIGNAL_KINDS[value]
+        return choices[value]
     except KeyError:
         raise ConfigError(
-            f"{key}: expected one of {sorted(_SIGNAL_KINDS)}, got {value!r}"
-        ) from None
-
-
-def _parse_method(key: str, value: str) -> FluctuationMethod:
-    try:
-        return _METHODS[value]
-    except KeyError:
-        raise ConfigError(
-            f"{key}: expected one of {sorted(_METHODS)}, got {value!r}"
+            f"{key}: expected one of {sorted(choices)}, got {value!r}"
         ) from None
 
 
 # Each config key sets one field of one dataclass; the defaults live on
 # the dataclasses.
 _KEYS = {
-    "source.kind": (Scenario, "source_kind", _parse_kind),
+    "source.kind": (Scenario, "source_kind", partial(_parse_choice, _SIGNAL_KINDS)),
     "source.signal_mu": (Scenario, "signal_mu", _parse_float),
     "source.decoy_mu": (Scenario, "decoy_mu", _parse_float),
     "source.odd_weight": (Scenario, "odd_weight", _parse_float),
@@ -196,7 +180,7 @@ _KEYS = {
     "grid.start_km": (DistanceGrid, "start_km", _parse_float),
     "grid.stop_km": (DistanceGrid, "stop_km", _parse_float),
     "grid.step_km": (DistanceGrid, "step_km", _parse_float),
-    "finite_key.method": (FiniteKeyConfig, "method", _parse_method),
+    "finite_key.method": (FiniteKeyConfig, "method", partial(_parse_choice, _METHODS)),
     "finite_key.pulse_pairs": (FiniteKeyConfig, "pulse_pairs", _parse_float),
     "finite_key.sigmas": (FiniteKeyConfig, "sigmas", _parse_float),
     "finite_key.epsilon": (FiniteKeyConfig, "epsilon", _parse_float),
@@ -236,7 +220,7 @@ def load_scenario(
     updates = {}
     if method is not None:
         updates["finite_key"] = replace(
-            scenario.finite_key, method=_parse_method("--method", method)
+            scenario.finite_key, method=_parse_choice(_METHODS, "--method", method)
         )
     if pulse_pairs is not None:
         base = updates.get("finite_key", scenario.finite_key)

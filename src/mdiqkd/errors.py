@@ -9,8 +9,10 @@ Computed values are records (``record``): named tuples, so they compare
 and hash by value and print as ``Name(field=value, ...)``.  A record
 that checks its fields does so in ``__new__``, and no way of building
 one skips it: ``_make``, and so ``_replace``, call the constructor, and
-``copy`` and ``pickle`` rebuild through ``__new__``.  Records need no
-per-class code generation; the configuration types stay dataclasses.
+``copy`` and ``pickle`` rebuild through ``__new__``.  Records set
+``__slots__ = ()``: an instance holds its fields alone, and a value
+derived from them is a property, memoised by value where it costs.
+The configuration types stay dataclasses.
 """
 
 from collections import namedtuple

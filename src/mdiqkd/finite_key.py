@@ -1,7 +1,11 @@
 """Statistical fluctuations of observed gains for finite pulse counts.
 
 Every observed gain Q is the frequency of a Bernoulli event over N
-pulse pairs.  Two confidence constructions are supported:
+pulse pairs.  N (``pulse_pairs``) counts the pairs sent in each
+(intensity pair, basis) setting: a kernel bands every channel the
+estimator reads, in both bases, at N Q, so the intervals are sound when
+all N pairs are sent in each setting, not when N is split over them.
+Two confidence constructions are supported:
 
 * ``standard``: a Gaussian s-sigma band, delta = s / sqrt(N Q), giving
   [Q (1 - delta), Q (1 + delta)].  Five sigmas correspond to a total

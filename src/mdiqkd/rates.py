@@ -170,16 +170,15 @@ def key_rate(
     ``e11_x`` is the single-photon phase-error bound.  Values at or
     above 1/2 saturate the privacy term (H evaluated at 1/2), which
     drives the rate to zero or below; this keeps flagged over-unity
-    error bounds well defined.
+    error bounds well defined.  Every check fails on NaN.
     """
-    if q11_z < 0.0 or q_z < 0.0:
-        raise DomainError("gains must be >= 0")
-    if e11_x < 0.0:
-        raise DomainError(f"phase-error bound must be >= 0, got {e11_x}")
-    if not 0.0 <= qber_z <= 1.0:
-        raise DomainError(f"observed error rate must lie in [0, 1], got {qber_z}")
-    if ec_efficiency < 1.0:
-        raise DomainError(f"error-correction efficiency must be >= 1, got {ec_efficiency}")
+    for name, value in ("gain q11_z", q11_z), ("gain q_z", q_z), ("error rate qber_z", qber_z):
+        if not 0.0 <= value <= 1.0:
+            raise DomainError(f"{name} must lie in [0, 1], got {value}")
+    if not e11_x >= 0.0:
+        raise DomainError(f"phase-error bound e11_x must be >= 0, got {e11_x}")
+    if not 1.0 <= ec_efficiency < math.inf:
+        raise DomainError(f"ec_efficiency must be finite and >= 1, got {ec_efficiency}")
     privacy = 1.0 - binary_entropy(min(e11_x, 0.5))
     return q11_z * privacy - q_z * ec_efficiency * binary_entropy(qber_z)
 

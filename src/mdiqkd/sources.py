@@ -28,9 +28,10 @@ light emitted: loss moves mass only downwards, so a source too bright
 for the table at short distance can fit it further out.  No other
 module applies loss to photon numbers or truncates them.
 ``SourceSpec.emitted_head`` is the emitted (P0, P1, Pm) the decoy
-bounds read, computed once per spec: m = 2 where the source emits an
-even-photon sector (``has_even_sector``), else 3.  A distribution is a
-tuple of floats built with ``math``, so this module needs no numpy.
+bounds read, computed once per distinct spec value: m = 2 where the
+source emits an even-photon sector (``has_even_sector``), else 3.  A
+distribution is a tuple of floats built with ``math``, so this module
+needs no numpy.
 """
 
 from __future__ import annotations
@@ -78,9 +79,10 @@ class SourceSpec(record("SourceSpec", "kind mu odd_weight")):
 
     ``mu`` is the intensity setting, fixed at 0 for sps and vacuum, and
     ``odd_weight`` the odd-photon-sector weight: the fidelity-squared
-    parameter a of a non-ideal cat, fixed at 1 for every other kind.  A
-    spec keeps an instance dict only for ``emitted_head``.
+    parameter a of a non-ideal cat, fixed at 1 for every other kind.
     """
+
+    __slots__ = ()
 
     def __new__(cls, kind: SourceKind, mu: float = 0.0, odd_weight: float = 1.0) -> SourceSpec:
         if not math.isfinite(mu) or mu < 0.0:
@@ -94,16 +96,15 @@ class SourceSpec(record("SourceSpec", "kind mu odd_weight")):
             raise DomainError(f"a {kind.value} source has mu fixed at 0, got {mu}")
         return tuple.__new__(cls, (kind, mu, odd_weight))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: a SourceSpec is immutable")
-
     @property
     def has_even_sector(self) -> bool:
         """Whether even photon numbers are emitted: by a Poisson source, by
         a cat of odd weight below 1.  Read off the parameters: P2 underflows."""
         return self.kind in (SourceKind.WCS, SourceKind.VACUUM) or self.odd_weight < 1.0
 
-    @functools.cached_property
+    # Keyed by value: every evaluation reads its signal's and its decoy's.
+    @property
+    @functools.lru_cache(maxsize=1024)
     def emitted_head(self) -> tuple:
         """(P0, P1, Pm) of the emitted statistics in closed form, the first
         m + 1 terms of the series at eta = 1: m = 2 with an even sector, else 3."""
@@ -205,8 +206,11 @@ def transmitted(
     past it and sums the terms it drops, smallest first, until the bound
     on the mass beyond them is below the rounding of ``TAIL_TOLERANCE``,
     so every term that could carry the sum across the tolerance counts.
-    Raises ``CutoffError`` when that mass is at least ``TAIL_TOLERANCE``.
+    Raises ``CutoffError`` when that mass is at least ``TAIL_TOLERANCE``,
+    and ``DomainError`` when ``eta`` is not in [0, 1].
     """
+    if not 0.0 <= eta <= 1.0:
+        raise DomainError(f"efficiency eta must lie in [0, 1], got {eta}")
     probs = []
     multi = 0.0
     series = _series(spec, eta)

@@ -14,15 +14,16 @@ partner of a source at one distance.  One memo (``_intensity``) holds
 each intensity's share of an evaluation at one distance: its diagonal
 gain and its gain with the vacuum where the estimator reads vacuum
 channels, keyed by (source spec, efficiency, dark count, cutoff,
-misalignment); each spec holds its own emitted (P0, P1, Pm).  A point
-reads its signal, decoy and vacuum entries, so a point that differs from
-an earlier one only in the pulse count (a calibration step) or in one
-intensity (an ``optimize`` grid) pays lookups for what it shares.  The
-vacuum arrives unchanged at every efficiency, so its entry serves every
-distance.  Mirrored vacuum channels ("s0" and "0s", "d0" and "0d") share
-one gain, and so one interval.  The finite-size interval pass is not
-memoised: each evaluation applies its method's kernel once to every
-distinct gain (``finite_key.interval_kernel``).
+misalignment), and ``SourceSpec.emitted_head`` memoises each spec's
+emitted (P0, P1, Pm).  A point reads its signal, decoy and vacuum
+entries, so a point that differs from an earlier one only in the pulse
+count (a calibration step) or in one intensity (an ``optimize`` grid)
+pays lookups for what it shares.  The vacuum arrives unchanged at every
+efficiency, so its entry serves every distance.  Mirrored vacuum
+channels ("s0" and "0s", "d0" and "0d") share one gain, and so one
+interval.  The finite-size interval pass is not memoised: each
+evaluation applies its method's kernel once to every distinct gain
+(``finite_key.interval_kernel``).
 
 All pipelines are serial and deterministic: identical inputs give
 bit-identical results in grid order.
@@ -116,7 +117,9 @@ def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
 
 def run_sweep(scenario: Scenario) -> list[KeyRatePoint]:
     """Key rate at every grid distance, ordered by distance."""
-    return [evaluate_point(scenario, d) for d in scenario.grid.distances()]
+    specs = scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu)
+    return [_evaluate(scenario, *specs, scenario.finite_key, d)
+            for d in scenario.grid.distances()]
 
 
 # Benchmark intensity settings used by the source comparison, chosen so
@@ -148,10 +151,10 @@ def compare_sources(base: Scenario) -> list[KeyRatePoint]:
     return points
 
 
-def _best_point(scenario: Scenario, pairs: Sequence[tuple[float, float]], distance_km: float) -> KeyRatePoint:
+def _best_point(scenario: Scenario, pairs: Sequence[tuple[SourceSpec, SourceSpec]],
+                distance_km: float) -> KeyRatePoint:
     best = None
-    for mu1, mu2 in pairs:
-        specs = scenario.signal_spec(mu1), scenario.signal_spec(mu2)
+    for specs in pairs:
         candidate = _evaluate(scenario, *specs, scenario.finite_key, distance_km)
         # Strict comparison keeps the first (smallest mu1, then mu2)
         # among rate ties, so results do not depend on grid order.
@@ -165,7 +168,7 @@ def optimize_intensities(scenario: Scenario) -> list[KeyRatePoint]:
     if scenario.source_kind is SourceKind.SPS:
         raise DomainError("single-photon sources have no intensities to optimize")
     pairs = [
-        (mu1, mu2)
+        (scenario.signal_spec(mu1), scenario.signal_spec(mu2))
         for mu1 in sorted(scenario.mu1_candidates)
         for mu2 in sorted(scenario.mu2_candidates)
         if mu1 > mu2 > 0.0

@@ -25,6 +25,9 @@ exact arithmetic where possible:
 * ``oracle_css_y11`` is the paper's one-decoy bound for odd cat sources,
   written in the intensities, against which the library's two-point
   bound in (P1, P3) is checked.
+* ``decoy_certificate`` writes the two-point y11 bound and the e11
+  numerator as weights on photon pairs in 50 digits: a dual certificate
+  that the bound holds for every yield table the gains admit.
 * ``oracle_emitted_cutoff`` is the cutoff rule on the emitted light that
   the library's table-cutoff check once applied at every distance; the
   check on the arriving light must admit everything it admits.
@@ -231,22 +234,24 @@ def oracle_distribution(spec, tail: float) -> List[mpmath.mpf]:
         a = mpmath.mpf(spec.odd_weight)
         if mu == 0:  # the limits mu^n / sinh(mu) -> [n == 1], mu^n / cosh(mu) -> [n == 0]
             return [mpmath.mpf(1)] if kind == "wcs" else [1 - a, a]
-
-        def p(n: int):
-            power = mu**n / mpmath.factorial(n)
-            if kind == "wcs":
-                return mpmath.exp(-mu) * power
-            if n % 2:
-                return a * power / mpmath.sinh(mu)
-            return (1 - a) * power / mpmath.cosh(mu)
-
         # the remaining mass is summed term by term: 1 - sum would cancel
-        terms = [p(n) for n in range(64)]
+        terms = [_emitted_term(kind, mu, a, n) for n in range(64)]
         n_max = 2
         while mpmath.fsum(terms[n_max + 1:]) >= tail * mpmath.fsum(terms[2 : n_max + 1]):
             n_max += 1
-            terms.append(p(len(terms)))
+            terms.append(_emitted_term(kind, mu, a, len(terms)))
         return terms[: n_max + 1]
+
+
+def _emitted_term(kind: str, mu, a, n: int):
+    """p(n) of a wcs, css or nonideal_css source of intensity mu > 0 and
+    odd weight a, at the working precision."""
+    power = mu**n / mpmath.factorial(n)
+    if kind == "wcs":
+        return mpmath.exp(-mu) * power
+    if n % 2:
+        return a * power / mpmath.sinh(mu)
+    return (1 - a) * power / mpmath.cosh(mu)
 
 
 def binomial_fold(probs, eta) -> List[mpmath.mpf]:
@@ -309,6 +314,49 @@ def oracle_css_y11(mu1: float, mu2: float, q_signal: float, q_decoy: float) -> f
     s1, s2 = math.sinh(mu1), math.sinh(mu2)
     numerator = mu1**4 * s2 * s2 * q_decoy - mu2**4 * s1 * s1 * q_signal
     return numerator / (mu1 * mu1 * mu2 * mu2 * (mu1 * mu1 - mu2 * mu2))
+
+
+def decoy_certificate(spec_signal, spec_decoy, photons: int = 23) -> Tuple[list, list]:
+    """The weights that the two-point y11 bound and the e11 numerator put
+    on each photon pair (i, j), i, j <= ``photons``, in 50 digits.
+
+    Both are fixed linear combinations of channel gains, sum_c l_c Q_c,
+    and Q_c = sum_ij P_i^a P_j^b Y_ij for the channel's two sources a and
+    b, so the weight on the pair (i, j) is sum_c l_c P_i^a P_j^b.  With
+    g(x) = Q_xx - P0 Q_x0 - P0 Q_0x + P0^2 Q_00 and m the lowest emitted
+    multi-photon number,
+
+        y11 >= [P1s Pms g(d) - P1d Pmd g(s)] / [P1s P1d (P1d Pms - P1s Pmd)]
+
+    and the e11 numerator is g(d) of the error-weighted X gains.  Weight
+    1 on (1, 1) and at most 0 elsewhere prove the bound below Y11 for
+    every yield table in [0, 1] that gives the observed gains; weights
+    of at least 0 prove the numerator above P1d^2 EY11.  The
+    distributions are written here from the intensities (wcs, css and
+    nonideal_css of mu > 0), not read from the library.
+    """
+    with mpmath.workdps(50):
+
+        def emitted(spec):
+            mu, a = mpmath.mpf(spec.mu), mpmath.mpf(spec.odd_weight)
+            return [_emitted_term(spec.kind.value, mu, a, n) for n in range(photons + 1)]
+
+        s, d = emitted(spec_signal), emitted(spec_decoy)
+        vacuum = [mpmath.mpf(1)] + [mpmath.mpf(0)] * photons
+        m = 2 if s[2] > 0 else 3
+        den = s[1] * d[1] * (d[1] * s[m] - s[1] * d[m])
+        weight_d, weight_s = s[1] * s[m] / den, d[1] * d[m] / den
+
+        def g(p, scale):
+            """(coefficient, a, b) of each channel gain in scale * g(p)."""
+            return [(scale, p, p), (-scale * p[0], p, vacuum), (-scale * p[0], vacuum, p),
+                    (scale * p[0] ** 2, vacuum, vacuum)]
+
+        def pair_weights(terms):
+            return [[mpmath.fsum(c * a[i] * b[j] for c, a, b in terms)
+                     for j in range(photons + 1)] for i in range(photons + 1)]
+
+        return (pair_weights(g(d, weight_d) + g(s, -weight_s)), pair_weights(g(d, 1)))
 
 
 def oracle_emitted_cutoff(spec, tail_tolerance: float) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mdiqkd import CutoffError, DetectorParams, DomainError, yield_tables
+from mdiqkd import CutoffError, DetectorParams, DomainError, YieldTable, yield_tables
 from mdiqkd.bsm import MAX_CUTOFF, _y1_block
 
 from _oracles import dense_tables, oracle_bell_yield, oracle_lossless_pair, oracle_propagate
@@ -225,11 +225,16 @@ def test_yield_tables_are_symmetric_and_bounded():
 
 
 def test_yield_tables_cutoff_validation():
+    """``yield_tables`` is the ``YieldTable`` constructor, and ``_replace``
+    runs its checks too: a DomainError below 1, a CutoffError above 20."""
     params = DetectorParams(0.4, 1e-7)
-    with pytest.raises(DomainError):
-        yield_tables(params, 0)
-    with pytest.raises(CutoffError):
-        yield_tables(params, 21)
+    table = yield_tables(params, MAX_CUTOFF)
+    assert yield_tables is YieldTable and MAX_CUTOFF == 20
+    for build in (yield_tables, lambda _, cutoff: table._replace(cutoff=cutoff)):
+        with pytest.raises(DomainError, match="cutoff must be >= 1, got 0"):
+            build(params, 0)
+        with pytest.raises(CutoffError, match="cutoff 21 exceeds"):
+            build(params, 21)
 
 
 def test_detector_params_validation():

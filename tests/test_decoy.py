@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import mdiqkd.sweep
-from _oracles import oracle_css_y11
+from _oracles import decoy_certificate, oracle_css_y11
 from mdiqkd import (
     ConfigError,
     CutoffError,
@@ -335,6 +335,41 @@ def test_every_validated_point_is_sound_or_a_named_error(
     assert 0.0 <= point.y11_lower <= 1.0
     assert point.rate <= point.q_z
     assert point.rate == max(0.0, point.rate_unclamped)
+
+
+# Every fourth point of the optimize-warm benchmark's mu grids
+# (perfbench/workloads.py), for each of its three kinds.
+_GRID_MU1 = [round(0.05 + 0.025 * k, 10) for k in range(0, 23, 4)]
+_GRID_MU2 = [round(0.005 + 0.005 * k, 10) for k in range(0, 20, 4)]
+_CERTIFIED = [
+    (SourceSpec.wcs(0.4), SourceSpec.wcs(0.07)),
+    (SourceSpec.css(0.1), SourceSpec.css(0.01)),
+    (SourceSpec.css(0.5), SourceSpec.css(0.3)),
+    (SourceSpec.nonideal_css(0.1, 0.7), SourceSpec.nonideal_css(0.01, 0.7)),
+    (SourceSpec.nonideal_css(0.1, 0.999), SourceSpec.nonideal_css(0.01, 0.999)),
+] + [
+    (make(mu1), make(mu2))
+    for make in (SourceSpec.css, lambda mu: SourceSpec.nonideal_css(mu, 0.7), SourceSpec.wcs)
+    for mu1 in _GRID_MU1
+    for mu2 in _GRID_MU2
+    if mu1 > mu2
+]
+
+
+@pytest.mark.parametrize("spec_signal,spec_decoy", _CERTIFIED, ids=lambda s: f"{s.kind.value}-{s.mu}")
+def test_the_two_point_bound_has_a_dual_certificate(spec_signal, spec_decoy):
+    """The y11 bound puts weight 1 on the (1, 1) pair and none above 0 on
+    any other pair up to 23 photons a side, and the e11 numerator puts
+    none below 0 on any pair, at 50 digits: the bounds hold for every
+    yield table that gives the observed gains, not only the model's."""
+    y11, e11 = decoy_certificate(spec_signal, spec_decoy)
+    for i, row in enumerate(y11):
+        for j, weight in enumerate(row):
+            if (i, j) == (1, 1):
+                assert abs(weight - 1) <= 1e-40
+            else:
+                assert weight <= 1e-40, (i, j, weight)
+    assert all(weight >= 0 for row in e11 for weight in row)
 
 
 def test_two_decoy_requires_vacuum_channels():

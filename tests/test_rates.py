@@ -375,6 +375,31 @@ def test_key_rate_validation():
         key_rate(0.1, 0.01, 0.1, 0.01, 0.5)
 
 
+_KEY_RATE_ARGS = ("q11_z", "e11_x", "q_z", "qber_z", "ec_efficiency")
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("q11_z", math.nan),
+        ("q11_z", math.inf),
+        ("q11_z", 1.5),
+        ("e11_x", math.nan),
+        ("q_z", math.nan),
+        ("q_z", math.inf),
+        ("qber_z", math.nan),
+        ("ec_efficiency", math.nan),
+        ("ec_efficiency", math.inf),
+    ],
+)
+def test_key_rate_rejects_nan_and_infinity_by_name(name, value):
+    """No input that passes the checks makes the rate NaN or infinite:
+    each bad argument raises a ``DomainError`` that names it."""
+    args = dict(zip(_KEY_RATE_ARGS, (0.1, 0.1, 0.1, 0.01, 1.16)), **{name: value})
+    with pytest.raises(DomainError, match=name):
+        key_rate(**args)
+
+
 def test_single_photon_truth_at_perfect_detection():
     table = yield_tables(DetectorParams(1.0, 0.0), 3)
     truth = true_single_photon_quantities(table, misalignment=0.015)

@@ -28,7 +28,7 @@ from mdiqkd import (
 RECORDS = {
     "SourceSpec": (lambda: SourceSpec(SourceKind.NONIDEAL_CSS, 0.1, 0.7), {"mu": -1.0}),
     "DetectorParams": (lambda: DetectorParams(0.4, 1e-7), {"efficiency": 2.0}),
-    "YieldTable": (lambda: YieldTable(DetectorParams(0.4, 1e-7), 15), None),
+    "YieldTable": (lambda: YieldTable(DetectorParams(0.4, 1e-7), 15), {"cutoff": 0}),
     "GainSet": (lambda: GainSet(0.1, 0.01, 0.2, 0.02), {"total_x": 1.5}),
     "SinglePhotonQuantities": (lambda: SinglePhotonQuantities(0.5, 0.4, 0.01, None), None),
     "KeyRatePoint": (
@@ -54,6 +54,7 @@ def test_records_are_values(name):
             setattr(a, field, getattr(b, field))
     with pytest.raises(AttributeError):
         a.extra = 1
+    assert not hasattr(a, "__dict__")
     fields = ", ".join(f"{field}={getattr(a, field)!r}" for field in a._fields)
     assert repr(a) == f"{name}({fields})"
 
@@ -93,9 +94,9 @@ def test_every_way_of_building_a_record_checks_it(name):
 
 def test_a_pickled_source_spec_keeps_its_emitted_head():
     spec = SourceSpec.wcs(0.4)
-    head = spec.emitted_head
     again = pickle.loads(pickle.dumps(spec))
-    assert again == spec and again.emitted_head == head
+    assert type(again) is SourceSpec and again == spec and hash(again) == hash(spec)
+    assert again.emitted_head == spec.emitted_head
 
 
 def test_configuration_types_stay_dataclasses():

@@ -155,6 +155,14 @@ def test_the_even_sector_picks_the_multi_photon_term():
     assert 0.0 < SourceSpec.nonideal_css(1e-158, 1.0).emitted_head[2] < sys.float_info.min
 
 
+@pytest.mark.parametrize("eta", [-0.1, 1.1, math.nan, math.inf, -math.inf])
+def test_transmitted_rejects_an_efficiency_outside_the_unit_interval(eta):
+    """A negative eta gave a probability above 1 and a negative tail, and
+    NaN a series that "does not converge"; both now name eta."""
+    with pytest.raises(DomainError, match="efficiency eta must lie in \\[0, 1\\]"):
+        transmitted(SourceSpec.wcs(0.4), eta, 15)
+
+
 def test_distribution_is_read_only():
     # the memo hands every caller the same object
     probs, _ = emitted(SourceSpec.wcs(0.4))
@@ -165,7 +173,8 @@ def test_distribution_is_read_only():
 @pytest.mark.parametrize("kind", list(SourceKind))
 def test_emitted_head_is_computed_once_per_spec(monkeypatch, kind):
     """(P0, P1, Pm) of a spec is the first m + 1 terms of the emitted
-    series, bitwise; later reads return the same tuple."""
+    series, bitwise, computed once per distinct spec value: later reads,
+    also through an equal spec built anew, return the same tuple."""
     mu = 0.0 if kind in (SourceKind.SPS, SourceKind.VACUUM) else 0.3
     spec = SourceSpec(kind, mu, 0.7 if kind is SourceKind.NONIDEAL_CSS else 1.0)
     # odd-only sources skip to P3
@@ -178,8 +187,10 @@ def test_emitted_head_is_computed_once_per_spec(monkeypatch, kind):
         return _series(*args)
 
     monkeypatch.setattr(mdiqkd.sources, "_series", counting)
+    SourceSpec.emitted_head.fget.cache_clear()
     head = spec.emitted_head
     assert spec.emitted_head is head
+    assert SourceSpec(*spec).emitted_head is head
     assert calls == [(spec, 1.0)]
     assert head == (terms[0], terms[1], terms[m])
 

@@ -10,15 +10,15 @@ only the standard library.
 """
 
 from .bsm import DetectorParams, MAX_CUTOFF, YieldTable, yield_tables
-from .config import DistanceGrid, Scenario, load_scenario, parse_kv_text, scenario_from_mapping
+from .config import (DistanceGrid, FiniteKeyConfig, Scenario, SystemParams, load_scenario,
+                     parse_kv_text, scenario_from_mapping)
 from .decoy import DecoyEstimate, FLAG_CLAMPED, FLAG_ERROR_ABOVE_HALF
 from .errors import ConfigError, CutoffError, DomainError
-from .finite_key import DEFAULT_EPSILON, FiniteKeyConfig, FluctuationMethod
+from .finite_key import DEFAULT_EPSILON, FluctuationMethod
 from .rates import (
     GainSet,
     KeyRatePoint,
     SinglePhotonQuantities,
-    SystemParams,
     binary_entropy,
     gains,
     key_rate,

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import mul
+from operator import index, mul
 
 from .errors import CutoffError, DomainError, record
 
@@ -100,12 +100,16 @@ class YieldTable(record("YieldTable", "params cutoff")):
     against the four unit-efficiency tables Y1 of the dark count; the
     loss ``params.efficiency`` acts on the photon statistics before it
     (``sources.transmitted``), never on the table.  ``cutoff``, the
-    highest photon number per side, lies in [1, MAX_CUTOFF].
+    highest photon number per side, is an integer in [1, MAX_CUTOFF].
     """
 
     __slots__ = ()
 
     def __new__(cls, params: DetectorParams, cutoff: int) -> YieldTable:
+        try:
+            cutoff = index(cutoff)
+        except TypeError:
+            raise DomainError(f"cutoff must be an integer, got {cutoff!r}") from None
         if cutoff < 1:
             raise DomainError(f"cutoff must be >= 1, got {cutoff}")
         if cutoff > MAX_CUTOFF:

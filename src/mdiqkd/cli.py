@@ -41,8 +41,9 @@ options:
   --config PATH     key=value config file
   --out PATH        output file (default stdout)
   --method METHOD   override the statistical treatment of observed gains
+                    (the key finite_key.method)
   --pulses N        override the pulse pairs sent in each (intensity
-                    pair, basis) setting
+                    pair, basis) setting (the key finite_key.pulse_pairs)
   --distance-km KM  total link length (yields only; default 0)
   -h, --help        print this message
 """

@@ -1,4 +1,4 @@
-"""Scenario description and the flat key=value configuration format.
+"""The four configuration types and the flat key=value format that sets them.
 
 A config file holds one ``section.key = value`` pair per line, with
 ``#`` comments and blank lines ignored::
@@ -20,12 +20,13 @@ with defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from functools import partial
 
+from .bsm import DetectorParams
 from .errors import ConfigError, DomainError
-from .finite_key import FiniteKeyConfig, FluctuationMethod
-from .rates import SystemParams
+from .finite_key import DEFAULT_EPSILON, FluctuationMethod
 from .sources import SourceKind, SourceSpec
 
 # Far beyond any rate curve, small enough that a tiny step cannot exhaust memory.
@@ -35,6 +36,81 @@ _METHODS = {m.value: m for m in FluctuationMethod}
 
 # A signal source is any kind with a decoy estimator: all but the vacuum.
 _SIGNAL_KINDS = {kind.value: kind for kind in SourceKind if kind is not SourceKind.VACUUM}
+
+
+def _check_distance(distance_km: float) -> None:
+    if not (math.isfinite(distance_km) and distance_km >= 0.0):
+        raise DomainError(f"distance must be finite and >= 0, got {distance_km}")
+
+
+@dataclass(frozen=True)
+class SystemParams:
+    """Link and hardware parameters of one symmetric relay setup.
+
+    The relay sits halfway between the two sources, so each arm spans
+    ``distance_km / 2`` of fiber and both arms share one overall
+    efficiency.
+    """
+
+    distance_km: float = 0.0
+    detector_efficiency: float = 0.40
+    dark_count: float = 1e-7
+    fiber_loss_db_km: float = 0.2
+    misalignment: float = 0.015
+    ec_efficiency: float = 1.16
+
+    def __post_init__(self) -> None:
+        _check_distance(self.distance_km)
+        if not 0.0 < self.detector_efficiency <= 1.0:
+            raise DomainError(
+                f"detector efficiency must lie in (0, 1], got {self.detector_efficiency}"
+            )
+        if not 0.0 <= self.dark_count < 1.0:
+            raise DomainError(f"dark count must lie in [0, 1), got {self.dark_count}")
+        if not (math.isfinite(self.fiber_loss_db_km) and self.fiber_loss_db_km >= 0.0):
+            raise DomainError(
+                f"fiber loss must be finite and >= 0, got {self.fiber_loss_db_km}"
+            )
+        if not 0.0 <= self.misalignment <= 1.0:
+            raise DomainError(f"misalignment must lie in [0, 1], got {self.misalignment}")
+        if not (math.isfinite(self.ec_efficiency) and self.ec_efficiency >= 1.0):
+            raise DomainError(
+                f"error-correction efficiency must be finite and >= 1, "
+                f"got {self.ec_efficiency}"
+            )
+
+    def efficiency_at(self, distance_km: float) -> float:
+        """Detector efficiency times one arm's fiber transmittance at
+        ``distance_km``, the one input a pipeline checks per point."""
+        _check_distance(distance_km)
+        return self.detector_efficiency * 10.0 ** (
+            -self.fiber_loss_db_km * distance_km / 20.0
+        )
+
+    def detector_params(self) -> DetectorParams:
+        return DetectorParams(self.efficiency_at(self.distance_km), self.dark_count)
+
+
+@dataclass(frozen=True)
+class FiniteKeyConfig:
+    """Statistical treatment applied to every observed gain."""
+
+    method: FluctuationMethod = FluctuationMethod.ASYMPTOTIC
+    pulse_pairs: float = 1e14
+    sigmas: float = 5.0
+    epsilon: float = DEFAULT_EPSILON
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.method, FluctuationMethod):
+            raise ConfigError(f"unknown fluctuation method {self.method!r}")
+        if not (math.isfinite(self.pulse_pairs) and self.pulse_pairs >= 1.0):
+            raise ConfigError(
+                f"pulse_pairs must be finite and >= 1, got {self.pulse_pairs}"
+            )
+        if not (math.isfinite(self.sigmas) and self.sigmas > 0.0):
+            raise ConfigError(f"sigmas must be finite and > 0, got {self.sigmas}")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +174,12 @@ class Scenario:
                 )
         if not 0.0 < self.odd_weight <= 1.0:
             raise ConfigError(f"odd_weight must lie in (0, 1], got {self.odd_weight}")
-        if self.cutoff < 1:
-            raise ConfigError(f"cutoff must be >= 1, got {self.cutoff}")
+        try:
+            cutoff = operator.index(self.cutoff)
+        except TypeError:
+            raise ConfigError(f"cutoff must be an integer, got {self.cutoff!r}") from None
+        if cutoff < 1:
+            raise ConfigError(f"cutoff must be >= 1, got {cutoff}")
         if not self.mu1_candidates or not self.mu2_candidates:
             raise ConfigError("optimization grids must be non-empty")
 
@@ -113,9 +193,10 @@ class Scenario:
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse ``key = value`` lines into a mapping, tracking line numbers."""
+    """Parse ``key = value`` lines into a mapping, tracking line numbers.
+    One leading byte-order mark, as some editors write, is dropped."""
     mapping: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -215,14 +296,13 @@ def load_scenario(
     method: str | None = None,
     pulse_pairs: float | None = None,
 ) -> Scenario:
-    """Parse config text and apply command-line overrides."""
-    scenario = scenario_from_mapping(parse_kv_text(text) if text else {})
-    updates = {}
+    """Parse config text; ``method`` and ``pulse_pairs``, when given, set
+    the keys ``finite_key.method`` and ``finite_key.pulse_pairs`` in
+    place of any value the text gives them."""
+    mapping = parse_kv_text(text) if text else {}
     if method is not None:
-        updates["finite_key"] = replace(
-            scenario.finite_key, method=_parse_choice(_METHODS, "--method", method)
-        )
+        mapping["finite_key.method"] = method
     if pulse_pairs is not None:
-        base = updates.get("finite_key", scenario.finite_key)
-        updates["finite_key"] = replace(base, pulse_pairs=pulse_pairs)
-    return replace(scenario, **updates) if updates else scenario
+        # repr round-trips every float, so the key parses back to it exactly
+        mapping["finite_key.pulse_pairs"] = repr(float(pulse_pairs))
+    return scenario_from_mapping(mapping)

@@ -12,7 +12,7 @@ one skips it: ``_make``, and so ``_replace``, call the constructor, and
 ``copy`` and ``pickle`` rebuild through ``__new__``.  Records set
 ``__slots__ = ()``: an instance holds its fields alone, and a value
 derived from them is a property, memoised by value where it costs.
-The configuration types stay dataclasses.
+The configuration types stay dataclasses, all four in ``config``.
 """
 
 from collections import namedtuple

@@ -25,7 +25,7 @@ Two confidence constructions are supported:
   below the rounding of Q.
 
 Each method's formula is one private kernel returning ``(lower,
-upper)``; ``interval_kernel`` selects it for a ``FiniteKeyConfig``.
+upper)``; ``interval_kernel`` selects it for a ``config.FiniteKeyConfig``.
 ``decoy.estimate(..., interval_kernel(config))``, which picks the
 estimator by the source kind, runs on those intervals, so each observed
 gain enters the bound at whichever endpoint weakens it.  The pipeline is
@@ -37,11 +37,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from .decoy import Bounds, Interval, exact
-from .errors import ConfigError
 
 
 class FluctuationMethod(enum.Enum):
@@ -53,28 +51,6 @@ class FluctuationMethod(enum.Enum):
 # Per-use failure probability matching a two-sided 5-sigma band split
 # over the two Chernoff tails: (1 - Phi(5)) = erfc(5 / sqrt(2)) / 2.
 DEFAULT_EPSILON = 2.865e-7
-
-
-@dataclass(frozen=True)
-class FiniteKeyConfig:
-    """Statistical treatment applied to every observed gain."""
-
-    method: FluctuationMethod = FluctuationMethod.ASYMPTOTIC
-    pulse_pairs: float = 1e14
-    sigmas: float = 5.0
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.method, FluctuationMethod):
-            raise ConfigError(f"unknown fluctuation method {self.method!r}")
-        if not (math.isfinite(self.pulse_pairs) and self.pulse_pairs >= 1.0):
-            raise ConfigError(
-                f"pulse_pairs must be finite and >= 1, got {self.pulse_pairs}"
-            )
-        if not (math.isfinite(self.sigmas) and self.sigmas > 0.0):
-            raise ConfigError(f"sigmas must be finite and > 0, got {self.sigmas}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
 
 
 def _standard(pulse_pairs: float, sigmas: float, gain: float) -> Interval:
@@ -96,12 +72,12 @@ def _chernoff(pulse_pairs: float, epsilon: float, gain: float) -> Interval:
     return max(0.0, gain - lower_dev), min(1.0, gain + upper_dev)
 
 
-def interval_kernel(config: FiniteKeyConfig) -> Bounds:
-    """``gain -> (lower, upper)`` under the configured method, with
-    ``0 <= lower <= gain <= upper``.  Unchecked: ``FiniteKeyConfig``
-    validates N, sigma and epsilon, and ``GainSet`` every gain.  The
-    kernel's settings are bound in front of the gain, so a call runs one
-    Python frame."""
+def interval_kernel(config) -> Bounds:
+    """``gain -> (lower, upper)`` under the method of ``config``, a
+    ``config.FiniteKeyConfig``, with ``0 <= lower <= gain <= upper``.
+    Unchecked: ``FiniteKeyConfig`` validates N, sigma and epsilon, and
+    ``GainSet`` every gain.  The kernel's settings are bound in front of
+    the gain, so a call runs one Python frame."""
     if config.method is FluctuationMethod.STANDARD:
         return partial(_standard, config.pulse_pairs, config.sigmas)
     if config.method is FluctuationMethod.CHERNOFF:

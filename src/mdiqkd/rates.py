@@ -22,66 +22,10 @@ unclamped; the pipelines report both it and its clamp at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .bsm import DetectorParams, YieldTable
+from .bsm import YieldTable
 from .errors import DomainError, record
 from .sources import SourceSpec, transmitted
-
-
-def _check_distance(distance_km: float) -> None:
-    if not (math.isfinite(distance_km) and distance_km >= 0.0):
-        raise DomainError(f"distance must be finite and >= 0, got {distance_km}")
-
-
-@dataclass(frozen=True)
-class SystemParams:
-    """Link and hardware parameters of one symmetric relay setup.
-
-    The relay sits halfway between the two sources, so each arm spans
-    ``distance_km / 2`` of fiber and both arms share one overall
-    efficiency.
-    """
-
-    distance_km: float = 0.0
-    detector_efficiency: float = 0.40
-    dark_count: float = 1e-7
-    fiber_loss_db_km: float = 0.2
-    misalignment: float = 0.015
-    ec_efficiency: float = 1.16
-
-    def __post_init__(self) -> None:
-        _check_distance(self.distance_km)
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise DomainError(
-                f"detector efficiency must lie in (0, 1], got {self.detector_efficiency}"
-            )
-        if not 0.0 <= self.dark_count < 1.0:
-            raise DomainError(f"dark count must lie in [0, 1), got {self.dark_count}")
-        if not (math.isfinite(self.fiber_loss_db_km) and self.fiber_loss_db_km >= 0.0):
-            raise DomainError(
-                f"fiber loss must be finite and >= 0, got {self.fiber_loss_db_km}"
-            )
-        if not 0.0 <= self.misalignment <= 1.0:
-            raise DomainError(f"misalignment must lie in [0, 1], got {self.misalignment}")
-        if not (math.isfinite(self.ec_efficiency) and self.ec_efficiency >= 1.0):
-            raise DomainError(
-                f"error-correction efficiency must be finite and >= 1, "
-                f"got {self.ec_efficiency}"
-            )
-
-    def efficiency_at(self, distance_km: float) -> float:
-        """Detector efficiency times one arm's fiber transmittance at
-        ``distance_km``, the one input a pipeline checks per point."""
-        _check_distance(distance_km)
-        return self.detector_efficiency * 10.0 ** (
-            -self.fiber_loss_db_km * distance_km / 20.0
-        )
-
-    def detector_params(self) -> DetectorParams:
-        return DetectorParams(
-            efficiency=self.efficiency_at(self.distance_km), dark_count=self.dark_count
-        )
 
 
 class GainSet(record("GainSet", "total_z error_weighted_z total_x error_weighted_x")):

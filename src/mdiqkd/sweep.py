@@ -38,10 +38,10 @@ from dataclasses import replace
 from functools import lru_cache
 
 from .bsm import DetectorParams, yield_tables
-from .config import Scenario
+from .config import FiniteKeyConfig, Scenario
 from .decoy import channels, estimate
 from .errors import DomainError, record
-from .finite_key import FiniteKeyConfig, interval_kernel
+from .finite_key import interval_kernel
 from .rates import KeyRatePoint, gains, key_rate
 from .sources import SourceKind, SourceSpec
 
@@ -276,11 +276,10 @@ def calibrate_pulse_pairs(
     other way, so its search first tests the grid point beside that
     step's edge, on the side of the candidate's own answer; where that
     point agrees, it decides the cutoff, and the search ends after one
-    evaluation.  No (count, distance) point is evaluated twice, and each
-    count gets one validated ``FiniteKeyConfig``.  This rests on the
-    assumption ``cutoff_distance`` makes, that the rate does not rise
-    with distance: then the cutoff is at or past a grid distance exactly
-    when the rate there is positive.
+    evaluation.  No (count, distance) point is evaluated twice.  This
+    rests on the assumption ``cutoff_distance`` makes, that the rate does
+    not rise with distance: then the cutoff is at or past a grid distance
+    exactly when the rate there is positive.
     """
     lo_w, hi_w = window
     if not lo_w <= hi_w:
@@ -297,15 +296,12 @@ def calibrate_pulse_pairs(
     k_lo = _last_positive(lambda k: k * step_km < lo_w, steps, 0, steps) + 1
     k_hi = _last_positive(lambda k: k * step_km <= hi_w, steps, 0, steps) + 1
 
-    @lru_cache(maxsize=None)
-    def finite_key(pulse_pairs: float) -> FiniteKeyConfig:
-        return replace(scenario.finite_key, pulse_pairs=pulse_pairs)
-
     specs = scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu)
 
     @lru_cache(maxsize=None)
     def positive(pulse_pairs: float, index: int) -> bool:
-        return _evaluate(scenario, *specs, finite_key(pulse_pairs), index * step_km).rate > 0.0
+        finite_key = replace(scenario.finite_key, pulse_pairs=pulse_pairs)
+        return _evaluate(scenario, *specs, finite_key, index * step_km).rate > 0.0
 
     # "No key" is the cutoff -1.0, which reaches every lo <= -1 and
     # passes every hi < -1.

@@ -18,10 +18,10 @@ from fock import MAX_TOTAL_PHOTONS, BellOutcome, Polarization, bell_yield, propa
 
 from mdiqkd.bsm import DetectorParams, yield_tables
 from mdiqkd.cli import main as cli_main
-from mdiqkd.config import DistanceGrid, Scenario
+from mdiqkd.config import DistanceGrid, FiniteKeyConfig, Scenario, SystemParams
 from mdiqkd.decoy import channels, estimate
-from mdiqkd.finite_key import FiniteKeyConfig, FluctuationMethod
-from mdiqkd.rates import SystemParams, gains, true_single_photon_quantities
+from mdiqkd.finite_key import FluctuationMethod
+from mdiqkd.rates import gains, true_single_photon_quantities
 from mdiqkd.sources import SourceKind, SourceSpec, transmitted
 from mdiqkd.sweep import (
     calibrate_pulse_pairs,

@@ -226,7 +226,8 @@ def test_yield_tables_are_symmetric_and_bounded():
 
 def test_yield_tables_cutoff_validation():
     """``yield_tables`` is the ``YieldTable`` constructor, and ``_replace``
-    runs its checks too: a DomainError below 1, a CutoffError above 20."""
+    runs its checks too: a DomainError below 1 or for a cutoff that is not
+    an integer, a CutoffError above 20."""
     params = DetectorParams(0.4, 1e-7)
     table = yield_tables(params, MAX_CUTOFF)
     assert yield_tables is YieldTable and MAX_CUTOFF == 20
@@ -235,6 +236,10 @@ def test_yield_tables_cutoff_validation():
             build(params, 0)
         with pytest.raises(CutoffError, match="cutoff 21 exceeds"):
             build(params, 21)
+        for cutoff in (15.0, 2.5, "15"):
+            with pytest.raises(DomainError, match=f"cutoff must be an integer, got {cutoff!r}"):
+                build(params, cutoff)
+    assert type(yield_tables(params, np.int64(15)).cutoff) is int
 
 
 def test_detector_params_validation():

@@ -152,6 +152,70 @@ def test_cli_overrides_take_precedence():
     assert scenario.finite_key.pulse_pairs == 1e15
 
 
+@pytest.mark.parametrize("method", ["asymptotic", "standard", "chernoff"])
+@pytest.mark.parametrize("pulse_pairs", [1.0, 1e12, 2.6418953634508e12, 1e14 / 3, 1e300])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "source.kind = wcs\ngrid.stop_km = 100\n",
+        "finite_key.method = standard\nfinite_key.pulse_pairs = 1e13\nsource.kind = wcs\n",
+        None,
+    ],
+    ids=["keys-unset", "keys-set", "no-file"],
+)
+def test_overrides_are_the_config_keys(text, method, pulse_pairs):
+    """An override is the key line it sets, parsed the same way: the
+    scenario equals that of the text with the two key lines in place of
+    any it had, and the float arrives exactly."""
+    kept = [line for line in (text or "").splitlines()
+            if not line.startswith(("finite_key.method", "finite_key.pulse_pairs"))]
+    keyed = "\n".join(
+        [*kept, f"finite_key.method = {method}", f"finite_key.pulse_pairs = {pulse_pairs!r}"]
+    )
+    scenario = load_scenario(text, method=method, pulse_pairs=pulse_pairs)
+    assert scenario == load_scenario(keyed)
+    assert scenario.finite_key.pulse_pairs == pulse_pairs
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"method": "bootstrap"}, "finite_key.method: expected one of"),
+        ({"pulse_pairs": math.inf}, "finite_key.pulse_pairs: value must be finite, got 'inf'"),
+        ({"pulse_pairs": math.nan}, "finite_key.pulse_pairs: value must be finite, got 'nan'"),
+        ({"pulse_pairs": 0.5}, "pulse_pairs must be finite and >= 1, got 0.5"),
+    ],
+)
+def test_overrides_are_checked_as_config_keys(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        load_scenario("finite_key.method = standard", **kwargs)
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    text = "source.kind = wcs\nsource.signal_mu = 0.4\nsource.decoy_mu = 0.07\n"
+    assert parse_kv_text("\ufeff" + text) == parse_kv_text(text)
+    # only one: a second mark is part of the key, and unknown
+    with pytest.raises(ConfigError, match=r"unknown config key '\\ufeffsource\.kind'"):
+        load_scenario("\ufeff\ufeff" + text)
+    plain, marked, out = (tmp_path / name for name in ("plain.cfg", "bom.cfg", "out.csv"))
+    plain.write_text(text, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main(["sweep", "--config", str(plain), "--out", str(out)]) == 0
+    expected = out.read_bytes()
+    assert main(["sweep", "--config", str(marked), "--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    # the offset of a bad byte still counts the mark's three bytes
+    marked.write_bytes(b"\xef\xbb\xbfsource.kind = css\xff\n")
+    assert main(["sweep", "--config", str(marked)]) == 2
+    assert "not UTF-8 at byte 20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoff", [15.0, 2.5, "15", None])
+def test_a_cutoff_that_is_not_an_integer_is_a_config_error(cutoff):
+    with pytest.raises(ConfigError, match=f"cutoff must be an integer, got {cutoff!r}"):
+        Scenario(cutoff=cutoff)
+
+
 def test_grid_distances_include_endpoint():
     grid = DistanceGrid(0.0, 400.0, 25.0)
     distances = grid.distances()
@@ -515,7 +579,8 @@ def test_cli_run_imports_neither_argparse_nor_locale(tmp_path):
 
 def test_cli_rejects_infinite_pulse_count(capsys):
     assert main(["sweep", "--method", "chernoff", "--pulses", "inf"]) == 2
-    assert "pulse_pairs must be finite and >= 1, got inf" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "finite_key.pulse_pairs: value must be finite, got 'inf'" in err
 
 
 @pytest.mark.parametrize("distance", ["nan", "inf"])

@@ -100,8 +100,10 @@ def test_a_pickled_source_spec_keeps_its_emitted_head():
 
 
 def test_configuration_types_stay_dataclasses():
-    """``dataclasses.replace`` rebuilds them and re-runs their checks."""
+    """``dataclasses.replace`` rebuilds them and re-runs their checks, and
+    all four live in one module."""
     for config in (Scenario(), SystemParams(), FiniteKeyConfig(), DistanceGrid()):
         assert dataclasses.is_dataclass(config)
+        assert type(config).__module__ == "mdiqkd.config"
     with pytest.raises(DomainError):
         dataclasses.replace(SystemParams(), dark_count=1.0)

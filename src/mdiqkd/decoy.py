@@ -44,6 +44,7 @@ above 1 means the gains cancelled to rounding, and raises.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Mapping
 
 from .errors import DomainError, record
@@ -140,6 +141,7 @@ def generic_y11_bound(
     linear system is singular.  The determinant must be positive (true
     for every supported source family once the signal intensity exceeds
     the decoy intensity); the sign conventions of the bound rely on it.
+    A positive subnormal gain, whose relative digits are lost, raises.
     """
     _, p1s, pms = p_signal
     _, p1d, pmd = p_decoy
@@ -161,6 +163,13 @@ def generic_y11_bound(
         raise DomainError(
             "denominator_underflow: P1(signal) P1(decoy) times the two-point "
             "determinant is below the smallest double"
+        )
+    # A negative g is the residue of a vacuum substitution that cancelled
+    # (a subnormal dark count gives -1.3e-318), and passes as before.
+    if 0.0 < g_signal < sys.float_info.min or 0.0 < g_decoy < sys.float_info.min:
+        raise DomainError(
+            f"bound_without_digits: the gains ({g_signal}, {g_decoy}) include a "
+            "subnormal, whose lost digits the two-point bound cannot absorb"
         )
     numerator = p1s * pms * g_decoy - p1d * pmd * g_signal
     return numerator / denominator

@@ -72,11 +72,17 @@ def gains(
     efficiency and cutoff, which raises ``CutoffError`` when the cutoff
     leaves out too much of either.
     """
+    eta = table.params.efficiency
+    return contract_gains(table, transmitted(spec_a, eta, table.cutoff)[0],
+                          transmitted(spec_b, eta, table.cutoff)[0], misalignment)
+
+
+def contract_gains(table: YieldTable, a: tuple, b: tuple, misalignment: float) -> GainSet:
+    """The gains of two photon-number distributions that reach the relay,
+    ``a`` and ``b``, contracted against ``table``, with a fraction
+    ``misalignment`` of correct and error coincidences swapped."""
     if not 0.0 <= misalignment <= 1.0:
         raise DomainError(f"misalignment must lie in [0, 1], got {misalignment}")
-    eta = table.params.efficiency
-    a = transmitted(spec_a, eta, table.cutoff)[0]
-    b = transmitted(spec_b, eta, table.cutoff)[0]
     correct_z, error_z, correct_x, error_x = table.contract(a, b)
     e_d = misalignment
     # total_z, error_weighted_z, total_x, error_weighted_x

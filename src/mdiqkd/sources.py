@@ -186,9 +186,6 @@ def _no_convergence(spec: SourceSpec) -> DomainError:
     )
 
 
-# Each gain reads two of these, and a distance's decoy channels share
-# a handful of sources, so most calls repeat one.
-@functools.lru_cache(maxsize=1024)
 def transmitted(
     spec: SourceSpec, eta: float, cutoff: int
 ) -> tuple[tuple[float, ...], float]:

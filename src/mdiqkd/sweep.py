@@ -6,24 +6,23 @@ contracted against the lossless relay yield tables -> decoy bounds with
 finite-size worst-casing -> key rate.  One path serves every source
 family and the library alike: ``decoy.estimate`` picks the estimator,
 and ``decoy.channels`` the gains it reads (vacuum channels only where
-the source emits an even-photon sector).  Both middle steps are cached:
-the lossless table blocks depend only on the dark-count probability and
-the block shape and serve every source and distance, and the statistics
-after loss (``sources.transmitted``) serve every channel and intensity
-partner of a source at one distance.  One memo (``_intensity``) holds
-each intensity's share of an evaluation at one distance: its diagonal
-gain and its gain with the vacuum where the estimator reads vacuum
-channels, keyed by (source spec, efficiency, dark count, cutoff,
-misalignment), and ``SourceSpec.emitted_head`` memoises each spec's
-emitted (P0, P1, Pm).  A point reads its signal, decoy and vacuum
-entries, so a point that differs from an earlier one only in the pulse
-count (a calibration step) or in one intensity (an ``optimize`` grid)
-pays lookups for what it shares.  The vacuum arrives unchanged at every
-efficiency, so its entry serves every distance.  Mirrored vacuum
-channels ("s0" and "0s", "d0" and "0d") share one gain, and so one
-interval.  The finite-size interval pass is not memoised: each
-evaluation applies its method's kernel once to every distinct gain
-(``finite_key.interval_kernel``).
+the source emits an even-photon sector).  Three memos serve the gain
+path.  The lossless table blocks depend only on the dark-count
+probability and the block shape and serve every source and distance.
+``_intensity`` holds each intensity's share of an evaluation at one
+distance, keyed by (source spec, efficiency, dark count, cutoff,
+misalignment): its diagonal gain and its gain with the vacuum where the
+estimator reads vacuum channels, both contracted from one read of its
+statistics after loss (``sources.transmitted``, itself not memoised).
+``SourceSpec.emitted_head`` memoises each spec's emitted (P0, P1, Pm).
+A point reads its signal, decoy and vacuum entries, so a point that
+differs from an earlier one only in the pulse count (a calibration
+step) or in one intensity (an ``optimize`` grid) pays lookups for what
+it shares.  The vacuum arrives unchanged at every efficiency, so its
+entry serves every distance.  Mirrored vacuum channels ("s0" and "0s",
+"d0" and "0d") share one gain, and so one interval.  The finite-size
+interval pass is not memoised: each evaluation applies its method's
+kernel once to every distinct gain (``finite_key.interval_kernel``).
 
 All pipelines are serial and deterministic: identical inputs give
 bit-identical results in grid order.
@@ -42,8 +41,8 @@ from .config import FiniteKeyConfig, Scenario
 from .decoy import channels, estimate
 from .errors import DomainError, record
 from .finite_key import interval_kernel
-from .rates import KeyRatePoint, gains, key_rate
-from .sources import SourceKind, SourceSpec
+from .rates import KeyRatePoint, contract_gains, key_rate
+from .sources import SourceKind, SourceSpec, transmitted
 
 _VACUUM = SourceSpec.vacuum()
 
@@ -51,16 +50,17 @@ _VACUUM = SourceSpec.vacuum()
 @lru_cache(maxsize=1024)
 def _intensity(spec: SourceSpec, efficiency: float, dark_count: float,
                cutoff: int, misalignment: float) -> tuple:
-    """One intensity's share of every evaluation at one distance: its
-    diagonal gain and its gain with the vacuum where its estimator
-    reads vacuum channels (else None).  Every intensity pair, pulse count
-    and method at that distance shares it.  The vacuum's diagonal, the
-    "00" channel, is the same at every efficiency and is read at 1."""
+    """One intensity's share of every evaluation at one distance, from one
+    read of its arriving light: its diagonal gain and its gain with the
+    vacuum, which arrives as (1.0,), where its estimator reads vacuum
+    channels (else None).  Every intensity pair, pulse count and method
+    shares it.  The "00" entry is the same at every efficiency: read at 1."""
     table = yield_tables(DetectorParams(efficiency, dark_count), cutoff)
+    arriving = transmitted(spec, efficiency, cutoff)[0]
     reads_vacuum = "00" in channels(spec)
     return (
-        gains(spec, spec, table, misalignment),
-        gains(spec, _VACUUM, table, misalignment) if reads_vacuum else None,
+        contract_gains(table, arriving, arriving, misalignment),
+        contract_gains(table, arriving, (1.0,), misalignment) if reads_vacuum else None,
     )
 
 

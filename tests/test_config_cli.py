@@ -133,6 +133,7 @@ def test_public_names_resolve():
         {"source.tail_tolerance": "1e-15"},  # removed key
         {"grid.step_km": "0"},
         {"grid.start_km": "100", "grid.stop_km": "50"},
+        {"grid.start_km": "-5"},
         {"decoy.wcs_estimator": "two_decoy_generic"},  # removed key
         {"optimize.mu1_values": " , "},
         {"system.detector_efficiency": "0"},
@@ -143,6 +144,21 @@ def test_public_names_resolve():
 def test_invalid_configurations_are_rejected(mapping):
     with pytest.raises(ConfigError):
         scenario_from_mapping(mapping)
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Scenario(source_kind=SourceKind.VACUUM), "cannot be used as a signal source"),
+        (lambda: Scenario(mu1_candidates=()), "optimization grids must be non-empty"),
+        (lambda: Scenario(mu2_candidates=()), "optimization grids must be non-empty"),
+    ],
+    ids=["vacuum signal", "empty mu1 grid", "empty mu2 grid"],
+)
+def test_checks_the_config_file_cannot_reach_name_the_problem(build, message):
+    """The parser refuses these values first; a direct build is checked too."""
+    with pytest.raises(ConfigError, match=message):
+        build()
 
 
 def test_cli_overrides_take_precedence():
@@ -351,6 +367,15 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, monkeypatch, capsys, 
     assert f"cannot write output {out!r}" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_cli_write_that_fails_after_the_check_is_a_config_error(tmp_path, capsys):
+    """/dev/full opens for writing, so it passes the check before the run,
+    and then every write to it fails."""
+    cfg = _write_cfg(tmp_path, "grid.stop_km = 0\n")
+    assert main(["sweep", "--config", cfg, "--out", "/dev/full"]) == 2
+    assert "cannot write output '/dev/full'" in capsys.readouterr().err
+
+
 def test_cli_failed_run_leaves_the_output_as_it_was(tmp_path, capsys):
     # an oversized cutoff exits 3 during the run, after --out was checked
     cfg = _write_cfg(tmp_path, "bsm.cutoff = 21\n")
@@ -379,6 +404,16 @@ def test_cli_yield_bound_above_one_exits_3(tmp_path, capsys, intensities, distan
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 3
     assert "bound_without_digits" in capsys.readouterr().err
     assert out.read_text() == "kept\n"
+
+
+def test_cli_subnormal_gains_exit_3(tmp_path, capsys):
+    cfg = _write_cfg(
+        tmp_path,
+        "system.detector_efficiency = 1e-160\nsystem.dark_count = 0\n"
+        "grid.start_km = 0\ngrid.stop_km = 0\n",
+    )
+    assert main(["sweep", "--config", cfg]) == 3
+    assert "bound_without_digits" in capsys.readouterr().err
 
 
 def test_cli_exit_code_on_bad_config(tmp_path, capsys):

@@ -257,6 +257,44 @@ def test_yield_bound_above_one_is_a_domain_error(intensities, distance_km):
         evaluate_point(scenario, distance_km)
 
 
+def _faint_detector(efficiency: float) -> Scenario:
+    """The default css scenario behind detectors of ``efficiency`` with no
+    dark counts, so every gain scales with efficiency squared."""
+    system = replace(SystemParams(), detector_efficiency=efficiency, dark_count=0.0)
+    return Scenario(system=system)
+
+
+def test_a_subnormal_gain_is_a_domain_error():
+    """At efficiency 1e-160 the gains are subnormal (about 5e-321), and the
+    two-point algebra gave y11 = 6.0e-321 above the exact 5e-321 with a
+    positive rate; the bound now refuses to run on them."""
+    with pytest.raises(DomainError, match="bound_without_digits: .* subnormal"):
+        evaluate_point(_faint_detector(1e-160), 0.0)
+
+
+def test_a_negative_subnormal_residue_is_not_refused():
+    """A subnormal dark count leaves the decoy's Z-basis g at 525 km as a
+    cancellation residue of -1.3e-318: only a positive subnormal raises."""
+    scenario = Scenario(
+        source_kind=SourceKind.NONIDEAL_CSS, signal_mu=0.25, decoy_mu=0.125, odd_weight=0.5,
+        system=SystemParams(detector_efficiency=1.0, dark_count=2.2250738585e-313,
+                            misalignment=0.0),
+        finite_key=FiniteKeyConfig(FluctuationMethod.CHERNOFF, 1e8),
+    )
+    assert evaluate_point(scenario, 525.0).rate == 0.0
+
+
+def test_gains_just_above_the_subnormal_range_give_a_sound_bound():
+    scenario = _faint_detector(1e-150)
+    point = evaluate_point(scenario, 0.0)
+    truth = true_single_photon_quantities(
+        yield_tables(scenario.system.detector_params(), scenario.cutoff),
+        scenario.system.misalignment,
+    )
+    assert 0.0 < point.y11_lower <= truth.y11_z
+    assert point.rate > 0.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     mu2=st.floats(1e-12, 1e-6),

@@ -223,6 +223,13 @@ def test_gains_reject_undersized_table():
         gains(WCS, WCS, table, 0.015)
 
 
+@pytest.mark.parametrize("e_d", [-0.01, 1.01, math.nan])
+def test_gains_reject_misalignment_outside_the_unit_interval(e_d):
+    table = yield_tables(DetectorParams(0.04, 1e-7), 15)
+    with pytest.raises(DomainError, match="misalignment must lie in \\[0, 1\\]"):
+        gains(WCS, VACUUM, table, e_d)
+
+
 _GATE_MU = st.floats(-8.0, 2.0).map(lambda e: 10.0**e)
 # every intensity the series accepts, from subnormal to the photon cap
 _ANY_MU = st.one_of(st.just(0.0), st.floats(-320.0, math.log10(511.99)).map(lambda e: 10.0**e))

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mdiqkd.bsm
+import mdiqkd.rates
+import mdiqkd.sources
 import mdiqkd.sweep
 from mdiqkd import (
     DetectorParams,
@@ -171,6 +173,35 @@ def test_optimize_misses_the_memo_once_per_intensity_and_distance():
         distances = len(scenario.grid.distances())
         reads_vacuum = "00" in channels(scenario.signal_spec())
         assert _intensity.cache_info().misses == intensities * distances + reads_vacuum, kind
+
+
+def test_each_intensity_entry_reads_its_arriving_light_once(monkeypatch):
+    """``transmitted`` runs once per ``_intensity`` miss, through ``sweep``
+    and ``rates`` alike: on the compare-cold benchmark grid (288 entries)
+    and on the calibrate-cold benchmark at 0.4/0.07 (5 entries)."""
+    calls = []
+    read = mdiqkd.sources.transmitted
+
+    def counting(*args):
+        calls.append(args)
+        return read(*args)
+
+    for module in (mdiqkd.sweep, mdiqkd.rates):
+        monkeypatch.setattr(module, "transmitted", counting)
+    compare_cold = Scenario(
+        grid=DistanceGrid(0.0, 400.0, 10.0),
+        finite_key=FiniteKeyConfig(FluctuationMethod.STANDARD, 1e14),
+    )
+    runs = {
+        "compare-cold": (lambda: compare_sources(compare_cold), 288),
+        "calibrate-cold": (lambda: calibrate_pulse_pairs(_WCS, **_CALIBRATE), 5),
+    }
+    for name, (run, entries) in runs.items():
+        _intensity.cache_clear()
+        calls.clear()
+        run()
+        assert _intensity.cache_info().misses == entries, name
+        assert len(calls) == len(set(calls)) == entries, name
 
 
 def test_run_sweep_orders_by_distance():
@@ -407,6 +438,11 @@ _CALIBRATION_CASES = {
     "no upper edge": (_WCS, {"window": (170.0, math.inf)}),
     "window of no key only": (_WCS, {"window": (-5.0, -1.0)}),
     "window beyond max_km": (_WCS, {"window": (700.0, 800.0)}),
+    # on a 0.1 km grid the last 2 % step in N moves the cutoff by more
+    # than a grid step, so the final search starts past the lower edge + 1
+    "final cutoff past the edge + 1": (
+        _WCS, {"window": (240.0, 300.0), "start": 1e12, "step_km": 0.1}
+    ),
 }
 
 

@@ -60,7 +60,7 @@ class DetectorParams(record("DetectorParams", "efficiency dark_count")):
 
 @functools.lru_cache(maxsize=1024)
 def _y1_block(dark_count: float, rows: int, cols: int) -> tuple:
-    """The [:rows, :cols] blocks of the four Y1 tables, in YieldTable's
+    """The [:rows, :cols] blocks of the four Y1 tables, in ``contract``'s
     channel order and flattened in the order of ``[x * y for x in a for
     y in b]``, from the module's A/B table.  A and B are exact, so
     (A - B) + p_d B replaces A - (1 - p_d) B without cancellation."""
@@ -83,12 +83,13 @@ def _y1_block(dark_count: float, rows: int, cols: int) -> tuple:
     return tuple(map(tuple, blocks))
 
 
-class YieldTable(record("YieldTable", "params cutoff")):
-    """Bell-measurement yields per photon-number pair at one efficiency.
-
-    The yield of the pair (i, j) is the psi_plus yield when the two
-    sources emit i and j photons in the canonical input pair of a
-    channel, in the order
+def contract(dark_count: float, a: tuple, b: tuple) -> tuple:
+    """The (correct_z, error_z, correct_x, error_x) gains of ``a`` and
+    ``b``, the photon-number distributions that reach the relay (from
+    zero photons up, after loss, each at most MAX_CUTOFF + 1 long),
+    against the tables Y1 of ``dark_count``.  The yield of the pair
+    (i, j) is the psi_plus yield when the two sources emit i and j
+    photons in the canonical input pair of a channel:
 
     * ``correct_z`` for (H, V), ``error_z`` for (H, H);
     * ``correct_x`` for (plus, plus), ``error_x`` for (plus, minus).
@@ -96,11 +97,19 @@ class YieldTable(record("YieldTable", "params cutoff")):
     The factor-4 multiplicity of equivalent input/outcome combinations
     cancels against the 1/4 probability of each basis-state pair, so
     these single-pair yields multiply photon-number probabilities
-    directly in gain formulas.  Every gain is a contraction (``contract``)
-    against the four unit-efficiency tables Y1 of the dark count; the
-    loss ``params.efficiency`` acts on the photon statistics before it
-    (``sources.transmitted``), never on the table.  ``cutoff``, the
-    highest photon number per side, is an integer in [1, MAX_CUTOFF].
+    directly."""
+    products = [x * y for x in a for y in b]
+    cz, ez, cx, ex = _y1_block(dark_count, len(a), len(b))
+    return (sum(map(mul, products, cz)), sum(map(mul, products, ez)),
+            sum(map(mul, products, cx)), sum(map(mul, products, ex)))
+
+
+class YieldTable(record("YieldTable", "params cutoff")):
+    """A checked detector setting and cutoff for the gain functions of
+    ``rates``: their loss is ``params.efficiency``, which acts on the
+    photon statistics (``sources.transmitted``), and their yields those
+    of ``contract`` at ``params.dark_count``.  ``cutoff``, the highest
+    photon number per side, is an integer in [1, MAX_CUTOFF].
     """
 
     __slots__ = ()
@@ -118,16 +127,6 @@ class YieldTable(record("YieldTable", "params cutoff")):
                 f"(max {MAX_CUTOFF} per side)"
             )
         return tuple.__new__(cls, (params, cutoff))
-
-    def contract(self, a: tuple, b: tuple) -> tuple:
-        """(correct_z, error_z, correct_x, error_x) gains of the two
-        photon-number distributions that reach the relay, ``a`` and ``b``
-        (tuples of probabilities from zero photons up, after loss), each
-        at most ``cutoff + 1`` long."""
-        products = [x * y for x in a for y in b]
-        cz, ez, cx, ex = _y1_block(self.params.dark_count, len(a), len(b))
-        return (sum(map(mul, products, cz)), sum(map(mul, products, ez)),
-                sum(map(mul, products, cx)), sum(map(mul, products, ex)))
 
 
 yield_tables = YieldTable  # the constructor under its public name

@@ -13,7 +13,7 @@ import getopt
 import os
 import sys
 
-from .bsm import DetectorParams, yield_tables
+from .bsm import DetectorParams, contract, yield_tables
 from .config import Scenario, load_scenario
 from .errors import ConfigError, CutoffError, DomainError
 from .rates import true_single_photon_quantities
@@ -119,7 +119,7 @@ def _yields_report(scenario: Scenario, distance_km: float) -> list[str]:
     eta = system.efficiency_at(distance_km)
     table = yield_tables(DetectorParams(eta, system.dark_count), scenario.cutoff)
     truth = true_single_photon_quantities(table, system.misalignment)
-    vacuum_yield = table.contract((1.0,), (1.0,))[0]
+    vacuum_yield = contract(system.dark_count, (1.0,), (1.0,))[0]
 
     def fmt(value: float | None) -> str:
         return format(float("nan") if value is None else value, ".17g")

@@ -24,7 +24,7 @@ import operator
 from dataclasses import dataclass
 from functools import partial
 
-from .bsm import DetectorParams
+from .bsm import MAX_CUTOFF, DetectorParams
 from .errors import ConfigError, DomainError
 from .finite_key import DEFAULT_EPSILON, FluctuationMethod
 from .sources import SourceKind, SourceSpec
@@ -178,8 +178,8 @@ class Scenario:
             cutoff = operator.index(self.cutoff)
         except TypeError:
             raise ConfigError(f"cutoff must be an integer, got {self.cutoff!r}") from None
-        if cutoff < 1:
-            raise ConfigError(f"cutoff must be >= 1, got {cutoff}")
+        if not 1 <= cutoff <= MAX_CUTOFF:
+            raise ConfigError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {cutoff}")
         if not self.mu1_candidates or not self.mu2_candidates:
             raise ConfigError("optimization grids must be non-empty")
 

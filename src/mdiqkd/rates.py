@@ -1,8 +1,8 @@
 """Gains, error rates and the secret-key-rate formula.
 
-Gains are obtained by weighting the per-photon-pair yield tables with
-the two sources' photon-number distributions after loss
-(``sources.transmitted`` and ``YieldTable.contract``).
+Gains are the two sources' photon-number distributions after loss
+(``sources.transmitted``) contracted against the relay's lossless
+yields (``bsm.contract``, which gives the channel order).
 Misalignment enters only here: a fraction e_d of intrinsically correct
 coincidences is recorded as an error and vice versa, so the
 error-weighted gain of a channel is
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .bsm import YieldTable
+from .bsm import YieldTable, contract
 from .errors import DomainError, record
 from .sources import SourceSpec, transmitted
 
@@ -32,8 +32,8 @@ class GainSet(record("GainSet", "total_z error_weighted_z total_x error_weighted
     """Per-pulse-pair gains of one intensity pair, both bases.
 
     ``total`` = correct + error coincidence gain Q; ``error_weighted`` is
-    E Q with misalignment already mixed in.  ``YieldTable.contract``
-    gives the intrinsic correct/error split.
+    E Q with misalignment already mixed in.  ``bsm.contract`` gives the
+    intrinsic correct/error split.
     """
 
     __slots__ = ()
@@ -66,24 +66,24 @@ def gains(
     misalignment: float,
 ) -> GainSet:
     """Contract two sources' photon-number statistics, after the table's
-    loss, against a yield table.
+    loss, against the yields of its dark count.
 
     Each source's statistics come from ``transmitted`` at the table's
     efficiency and cutoff, which raises ``CutoffError`` when the cutoff
     leaves out too much of either.
     """
-    eta = table.params.efficiency
-    return contract_gains(table, transmitted(spec_a, eta, table.cutoff)[0],
-                          transmitted(spec_b, eta, table.cutoff)[0], misalignment)
+    (eta, dark_count), cutoff = table
+    return contract_gains(dark_count, transmitted(spec_a, eta, cutoff)[0],
+                          transmitted(spec_b, eta, cutoff)[0], misalignment)
 
 
-def contract_gains(table: YieldTable, a: tuple, b: tuple, misalignment: float) -> GainSet:
+def contract_gains(dark_count: float, a: tuple, b: tuple, misalignment: float) -> GainSet:
     """The gains of two photon-number distributions that reach the relay,
-    ``a`` and ``b``, contracted against ``table``, with a fraction
-    ``misalignment`` of correct and error coincidences swapped."""
+    ``a`` and ``b``, contracted at ``dark_count`` (``bsm.contract``), with
+    a fraction ``misalignment`` of correct and error coincidences swapped."""
     if not 0.0 <= misalignment <= 1.0:
         raise DomainError(f"misalignment must lie in [0, 1], got {misalignment}")
-    correct_z, error_z, correct_x, error_x = table.contract(a, b)
+    correct_z, error_z, correct_x, error_x = contract(dark_count, a, b)
     e_d = misalignment
     # total_z, error_weighted_z, total_x, error_weighted_x
     return GainSet(

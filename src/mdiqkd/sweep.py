@@ -36,7 +36,6 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import replace
 from functools import lru_cache
 
-from .bsm import DetectorParams, yield_tables
 from .config import FiniteKeyConfig, Scenario
 from .decoy import channels, estimate
 from .errors import DomainError, record
@@ -55,12 +54,11 @@ def _intensity(spec: SourceSpec, efficiency: float, dark_count: float,
     vacuum, which arrives as (1.0,), where its estimator reads vacuum
     channels (else None).  Every intensity pair, pulse count and method
     shares it.  The "00" entry is the same at every efficiency: read at 1."""
-    table = yield_tables(DetectorParams(efficiency, dark_count), cutoff)
     arriving = transmitted(spec, efficiency, cutoff)[0]
     reads_vacuum = "00" in channels(spec)
     return (
-        contract_gains(table, arriving, arriving, misalignment),
-        contract_gains(table, arriving, (1.0,), misalignment) if reads_vacuum else None,
+        contract_gains(dark_count, arriving, arriving, misalignment),
+        contract_gains(dark_count, arriving, (1.0,), misalignment) if reads_vacuum else None,
     )
 
 

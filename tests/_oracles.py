@@ -49,6 +49,7 @@ from typing import Dict, List, Tuple
 
 import mpmath
 
+from mdiqkd.bsm import contract
 from mdiqkd.sources import _series
 from mdiqkd.sweep import CalibrationResult, cutoff_distance
 
@@ -179,7 +180,7 @@ def oracle_gain(probs_a, probs_b, yields) -> float:
 
 
 def oracle_lossless_pair(dark_count: float, i: int, j: int) -> tuple:
-    """Y1 of the (i, j) pair in YieldTable's channel order, from the
+    """Y1 of the (i, j) pair in ``bsm.contract``'s channel order, from the
     module's A/B table.  A and B are exact, so (A - B) + p_d B replaces
     A - (1 - p_d) B without cancellation at small p_d."""
     silent = 1.0 - dark_count
@@ -208,7 +209,8 @@ def dense_tables(table) -> Dict[str, list]:
     size = table.cutoff + 1
     eta = table.params.efficiency
     pairs = [
-        [table.contract(binomial_row(i, eta), binomial_row(j, eta)) for j in range(size)]
+        [contract(table.params.dark_count, binomial_row(i, eta), binomial_row(j, eta))
+         for j in range(size)]
         for i in range(size)
     ]
     names = ("correct_z", "error_z", "correct_x", "error_x")

@@ -24,6 +24,7 @@ from mdiqkd import (
     yield_tables,
 )
 from mdiqkd.cli import main
+from mdiqkd.bsm import MAX_CUTOFF
 from mdiqkd.config import MAX_GRID_POINTS
 
 from _oracles import dense_tables
@@ -232,6 +233,15 @@ def test_a_cutoff_that_is_not_an_integer_is_a_config_error(cutoff):
         Scenario(cutoff=cutoff)
 
 
+def test_the_scenario_checks_the_cutoff_range():
+    """The range [1, MAX_CUTOFF] is checked when a scenario is built,
+    directly or from config pairs."""
+    for build in (lambda: Scenario(cutoff=21), lambda: scenario_from_mapping({"bsm.cutoff": "21"})):
+        with pytest.raises(ConfigError, match=r"cutoff must lie in \[1, 20\], got 21"):
+            build()
+    assert MAX_CUTOFF == 20 and Scenario(cutoff=MAX_CUTOFF).cutoff == 20
+
+
 def test_grid_distances_include_endpoint():
     grid = DistanceGrid(0.0, 400.0, 25.0)
     distances = grid.distances()
@@ -377,10 +387,14 @@ def test_cli_write_that_fails_after_the_check_is_a_config_error(tmp_path, capsys
 
 
 def test_cli_failed_run_leaves_the_output_as_it_was(tmp_path, capsys):
-    # an oversized cutoff exits 3 during the run, after --out was checked
-    cfg = _write_cfg(tmp_path, "bsm.cutoff = 21\n")
+    # a bright source that overruns cutoff 8 exits 3 during the run,
+    # after --out was checked
+    cfg = _write_cfg(
+        tmp_path, "source.kind = wcs\nsource.signal_mu = 1.0\nbsm.cutoff = 8\n"
+    )
     new = tmp_path / "new.csv"
     assert main(["sweep", "--config", cfg, "--out", str(new)]) == 3
+    assert "yield-table cutoff 8" in capsys.readouterr().err
     assert not new.exists()
     old = tmp_path / "old.csv"
     old.write_text("kept\n" * 1000)
@@ -424,10 +438,22 @@ def test_cli_exit_code_on_bad_config(tmp_path, capsys):
 
 
 def test_cli_exit_code_on_domain_failure(tmp_path, capsys):
-    # an oversized cutoff is only caught when tables are requested
+    # a cutoff above the maximum is refused when the config is read
     cfg = _write_cfg(tmp_path, "bsm.cutoff = 21\n")
-    assert main(["sweep", "--config", cfg]) == 3
+    assert main(["sweep", "--config", cfg]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_cutoff_above_the_maximum_exits_2_before_the_output(tmp_path, monkeypatch, capsys):
+    def forbidden(*args):
+        raise AssertionError("the run started with a cutoff above the maximum")
+
+    monkeypatch.setattr(mdiqkd.sweep, "_evaluate", forbidden)
+    cfg = _write_cfg(tmp_path, "bsm.cutoff = 21\n")
+    new = tmp_path / "new.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(new)]) == 2
+    assert "cutoff must lie in [1, 20], got 21" in capsys.readouterr().err
+    assert not new.exists()
 
 
 def test_cli_exit_code_on_non_convergent_cat_source(tmp_path, capsys):

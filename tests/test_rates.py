@@ -20,6 +20,7 @@ from mdiqkd import (
     true_single_photon_quantities,
     yield_tables,
 )
+from mdiqkd.bsm import contract
 from mdiqkd.sources import TAIL_TOLERANCE, transmitted
 
 from _oracles import (
@@ -95,8 +96,10 @@ def _intrinsic(spec_a, spec_b, table):
     """(correct_z, error_z, correct_x, error_x) of the statistics that
     ``gains`` contracts, before misalignment mixes them."""
     eta, cutoff = table.params.efficiency, table.cutoff
-    return table.contract(
-        transmitted(spec_a, eta, cutoff)[0], transmitted(spec_b, eta, cutoff)[0]
+    return contract(
+        table.params.dark_count,
+        transmitted(spec_a, eta, cutoff)[0],
+        transmitted(spec_b, eta, cutoff)[0],
     )
 
 

@@ -23,6 +23,7 @@ from mdiqkd import (
     SourceKind,
     SourceSpec,
     SystemParams,
+    YieldTable,
     calibrate_pulse_pairs,
     compare_sources,
     comparison_scenarios,
@@ -202,6 +203,24 @@ def test_each_intensity_entry_reads_its_arriving_light_once(monkeypatch):
         run()
         assert _intensity.cache_info().misses == entries, name
         assert len(calls) == len(set(calls)) == entries, name
+
+
+@pytest.mark.parametrize("kind", [SourceKind.WCS, SourceKind.CSS, SourceKind.SPS])
+def test_the_gain_path_builds_no_table_or_detector_record(monkeypatch, kind):
+    """An evaluation contracts at the scenario's dark count: from cleared
+    memos it builds neither a ``YieldTable`` nor a ``DetectorParams``,
+    and it gives the point it gives without the patch."""
+    scenario = {s.source_kind: s for s in comparison_scenarios(small())}[kind]
+    want = evaluate_point(scenario, 60.0)
+
+    def forbidden(cls, *args):
+        raise AssertionError(f"{cls.__name__} built on the gain path")
+
+    for cache in (_intensity, mdiqkd.bsm._y1_block):
+        cache.cache_clear()
+    for record in (YieldTable, DetectorParams):
+        monkeypatch.setattr(record, "__new__", forbidden)
+    assert evaluate_point(scenario, 60.0) == want
 
 
 def test_run_sweep_orders_by_distance():

@@ -28,13 +28,14 @@ The estimator follows from the signal source's photon statistics, so
   (``SourceSpec.emitted_head``, the first terms of the series), keeping
   Pm of a faint source.
 
-``estimate(spec_signal, spec_decoy, gains, bounds)`` is the one entry:
-it takes the gains keyed by channel, those ``channels(spec_signal)``
-lists, and rejects inputs that lack one.  Each evaluation builds one
-interval table, a ``(lower, upper)`` pair per (channel, field), by
-applying the ``bounds`` map to every observed gain, and one helper
-reads every g, the e11 numerator's included, with each gain at the
-endpoint, LOW or HIGH, that weakens the bound.
+``estimate(spec_signal, spec_decoy, gains, bounds)`` takes the gains
+keyed by channel, those ``channels(spec_signal)`` lists, and rejects
+inputs that lack one.  It is a setup and a step, and the pipelines call
+the two apart: ``estimator`` checks the intensities, reads the emitted
+heads and applies the ``bounds`` map to the vacuum channel "00" once;
+its step applies it to each (channel, field) the bound reads and no
+other, and one helper reads every g, the e11 numerator's included, with
+each gain at the endpoint, LOW or HIGH, that weakens the bound.
 ``finite_key.interval_kernel`` gives a method's confidence-interval
 map; the default, ``exact``, is the identity interval of the asymptotic
 case, so every path shares one copy of the formulas.  A yield bound
@@ -175,43 +176,36 @@ def generic_y11_bound(
     return numerator / denominator
 
 
-def estimate(spec_signal: SourceSpec, spec_decoy: SourceSpec,
-             gains: Mapping[str, GainSet], bounds: Bounds = exact) -> DecoyEstimate:
-    """Decoy bounds from the gains of every channel that
-    ``channels(spec_signal)`` lists, with every observed gain at the
-    endpoint of its ``bounds`` interval that weakens the bound, by the
-    estimator of the signal source's kind."""
+def estimator(spec_signal: SourceSpec, spec_decoy: SourceSpec, bounds: Bounds = exact,
+              vacuum: GainSet | None = None) -> Callable[..., DecoyEstimate]:
+    """The setup of ``estimate`` for one pair of intensities and one
+    ``bounds`` map: the checks, the emitted heads and, where the signal
+    source has an even-photon sector, the intervals of ``vacuum``, the
+    "00" channel's gains.  Returns the step, a function of the gains of
+    the other channels ``channels(spec_signal)`` lists, in that order,
+    that observes only the fields the bound reads.  A vacuum channel
+    given as the same GainSet as its mirror shares its intervals."""
     kind = spec_signal.kind
-    read = channels(spec_signal)
-    if not read:
+    if kind is SourceKind.VACUUM:
         raise DomainError(f"no decoy estimator for a {kind.value} signal source")
-    try:
-        # Mirrored channels share one GainSet, and so one interval.
-        by_gain = {id(gains[c]): gains[c] for c in read}
-    except KeyError:
-        raise DomainError(
-            f"{kind.value} decoy estimator needs the gains of channel(s) "
-            f"{', '.join(c for c in read if c not in gains)}"
-        ) from None
-    if kind is not SourceKind.SPS and not spec_signal.mu > spec_decoy.mu > 0.0:
+    if kind is SourceKind.SPS:
+        def observed(ss, *_) -> DecoyEstimate:
+            q_z, q_x, eq_x = observe(ss, bounds)
+            return _finalize(q_z[LOW], q_x[LOW], eq_x[HIGH], 1.0)
+
+        return observed
+    if not spec_signal.mu > spec_decoy.mu > 0.0:
         raise DomainError(
             f"intensities must satisfy mu_signal > mu_decoy > 0, got "
             f"({spec_signal.mu}, {spec_decoy.mu})"
         )
-    intervals = {key: observe(g, bounds) for key, g in by_gain.items()}
-    table = {c: intervals[id(gains[c])] for c in read}
-    if kind is SourceKind.SPS:
-        q_z, q_x, eq_x = table["ss"]
-        return _finalize(q_z[LOW], q_x[LOW], eq_x[HIGH], 1.0)
     # The vacuum channels of a source with P0 = 0 are not read: they
     # enter as P0 times zero gains and so drop out exactly.
     zero = ((0.0, 0.0),) * 3
-    ss, s0, zs = table["ss"], table.get("s0", zero), table.get("0s", zero)
-    dd, d0, zd = table["dd"], table.get("d0", zero), table.get("0d", zero)
-    vac = table.get("00", zero)
+    even = spec_signal.has_even_sector
+    vac = observe(vacuum, bounds) if even else zero
 
-    def g(p0: float, diag: ChannelIntervals, row: ChannelIntervals,
-          col: ChannelIntervals, field: int, end: int) -> float:
+    def g(p0: float, diag: tuple, row: tuple, col: tuple, field: int, end: int) -> float:
         # The diagonal and double-vacuum terms carry the sign of the
         # whole g and are read at ``end``; the cross terms enter with the
         # opposite sign and are read at the other end.
@@ -222,10 +216,42 @@ def estimate(spec_signal: SourceSpec, spec_decoy: SourceSpec,
 
     p_signal, p_decoy = spec_signal.emitted_head, spec_decoy.emitted_head
     p0s, p0d, p1d = p_signal[0], p_decoy[0], p_decoy[1]
-    y11_z = generic_y11_bound(
-        p_signal, p_decoy, g(p0s, ss, s0, zs, Q_Z, HIGH), g(p0d, dd, d0, zd, Q_Z, LOW)
-    )
-    y11_x = generic_y11_bound(
-        p_signal, p_decoy, g(p0s, ss, s0, zs, Q_X, HIGH), g(p0d, dd, d0, zd, Q_X, LOW)
-    )
-    return _finalize(y11_z, y11_x, g(p0d, dd, d0, zd, EQ_X, HIGH), p1d * p1d)
+    weight = p1d * p1d
+
+    def two_point(ss, dd, s0=None, zs=None, d0=None, zd=None) -> DecoyEstimate:
+        # The signal's pairs are read in Q_Z and Q_X alone, the decoy's
+        # in all three fields.
+        sig = bounds(ss.total_z), bounds(ss.total_x)
+        dec = observe(dd, bounds)
+        if even:
+            s_row = bounds(s0.total_z), bounds(s0.total_x)
+            s_col = s_row if zs is s0 else (bounds(zs.total_z), bounds(zs.total_x))
+            d_row = observe(d0, bounds)
+            d_col = d_row if zd is d0 else observe(zd, bounds)
+        else:
+            s_row = s_col = d_row = d_col = zero
+        y11_z = generic_y11_bound(p_signal, p_decoy, g(p0s, sig, s_row, s_col, Q_Z, HIGH),
+                                  g(p0d, dec, d_row, d_col, Q_Z, LOW))
+        y11_x = generic_y11_bound(p_signal, p_decoy, g(p0s, sig, s_row, s_col, Q_X, HIGH),
+                                  g(p0d, dec, d_row, d_col, Q_X, LOW))
+        return _finalize(y11_z, y11_x, g(p0d, dec, d_row, d_col, EQ_X, HIGH), weight)
+
+    return two_point
+
+
+def estimate(spec_signal: SourceSpec, spec_decoy: SourceSpec,
+             gains: Mapping[str, GainSet], bounds: Bounds = exact) -> DecoyEstimate:
+    """Decoy bounds from the gains of every channel that
+    ``channels(spec_signal)`` lists, with every observed gain at the
+    endpoint of its ``bounds`` interval that weakens the bound, by the
+    estimator of the signal source's kind: ``estimator``'s setup and
+    its step."""
+    read = channels(spec_signal)
+    missing = [c for c in read if c not in gains]
+    if missing:
+        raise DomainError(
+            f"{spec_signal.kind.value} decoy estimator needs the gains of channel(s) "
+            f"{', '.join(missing)}"
+        )
+    step = estimator(spec_signal, spec_decoy, bounds, gains.get("00"))
+    return step(*[gains[c] for c in read if c != "00"])

@@ -22,8 +22,8 @@ and sinh swapped, and a single photon arrives with probability eta.
 
 ``transmitted`` truncates the series after loss relative to the
 multi-photon mass it keeps (``TAIL_TOLERANCE``), or at a yield table's
-cutoff, and decides in the same walk whether that cutoff leaves out too
-much.  The cutoff is judged against the light that arrives, not the
+cutoff, and a second walk past the cutoff decides whether it leaves out
+too much.  The cutoff is judged against the light that arrives, not the
 light emitted: loss moves mass only downwards, so a source too bright
 for the table at short distance can fit it further out.  No other
 module applies loss to photon numbers or truncates them.
@@ -38,9 +38,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import math
-from collections.abc import Iterator
 
 from .errors import CutoffError, DomainError, record
 
@@ -109,7 +107,7 @@ class SourceSpec(record("SourceSpec", "kind mu odd_weight")):
         """(P0, P1, Pm) of the emitted statistics in closed form, the first
         m + 1 terms of the series at eta = 1: m = 2 with an even sector, else 3."""
         m = 2 if self.has_even_sector else 3
-        head = [p for p, _ in itertools.islice(_series(self, 1.0), m + 1)]
+        head, _ = _series(self, 1.0, m + 1)
         return head[0], head[1], head[m]
 
     @classmethod
@@ -138,11 +136,17 @@ def _sinhc(z: float) -> float:
     return math.sinh(z) / z if z else 1.0
 
 
-def _series(spec: SourceSpec, eta: float) -> Iterator[tuple[float, float]]:
-    """(p'(k), bound on the mass above k) for k = 0, 1, ..., _HARD_CAP
-    of ``spec`` after loss ``eta``; at eta = 1 the emitted statistics.
-    The bound is sound wherever that mass is a normal float.  Raises
-    ``DomainError`` once the series runs past ``_HARD_CAP``."""
+def _series(
+    spec: SourceSpec, eta: float, count: int | None = None,
+    relative: float = -math.inf, absolute: float = 0.0,
+) -> tuple[list[float], float]:
+    """The first terms p'(0), p'(1), ... of ``spec`` after loss ``eta``
+    (at eta = 1 the emitted statistics), walked in one frame, and a bound
+    on the mass above the last, sound wherever that mass is a normal
+    float.  The walk ends after ``count`` terms, or at the first term
+    whose bound is below ``absolute`` or at most ``relative`` times the
+    multi-photon mass kept (k >= 2).  Raises ``DomainError`` when it
+    would run past ``_HARD_CAP``, which only a walk without ``count`` does."""
     kind = spec.kind
     # A single photon is the mu -> 0 limit of the cat, the vacuum that of
     # the weak coherent state; their specs fix mu at 0.
@@ -168,16 +172,24 @@ def _series(spec: SourceSpec, eta: float) -> Iterator[tuple[float, float]]:
         odd_sinh = a * (1.0 - eta) * _sinhc(r) / s  # even k, times g_k
         even_cosh = (1.0 - a) * math.cosh(r) / math.cosh(mu)
         even_sinh = (1.0 - a) * math.sinh(r) / math.cosh(mu)
+    # The products and sums every term repeats, rounded as they were.
+    odd_eta, even = odd_cosh * eta, odd_sinh + even_cosh
+    terms = []
+    multi = 0.0
     g_prev, g = 0.0, 1.0  # g_(k-1), g_k
-    for k in range(_HARD_CAP + 1):
-        if k % 2:
-            p = odd_cosh * eta * g_prev / k + even_sinh * g
-        else:
-            p = (odd_sinh + even_cosh) * g
+    for k in range(_HARD_CAP + 1 if count is None else count):
+        p = odd_eta * g_prev / k + even_sinh * g if k % 2 else even * g
+        terms.append(p)
+        if k > 1:
+            multi += p
         g_prev, g = g, g * x / (k + 1)
-        bound = odd_cosh * eta * g_prev / (k + 1) + even_cosh * g
-        yield p, (_TAIL_SLACK * bound / (1.0 - x / (k + 2)) if x < k + 2 else math.inf)
-    raise _no_convergence(spec)
+        bound = odd_eta * g_prev / (k + 1) + even_cosh * g
+        tail = _TAIL_SLACK * bound / (1.0 - x / (k + 2)) if x < k + 2 else math.inf
+        if tail < absolute or tail <= relative * multi:
+            return terms, tail
+    if count is None:
+        raise _no_convergence(spec)
+    return terms, tail
 
 
 def _no_convergence(spec: SourceSpec) -> DomainError:
@@ -199,30 +211,21 @@ def transmitted(
     (two-photon interference cancels the (1, 1) term) while a dropped
     three-photon term enters some yields at order one, so neither a tail
     relative to the arriving mass x nor an absolute one would be small
-    against it.  Where the series runs into ``cutoff``, the walk goes on
-    past it and sums the terms it drops, smallest first, until the bound
-    on the mass beyond them is below the rounding of ``TAIL_TOLERANCE``,
-    so every term that could carry the sum across the tolerance counts.
+    against it.  Where the series runs into ``cutoff`` with its tail bound
+    not yet below the rounding of ``TAIL_TOLERANCE``, a second walk (the
+    same terms, bit for bit) runs until the bound on the mass beyond its
+    last term is, and sums its terms past the cutoff, smallest first, so
+    every term that could carry the sum across the tolerance counts.
     Raises ``CutoffError`` when that mass is at least ``TAIL_TOLERANCE``,
     and ``DomainError`` when ``eta`` is not in [0, 1].
     """
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"efficiency eta must lie in [0, 1], got {eta}")
-    probs = []
-    multi = 0.0
-    series = _series(spec, eta)
-    for k, (p, tail) in zip(range(cutoff + 1), series):
-        probs.append(p)
-        if k > 1:
-            multi += p
-        if tail <= TAIL_TOLERANCE * multi:
-            break
-    if len(probs) > cutoff:
-        above, bound = [], tail
-        while bound >= TAIL_TOLERANCE * _ROUNDING:
-            p, bound = next(series)
-            above.append(p)
-        mass = sum(reversed(above))
+    probs, tail = _series(spec, eta, cutoff + 1, TAIL_TOLERANCE)
+    floor = TAIL_TOLERANCE * _ROUNDING
+    if len(probs) > cutoff and tail >= floor:
+        above, _ = _series(spec, eta, absolute=floor)
+        mass = sum(reversed(above[cutoff + 1:]))
         if mass >= TAIL_TOLERANCE:
             raise CutoffError(
                 f"{spec.kind.value} source (mu={spec.mu}) keeps mass {mass:.3g} "

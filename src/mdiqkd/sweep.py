@@ -4,25 +4,26 @@
 photon statistics after loss, in closed form -> observed gains,
 contracted against the lossless relay yield tables -> decoy bounds with
 finite-size worst-casing -> key rate.  One path serves every source
-family and the library alike: ``decoy.estimate`` picks the estimator,
-and ``decoy.channels`` the gains it reads (vacuum channels only where
-the source emits an even-photon sector).  Three memos serve the gain
-path.  The lossless table blocks depend only on the dark-count
-probability and the block shape and serve every source and distance.
-``_intensity`` holds each intensity's share of an evaluation at one
-distance, keyed by (source spec, efficiency, dark count, cutoff,
-misalignment): its diagonal gain and its gain with the vacuum where the
-estimator reads vacuum channels, both contracted from one read of its
-statistics after loss (``sources.transmitted``, itself not memoised).
-``SourceSpec.emitted_head`` memoises each spec's emitted (P0, P1, Pm).
-A point reads its signal, decoy and vacuum entries, so a point that
-differs from an earlier one only in the pulse count (a calibration
-step) or in one intensity (an ``optimize`` grid) pays lookups for what
-it shares.  The vacuum arrives unchanged at every efficiency, so its
-entry serves every distance.  Mirrored vacuum channels ("s0" and "0s",
-"d0" and "0d") share one gain, and so one interval.  The finite-size
-interval pass is not memoised: each evaluation applies its method's
-kernel once to every distinct gain (``finite_key.interval_kernel``).
+family and pipeline: ``_setup`` does, once per (scenario, signal spec,
+decoy spec, statistics), what every distance shares (the kernel,
+``decoy.estimator``'s checks and heads, the intervals of the vacuum
+channel "00" where ``decoy.channels`` lists it), and ``_evaluate``, the
+one per-point step, the rest.  A sweep builds one setup per scenario,
+``optimize`` one per intensity pair, calibration one per pulse count.
+Three memos serve the gain path.  The lossless table blocks depend only
+on the dark-count probability and the block shape and serve every
+source and distance.  ``_intensity`` holds each intensity's share of an
+evaluation at one distance, keyed by (source spec, efficiency, dark
+count, cutoff, misalignment): its diagonal gain and its gain with the
+vacuum where the estimator reads vacuum channels, both contracted from
+one read of its statistics after loss (``sources.transmitted``, itself
+not memoised).  ``SourceSpec.emitted_head`` memoises each spec's emitted
+(P0, P1, Pm).  So a point that differs from an earlier one only in the
+pulse count or in one intensity pays lookups for what it shares.  The
+vacuum arrives unchanged at every efficiency, so its entry serves every
+distance.  Mirrored vacuum channels ("s0" and "0s", "d0" and "0d")
+share one gain, and so one interval.  Intervals are not memoised: each
+point applies its method's kernel once to every field its bound reads.
 
 All pipelines are serial and deterministic: identical inputs give
 bit-identical results in grid order.
@@ -37,7 +38,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 from .config import FiniteKeyConfig, Scenario
-from .decoy import channels, estimate
+from .decoy import channels, estimator
 from .errors import DomainError, record
 from .finite_key import interval_kernel
 from .rates import KeyRatePoint, contract_gains, key_rate
@@ -62,39 +63,45 @@ def _intensity(spec: SourceSpec, efficiency: float, dark_count: float,
     )
 
 
-def _evaluate(scenario: Scenario, spec_signal: SourceSpec, spec_decoy: SourceSpec,
-              finite_key: FiniteKeyConfig, distance_km: float) -> KeyRatePoint:
-    """``evaluate_point`` with these sources and statistics in place of
-    the scenario's, so a search or grid builds no scenario per point."""
+def _setup(scenario: Scenario, spec_signal: SourceSpec, spec_decoy: SourceSpec,
+           finite_key: FiniteKeyConfig) -> tuple:
+    """What every distance of an evaluation with these sources and
+    statistics shares, for ``_evaluate``: the estimator's step (its
+    checks, heads and vacuum intervals done), the signal's P1 and the
+    names, so a search or grid builds no scenario per point."""
     system = scenario.system
-    kind = scenario.source_kind
-    eta = system.efficiency_at(distance_km)
-    at = (eta, system.dark_count, scenario.cutoff, system.misalignment)
-    gains_signal, signal_vacuum = _intensity(spec_signal, *at)
-    gains_decoy, decoy_vacuum = _intensity(spec_decoy, *at)
-    channel_gains = {"ss": gains_signal, "dd": gains_decoy}
+    at = (system.dark_count, scenario.cutoff, system.misalignment)
+    vacuum = _intensity(_VACUUM, 1.0, *at)[0] if "00" in channels(spec_signal) else None
+    return (
+        system.efficiency_at, spec_signal, spec_decoy, at,
+        estimator(spec_signal, spec_decoy, interval_kernel(finite_key), vacuum),
+        spec_signal.emitted_head[1], system.ec_efficiency,
+        scenario.source_kind.value, finite_key.method.value,
+    )
+
+
+def _evaluate(setup: tuple, distance_km: float) -> KeyRatePoint:
+    """The one per-point path: the key-rate point of a ``_setup`` at
+    ``distance_km``."""
+    efficiency_at, spec_signal, spec_decoy, at, bound, p1, ec_efficiency, source, method = setup
+    eta = efficiency_at(distance_km)
+    gains_signal, signal_vacuum = _intensity(spec_signal, eta, *at)
+    gains_decoy, decoy_vacuum = _intensity(spec_decoy, eta, *at)
     # A vacuum channel and its mirror ("s0" and "0s") share the gain with
     # the vacuum second.  It is bitwise the same both ways because Y1 is
     # symmetric, the vacuum arrives as (1.0,), and both arms share one
-    # efficiency; an asymmetric relay would need both.  For the same
-    # reason "00" is the same at every efficiency: one entry per setting.
-    if signal_vacuum is not None:
-        channel_gains.update({
-            "s0": signal_vacuum, "0s": signal_vacuum,
-            "d0": decoy_vacuum, "0d": decoy_vacuum,
-            "00": _intensity(_VACUUM, 1.0, *at[1:])[0],
-        })
-    bounds = estimate(spec_signal, spec_decoy, channel_gains, interval_kernel(finite_key))
-    p1 = spec_signal.emitted_head[1]
+    # efficiency; an asymmetric relay would need both.
+    bounds = bound(gains_signal, gains_decoy, signal_vacuum, signal_vacuum,
+                   decoy_vacuum, decoy_vacuum)
     # (1, 1) coincidences are among all coincidences, so Q11 <= Q_Z; a
     # bound not rounded outward can pass it by a rounding.
     q11_z = min(p1 * p1 * bounds.y11_lower, gains_signal.total_z)
     raw = key_rate(q11_z, bounds.e11_upper, gains_signal.total_z, gains_signal.qber_z,
-                   system.ec_efficiency)
+                   ec_efficiency)
     return KeyRatePoint(
         distance_km=distance_km,
-        source=kind.value,
-        method=finite_key.method.value,
+        source=source,
+        method=method,
         mu_signal=spec_signal.mu,
         mu_decoy=spec_decoy.mu,
         gains_signal=gains_signal,
@@ -107,17 +114,19 @@ def _evaluate(scenario: Scenario, spec_signal: SourceSpec, spec_decoy: SourceSpe
     )
 
 
+def _specs(scenario: Scenario) -> tuple[SourceSpec, SourceSpec]:
+    return scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu)
+
+
 def evaluate_point(scenario: Scenario, distance_km: float) -> KeyRatePoint:
     """Evaluate the key rate of one scenario at one distance."""
-    specs = scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu)
-    return _evaluate(scenario, *specs, scenario.finite_key, distance_km)
+    return _evaluate(_setup(scenario, *_specs(scenario), scenario.finite_key), distance_km)
 
 
 def run_sweep(scenario: Scenario) -> list[KeyRatePoint]:
     """Key rate at every grid distance, ordered by distance."""
-    specs = scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu)
-    return [_evaluate(scenario, *specs, scenario.finite_key, d)
-            for d in scenario.grid.distances()]
+    setup = _setup(scenario, *_specs(scenario), scenario.finite_key)
+    return [_evaluate(setup, d) for d in scenario.grid.distances()]
 
 
 # Benchmark intensity settings used by the source comparison, chosen so
@@ -149,11 +158,10 @@ def compare_sources(base: Scenario) -> list[KeyRatePoint]:
     return points
 
 
-def _best_point(scenario: Scenario, pairs: Sequence[tuple[SourceSpec, SourceSpec]],
-                distance_km: float) -> KeyRatePoint:
+def _best_point(setups: Sequence[tuple], distance_km: float) -> KeyRatePoint:
     best = None
-    for specs in pairs:
-        candidate = _evaluate(scenario, *specs, scenario.finite_key, distance_km)
+    for setup in setups:
+        candidate = _evaluate(setup, distance_km)
         # Strict comparison keeps the first (smallest mu1, then mu2)
         # among rate ties, so results do not depend on grid order.
         if best is None or candidate.rate > best.rate:
@@ -175,7 +183,8 @@ def optimize_intensities(scenario: Scenario) -> list[KeyRatePoint]:
         raise DomainError(
             "no feasible intensity pairs: every candidate violates mu1 > mu2 > 0"
         )
-    return [_best_point(scenario, pairs, d) for d in scenario.grid.distances()]
+    setups = [_setup(scenario, *specs, scenario.finite_key) for specs in pairs]
+    return [_best_point(setups, d) for d in scenario.grid.distances()]
 
 
 def _grid_steps(max_km: float, step_km: float) -> int:
@@ -294,12 +303,16 @@ def calibrate_pulse_pairs(
     k_lo = _last_positive(lambda k: k * step_km < lo_w, steps, 0, steps) + 1
     k_hi = _last_positive(lambda k: k * step_km <= hi_w, steps, 0, steps) + 1
 
-    specs = scenario.signal_spec(), scenario.signal_spec(scenario.decoy_mu)
+    specs = _specs(scenario)
+
+    @lru_cache(maxsize=None)
+    def setup(pulse_pairs: float) -> tuple:
+        finite_key = replace(scenario.finite_key, pulse_pairs=pulse_pairs)
+        return _setup(scenario, *specs, finite_key)
 
     @lru_cache(maxsize=None)
     def positive(pulse_pairs: float, index: int) -> bool:
-        finite_key = replace(scenario.finite_key, pulse_pairs=pulse_pairs)
-        return _evaluate(scenario, *specs, finite_key, index * step_km).rate > 0.0
+        return _evaluate(setup(pulse_pairs), index * step_km).rate > 0.0
 
     # "No key" is the cutoff -1.0, which reaches every lo <= -1 and
     # passes every hi < -1.

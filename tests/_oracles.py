@@ -366,11 +366,7 @@ def oracle_emitted_cutoff(spec, tail_tolerance: float) -> int:
     with the float terms of the closed-form series at eta = 1 summed
     smallest first.  Terms are taken until the bound on the rest is below
     the rounding of the tolerance."""
-    terms = []
-    for p, bound in _series(spec, 1.0):
-        terms.append(p)
-        if bound < tail_tolerance * 2.0**-53:
-            break
+    terms, _ = _series(spec, 1.0, absolute=tail_tolerance * 2.0**-53)
     tails = list(itertools.accumulate(reversed(terms[1:]), initial=0.0))[::-1]
     return next(n for n, mass in enumerate(tails) if mass < tail_tolerance)
 

@@ -368,7 +368,9 @@ def test_cli_unwritable_output_is_a_config_error(tmp_path, monkeypatch, capsys, 
     def forbidden(*args):
         raise AssertionError("the run started before --out was checked")
 
-    # every pipeline evaluates its points through sweep._evaluate
+    # every pipeline builds a setup through sweep._setup, and evaluates
+    # its points through sweep._evaluate
+    monkeypatch.setattr(mdiqkd.sweep, "_setup", forbidden)
     monkeypatch.setattr(mdiqkd.sweep, "_evaluate", forbidden)
     monkeypatch.setattr(mdiqkd.cli, "_yields_report", forbidden)
     monkeypatch.chdir(tmp_path)
@@ -448,6 +450,7 @@ def test_cli_cutoff_above_the_maximum_exits_2_before_the_output(tmp_path, monkey
     def forbidden(*args):
         raise AssertionError("the run started with a cutoff above the maximum")
 
+    monkeypatch.setattr(mdiqkd.sweep, "_setup", forbidden)
     monkeypatch.setattr(mdiqkd.sweep, "_evaluate", forbidden)
     cfg = _write_cfg(tmp_path, "bsm.cutoff = 21\n")
     new = tmp_path / "new.csv"

@@ -11,6 +11,7 @@ from _oracles import decoy_certificate, oracle_css_y11
 from mdiqkd import (
     ConfigError,
     CutoffError,
+    DistanceGrid,
     DomainError,
     FiniteKeyConfig,
     FLAG_CLAMPED,
@@ -23,6 +24,7 @@ from mdiqkd import (
     SystemParams,
     evaluate_point,
     gains,
+    run_sweep,
     true_single_photon_quantities,
     yield_tables,
 )
@@ -96,12 +98,14 @@ def test_faint_decoy_bound_reads_the_multi_photon_term(mu2, distance_km):
 
 @pytest.mark.parametrize(
     "kind, calls",
-    [(SourceKind.WCS, 15), (SourceKind.NONIDEAL_CSS, 15), (SourceKind.CSS, 6), (SourceKind.SPS, 3)],
+    [(SourceKind.WCS, 13), (SourceKind.NONIDEAL_CSS, 13), (SourceKind.CSS, 5), (SourceKind.SPS, 3)],
 )
-def test_estimate_applies_the_kernel_once_per_distinct_gain(monkeypatch, kind, calls):
-    """The pipelines hand mirrored vacuum channels one shared GainSet,
-    which gets one interval: 5 distinct gains of 7 channels for the
-    vacuum-plus-decoy bound, 3 kernel calls per gain."""
+def test_estimate_applies_the_kernel_once_per_field_read(monkeypatch, kind, calls):
+    """The kernel runs once per (channel, field) the bound reads: Q_Z and
+    Q_X of the signal pair and of its vacuum channel, whose mirror shares
+    its GainSet, all three fields of the decoy pair, of its vacuum channel
+    and, once per setup, of "00".  So 10 + 3 for the vacuum-plus-decoy
+    bound, 2 + 3 without vacuum channels, and 3 for a single photon."""
     scenario = Scenario(source_kind=kind, signal_mu=0.4, decoy_mu=0.07)
     want = evaluate_point(scenario, 100.0)
     seen = []
@@ -113,6 +117,27 @@ def test_estimate_applies_the_kernel_once_per_distinct_gain(monkeypatch, kind, c
     monkeypatch.setattr(mdiqkd.sweep, "interval_kernel", lambda config: counting)
     assert evaluate_point(scenario, 100.0) == want
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize("points", [1, 2, 7])
+def test_a_sweep_intervals_the_vacuum_channel_once(monkeypatch, points):
+    """An n-point weak coherent sweep calls the kernel 10 n + 3 times: the
+    "00" channel's three fields are read once per setup, not per point."""
+    scenario = Scenario(
+        source_kind=SourceKind.WCS, signal_mu=0.4, decoy_mu=0.07,
+        grid=DistanceGrid(0.0, 10.0 * (points - 1), 10.0),
+    )
+    want = run_sweep(scenario)
+    seen = []
+
+    def counting(gain):
+        seen.append(gain)
+        return gain, gain
+
+    monkeypatch.setattr(mdiqkd.sweep, "interval_kernel", lambda config: counting)
+    assert run_sweep(scenario) == want
+    assert len(want) == points
+    assert len(seen) == 10 * points + 3
 
 
 def test_single_photon_bounds_are_the_observed_gains():
@@ -535,6 +560,20 @@ def test_generic_bound_degeneracy_detection():
     # by P1(signal) P1(decoy), as for wcs (460, 0.07)
     with pytest.raises(DomainError, match="denominator_underflow"):
         generic_y11_bound((0.0, 1e-197, 1e-195), (0.93, 0.065, 2.3e-3), 1e-3, 1e-4)
+
+
+@pytest.mark.parametrize("kind", [SourceKind.WCS, SourceKind.NONIDEAL_CSS, SourceKind.CSS])
+def test_generic_bound_rejects_swapped_intensities(kind):
+    """The estimator checks mu_signal > mu_decoy before it reaches the
+    bound, so only a direct call with the heads swapped meets the
+    negative determinant."""
+    spec = Scenario(source_kind=kind, odd_weight=0.7).signal_spec
+    weak, strong = spec(0.07).emitted_head, spec(0.4).emitted_head
+    assert generic_y11_bound(strong, weak, 1e-3, 1e-4) is not None
+    with pytest.raises(
+        DomainError, match=r"requires P1\(decoy\) Pm\(signal\) > P1\(signal\) Pm\(decoy\)"
+    ):
+        generic_y11_bound(weak, strong, 1e-4, 1e-3)
 
 
 def test_vacuum_substitution_removes_zero_photon_rows():

@@ -285,6 +285,66 @@ def test_optimize_tie_breaks_toward_smaller_intensities():
     assert points[0].mu_signal == 0.1 and points[0].mu_decoy == 0.01
 
 
+_GUARD_SOURCES = {
+    "sps": {"source_kind": SourceKind.SPS},
+    "css": {"source_kind": SourceKind.CSS},
+    "nonideal_css": {"source_kind": SourceKind.NONIDEAL_CSS, "odd_weight": 0.7},
+    "wcs": {"source_kind": SourceKind.WCS, "signal_mu": 0.4, "decoy_mu": 0.07},
+}
+# Every method, and Chernoff at N = 1e10, where the longer distances of
+# each source are flagged (clamped yields, error bounds above 1/2).
+_GUARD_STATISTICS = {
+    "asymptotic": FiniteKeyConfig(),
+    "standard": FiniteKeyConfig(FluctuationMethod.STANDARD, 1e14),
+    "chernoff": FiniteKeyConfig(FluctuationMethod.CHERNOFF, 1e14),
+    "chernoff 1e10": FiniteKeyConfig(FluctuationMethod.CHERNOFF, 1e10),
+}
+
+
+@pytest.mark.parametrize("statistics", list(_GUARD_STATISTICS))
+@pytest.mark.parametrize("source", list(_GUARD_SOURCES))
+def test_a_sweep_equals_its_points_evaluated_one_by_one(source, statistics):
+    """A sweep shares one setup across its distances; every record equals
+    the one ``evaluate_point`` builds from scratch."""
+    scenario = Scenario(
+        **_GUARD_SOURCES[source], grid=DistanceGrid(0.0, 600.0, 75.0),
+        finite_key=_GUARD_STATISTICS[statistics],
+    )
+    points = run_sweep(scenario)
+    assert points == [evaluate_point(scenario, d) for d in scenario.grid.distances()]
+    if statistics == "chernoff 1e10":
+        assert points[0].flags == frozenset() and points[-1].flags
+
+
+@pytest.mark.parametrize("statistics", list(_GUARD_STATISTICS))
+@pytest.mark.parametrize("source", ["css", "nonideal_css", "wcs"])
+def test_optimize_picks_the_first_best_point_evaluated_one_by_one(source, statistics):
+    """One setup per intensity pair gives, at every distance, the first
+    best point in sorted pair order, over points evaluated from scratch;
+    the zero rates at long distance tie, and the first pair wins."""
+    scenario = Scenario(
+        **_GUARD_SOURCES[source], grid=DistanceGrid(0.0, 600.0, 150.0),
+        finite_key=_GUARD_STATISTICS[statistics],
+        mu1_candidates=(0.4, 0.1, 0.05), mu2_candidates=(0.07, 0.01, 0.1),
+    )
+    pairs = [
+        (mu1, mu2)
+        for mu1 in sorted(scenario.mu1_candidates)
+        for mu2 in sorted(scenario.mu2_candidates)
+        if mu1 > mu2 > 0.0
+    ]
+    want = []
+    for d in scenario.grid.distances():
+        best = None
+        for mu1, mu2 in pairs:
+            point = evaluate_point(replace(scenario, signal_mu=mu1, decoy_mu=mu2), d)
+            if best is None or point.rate > best.rate:
+                best = point
+        want.append(best)
+    assert optimize_intensities(scenario) == want
+    assert want[-1].rate == 0.0 and (want[-1].mu_signal, want[-1].mu_decoy) == pairs[0]
+
+
 def test_optimize_rejects_infeasible_grid():
     scenario = small(mu1_candidates=(0.01,), mu2_candidates=(0.05,))
     with pytest.raises(DomainError):
@@ -512,16 +572,25 @@ def _recorded_calibration(monkeypatch, scenario, **kwargs):
     """The result and the (N, distance) points calibration evaluates,
     recorded at the function it calls."""
     seen = []
-    evaluate = mdiqkd.sweep._evaluate
+    counts = {}
+    setup, evaluate = mdiqkd.sweep._setup, mdiqkd.sweep._evaluate
 
-    def recording(scenario, spec_signal, spec_decoy, finite_key, distance_km):
-        seen.append((finite_key.pulse_pairs, distance_km))
-        return evaluate(scenario, spec_signal, spec_decoy, finite_key, distance_km)
+    def recording_setup(scenario, spec_signal, spec_decoy, finite_key):
+        made = setup(scenario, spec_signal, spec_decoy, finite_key)
+        counts[id(made)] = finite_key.pulse_pairs
+        return made
 
+    def recording(made, distance_km):
+        seen.append((counts[id(made)], distance_km))
+        return evaluate(made, distance_km)
+
+    monkeypatch.setattr(mdiqkd.sweep, "_setup", recording_setup)
     monkeypatch.setattr(mdiqkd.sweep, "_evaluate", recording)
     result = calibrate_pulse_pairs(scenario, **kwargs)
     monkeypatch.undo()
     assert seen, "the recorder saw no evaluation"
+    # one setup per pulse count
+    assert len(counts) == len(set(counts.values()))
     return result, seen
 
 
@@ -623,8 +692,9 @@ def test_calibration_arguments_are_validated(monkeypatch, kwargs, name):
     def forbidden(*args):
         raise AssertionError("evaluated before the arguments were checked")
 
+    monkeypatch.setattr(mdiqkd.sweep, "_setup", forbidden)
     monkeypatch.setattr(mdiqkd.sweep, "_evaluate", forbidden)
-    # the patched function is the one calibration evaluates through
+    # the patched functions are the ones calibration evaluates through
     with pytest.raises(AssertionError, match="evaluated"):
         calibrate_pulse_pairs(_WCS)
     with pytest.raises(DomainError, match=name):
